@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .arith import (
     DiscriminantChar,
-    PiRational,
     bernoulli,
     cohen_h,
     fundamental_decomposition,
@@ -27,7 +26,7 @@ from .arith import (
     pochhammer,
     zeta_neg,
 )
-from .eisen import EisensteinContext, eis_coeff, z_const
+from .eisen import EisensteinContext, z_const
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import BinaryForm, BivariatePoly, eval_binary, gegenbauer_poly
 from .pullback import (
@@ -80,7 +79,6 @@ __all__ = [
     "EigenBasis",
     "EisensteinContext",
     "HalfIntegralMatrix",
-    "PiRational",
     "QExpansion",
     "SiegelSeriesPolynomial",
     "SingularSystem",
@@ -96,7 +94,6 @@ __all__ = [
     "cohen_series",
     "cond2_determinant",
     "eigen_basis",
-    "eis_coeff",
     "eisenstein_qexp",
     "enumerate_R",
     "epsilon",

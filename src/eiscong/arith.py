@@ -16,7 +16,6 @@ from math import comb, gcd, prod
 
 __all__ = [
     "DiscriminantChar",
-    "PiRational",
     "bernoulli",
     "bernoulli_poly",
     "cohen_h",
@@ -87,7 +86,7 @@ def pochhammer(x: int | Fraction, n: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Factorization helpers (inputs here are small: conductors, determinants,
-# constant terms of characteristic polynomials)
+# Hecke indices)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -192,7 +191,9 @@ def divisor_power_sum(n: int, e: int) -> int:
 
 
 def ord_p(p: int, x: int | Fraction) -> int:
-    """p-adic valuation of a nonzero rational."""
+    """p-adic valuation of a nonzero rational; p must be at least 2."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero is undefined")
@@ -364,41 +365,3 @@ def cohen_h(r: int, n: int) -> Fraction:
         for e in divisors(f)
     )
     return l_value_neg(r, chi) * tail
-
-
-# ---------------------------------------------------------------------------
-# Exact multiples of powers of pi
-
-
-@dataclass(frozen=True)
-class PiRational:
-    """A number of the form coefficient * pi^pi_exponent, kept exact."""
-
-    coefficient: Fraction
-    pi_exponent: int = 0
-
-    def __mul__(self, other: PiRational | Fraction | int) -> PiRational:
-        if isinstance(other, PiRational):
-            return PiRational(
-                self.coefficient * other.coefficient,
-                self.pi_exponent + other.pi_exponent,
-            )
-        return PiRational(self.coefficient * other, self.pi_exponent)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: PiRational | Fraction | int) -> PiRational:
-        if isinstance(other, PiRational):
-            if other.coefficient == 0:
-                raise ZeroDivisionError
-            return PiRational(
-                self.coefficient / other.coefficient,
-                self.pi_exponent - other.pi_exponent,
-            )
-        return PiRational(self.coefficient / Fraction(other), self.pi_exponent)
-
-    def rational_part(self) -> Fraction:
-        """The coefficient, valid as the full value only when pi_exponent = 0."""
-        if self.pi_exponent != 0:
-            raise ValueError("value carries a nonzero power of pi")
-        return self.coefficient

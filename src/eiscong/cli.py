@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import ord_p
+from .arith import _is_probable_prime, ord_p
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .pullback import Strictness, certify
@@ -77,6 +77,9 @@ def _precision(args: argparse.Namespace, weight: int) -> int:
 
 def _cmd_lvalue(args) -> tuple[dict, int]:
     k, nu = args.k, args.nu
+    for p in args.ords:
+        if not _is_probable_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
     prec = _precision(args, k + nu)
     basis = eigen_basis(k + nu, prec)
     rows = []
@@ -87,7 +90,7 @@ def _cmd_lvalue(args) -> tuple[dict, int]:
             "t2_eigenvalue": _rat(f.coefficient(2)),
             "l_value": _rat(value),
         }
-        for p in args.ords or ():
+        for p in args.ords:
             row[f"ord_{p}"] = ord_p(p, value) if value != 0 else None
         rows.append(row)
     doc = {
@@ -145,7 +148,7 @@ def _cmd_siegel_series(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_eis_coeff(args) -> tuple[dict, int]:
+def _cmd_eisenstein_coeff(args) -> tuple[dict, int]:
     ctx = EisensteinContext(args.degree, args.k, args.budget)
     value = ctx.coefficient(args.T)
     return {
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--T", type=_matrix_arg, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=_cmd_eis_coeff)
+    p.set_defaults(handler=_cmd_eisenstein_coeff)
 
     p = sub.add_parser("cohen-series", help="dump the q-expansion of the H-coefficient series")
     p.add_argument("--k", type=int, required=True)

@@ -20,7 +20,7 @@ from .arith import l_value_neg, prime_divisors, zeta_neg
 from .quadform import HalfIntegralMatrix, chi_star, nondeg_part
 from .siegelseries import DEFAULT_BUDGET, local_F
 
-__all__ = ["EisensteinContext", "eis_coeff", "z_const"]
+__all__ = ["EisensteinContext", "z_const"]
 
 
 def z_const(n: int, k: int) -> Fraction:
@@ -87,8 +87,3 @@ class EisensteinContext:
             for i in range((m + 1) // 2, n // 2 + 1):
                 value *= zeta_neg(2 * k - 2 * i)
         return value
-
-
-def eis_coeff(ctx: EisensteinContext, t: HalfIntegralMatrix) -> Fraction:
-    """Coefficient a(T) of the normalized degree-ctx.n weight-ctx.k series."""
-    return ctx.coefficient(t)

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 
 class UnsupportedHeckeField(Exception):
-    """The Hecke eigenvalues at this weight are irrational.
+    """The cusp space has dimension >= 2, so its Hecke field is not Q.
 
-    Eigen-decompositions are restricted to weights where the characteristic
-    polynomial of T(2) on the cusp space splits into distinct rational roots.
+    Eigenforms are provided only for level-1 cusp spaces of dimension <= 1.
+    Every larger space checked (all weights k <= 60, and far beyond under
+    Maeda's conjecture) has irrational Hecke eigenvalues.
     """
 
 
 class SingularSystem(Exception):
-    """A linear solve on q-coefficients was underdetermined (precision too low)."""
+    """Too few q-coefficients to decide an identity at the Sturm bound."""
 
 
 class BudgetExceeded(Exception):

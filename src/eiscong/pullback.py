@@ -5,9 +5,10 @@ eps_{k,nu}(n, N) is the finite sum over integer rows R of
 a(T_(n,N,R)) * P_{2k,nu}(R v / 2, n v^t N v) with T_(n,N,R) the bordered
 3x3 matrix and a(.) the degree-3 normalized Eisenstein coefficient; it is a
 binary form of degree nu.  Acting on the q-series n -> eps(n, N) with the
-degree-1 Hecke operators in weight k + nu and taking determinants against
-the eigenvalue table yields an exact rational whose p-order certifies the
-congruence conditions; `certify` assembles the full structured verdict.
+degree-1 Hecke operators in weight k + nu and reading one coefficient slot
+(the cusp space being one-dimensional) yields an exact rational whose
+p-order certifies the congruence conditions; `certify` assembles the full
+structured verdict.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import PiRational, factorize, ord_p, pochhammer, zeta_neg
+from .arith import _is_probable_prime, factorize, ord_p, pochhammer, zeta_neg
 from .eisen import EisensteinContext
 from .gegenbauer import BinaryForm, eval_binary
-from .qexp import eigen_basis, std_l_value
+from .qexp import QExpansion, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -36,8 +37,6 @@ __all__ = [
     "CongruenceCertificate",
     "Strictness",
     "Verdict",
-    "c_kv1",
-    "c_kv2",
     "certify",
     "cond2_determinant",
     "epsilon",
@@ -59,21 +58,6 @@ def _check_kv(k: int, nu: int) -> None:
         raise ValueError("k and nu must be positive even integers")
     if nu < 2:
         raise ValueError("nu = 0 (scalar weight) is out of scope")
-
-
-def c_kv1(k: int, nu: int) -> PiRational:
-    """2^4 (k)_nu (2k-1)_(nu-1) * pi."""
-    _check_kv(k, nu)
-    return PiRational(2**4 * pochhammer(k, nu) * pochhammer(2 * k - 1, nu - 1), 1)
-
-
-def c_kv2(k: int, nu: int) -> PiRational:
-    """(-1)^(k/2) 2^8 (k)_nu (2k-1)_(nu-2) / (k-2) * pi^3."""
-    _check_kv(k, nu)
-    sign = -1 if (k // 2) % 2 else 1
-    return PiRational(
-        sign * 2**8 * pochhammer(k, nu) * pochhammer(2 * k - 1, nu - 2) / (k - 2), 3
-    )
 
 
 def gamma1(k: int, nu: int) -> Fraction:
@@ -170,24 +154,12 @@ def epsilon_hecke(
 # The determinant criterion
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    d = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((i for i in range(col, d) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, d):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+def _eigenform(weight: int) -> QExpansion:
+    """The normalized eigenform of S_weight, which must not be zero."""
+    forms = eigen_basis(weight).forms
+    if not forms:
+        raise ValueError(f"the weight-{weight} cusp space is zero; there is no eigenform")
+    return forms[0]
 
 
 def pick_slot(k: int, nu: int, quad: HalfIntegralMatrix, p: int) -> int:
@@ -211,32 +183,19 @@ def cond2_determinant(
 ) -> tuple[Fraction, Fraction]:
     """Exact invariant behind the nonvanishing condition on a(N, lift).
 
-    Builds the d x d matrix whose first column holds the chosen slot of
-    e_m = eps(m, 1, N) for m in m_list and whose remaining columns hold the
-    composite Hecke eigenvalues of the other eigenforms; returns
-    (zeta(3-2k) * det(that matrix), det of the full eigenvalue matrix), the
-    second entry being 1 in dimension 1 by convention.
+    The cusp space of weight k + nu is one-dimensional (see eigen_basis), so
+    the determinant of the criterion is the chosen slot of e_m = eps(m, 1, N)
+    for the single m in m_list.  Returns (zeta(3-2k) * e_m[slot], delta) with
+    the eigenvalue determinant delta = 1 by convention in dimension 1.
     """
-    basis = eigen_basis(k + nu)
-    d = basis.dimension
-    if len(m_list) != d:
-        raise ValueError(f"m_list must have length dim S = {d}")
-    e_vals = [epsilon_hecke(k, nu, m, 1, quad) for m in m_list]
+    _eigenform(k + nu)
+    if len(m_list) != 1:
+        raise ValueError("m_list must have length dim S = 1")
     if not 0 <= slot <= nu:
         raise ValueError("slot out of range")
-    mixed = [
-        [e_vals[i].coeffs[slot]]
-        + [basis.tm_eigenvalue(j, m_list[i]) for j in range(1, d)]
-        for i in range(d)
-    ]
-    delta = (
-        Fraction(1)
-        if d == 1
-        else _det(
-            [[basis.tm_eigenvalue(j, m_list[i]) for j in range(d)] for i in range(d)]
-        )
-    )
-    return zeta_neg(2 * k - 2) * _det(mixed), delta
+    (m,) = m_list
+    e_m = epsilon_hecke(k, nu, m, 1, quad)
+    return zeta_neg(2 * k - 2) * e_m.coeffs[slot], Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +217,55 @@ def _is_unit(p: int, x: Fraction) -> bool:
     return x != 0 and ord_p(p, x) == 0
 
 
-def _decide_verdict(
-    cond1: bool,
-    cond2: bool,
-    cond3: bool,
-    cond3p: bool,
-    gamma1_unit: bool,
-    strict: bool,
-    alpha: int,
+def _derive_verdict(
+    k: int,
+    nu: int,
+    p: int,
+    strictness: Strictness,
     dim: int,
-) -> Verdict:
-    size_ok = cond3 or (cond3p and gamma1_unit)
+    l_value: Fraction,
+    zeta3: Fraction,
+    lhs: Fraction,
+    delta: Fraction,
+    g1: Fraction,
+) -> tuple[int, tuple[tuple[str, bool, bool], ...], Verdict, str]:
+    """(alpha, conditions, verdict, implied congruence) from the scalars.
+
+    Checks: (1) the p-order alpha of the normalized standard L-value at
+    k - 1 is positive; (2) the determinant invariant, zeta(3-2k) and the
+    eigenvalue determinant are all p-units; (3) p >= 2(k+nu) - 3, or its
+    substitute (3prime) p >= max(2k, k+nu-2) when gamma1 is a p-unit.
+    Strict mode gates the verdict on all three; relaxed mode downgrades a
+    failing size bound to a waived condition.  The stronger mod-p^alpha
+    verdict applies only in cusp dimension 1 with alpha >= 2.
+    """
+    alpha = ord_p(p, l_value) if l_value != 0 else 0
+    cond1 = alpha >= 1
+    cond2 = _is_unit(p, zeta3) and _is_unit(p, lhs) and _is_unit(p, delta)
+    cond3 = p >= 2 * (k + nu) - 3
+    cond3p = p >= max(2 * k, k + nu - 2) and _is_unit(p, g1)
+    strict = strictness is Strictness.STRICT
+    size_ok = cond3 or cond3p
     if not (cond1 and cond2 and (size_ok or not strict)):
-        return Verdict.NOT_ESTABLISHED
-    if alpha >= 2 and dim == 1:
-        return Verdict.PROVEN_MOD_P_ALPHA
-    return Verdict.PROVEN_MOD_P
+        verdict = Verdict.NOT_ESTABLISHED
+    elif alpha >= 2 and dim == 1:
+        verdict = Verdict.PROVEN_MOD_P_ALPHA
+    else:
+        verdict = Verdict.PROVEN_MOD_P
+    modulus = f"{p}^{alpha}" if verdict is Verdict.PROVEN_MOD_P_ALPHA else str(p)
+    implied = (
+        f"lambda_G(q) == (1 + q^{k - 2}) * lambda_f(q) mod {modulus} "
+        "for all primes q"
+    )
+    # relaxed mode waives the two size conditions when neither holds
+    waive = not strict and not size_ok
+    conditions = (
+        ("1", cond1, False),
+        ("2", cond2, False),
+        ("3", cond3, waive),
+        ("3prime", cond3p, waive),
+    )
+    return alpha, conditions, verdict, implied
 
 
 @dataclass(frozen=True)
@@ -404,37 +396,42 @@ class CongruenceCertificate:
         return cert
 
     def revalidate(self) -> None:
-        """Recompute the verdict from the stored scalars; raise on mismatch."""
-        p, k, nu = self.p, self.k, self.nu
-        alpha = ord_p(p, self.l_value) if self.l_value != 0 else 0
-        cond1 = alpha >= 1
-        cond2 = _is_unit(p, self.zeta3m2k) and _is_unit(p, self.lhs_invariant) and _is_unit(
-            p, self.delta
-        )
-        cond3 = p >= 2 * (k + nu) - 3
-        cond3p = p >= max(2 * k, k + nu - 2)
-        gamma1_unit = _is_unit(p, self.gamma1)
-        expected = {
-            "1": cond1,
-            "2": cond2,
-            "3": cond3,
-            "3prime": cond3p and gamma1_unit,
-        }
-        stored = {name: holds for name, holds, _ in self.conditions}
-        if stored != expected or alpha != self.alpha:
-            raise ValueError("certificate conditions do not match stored inputs")
-        verdict = _decide_verdict(
-            cond1,
-            cond2,
-            cond3,
-            cond3p,
-            gamma1_unit,
-            self.strictness is Strictness.STRICT,
-            alpha,
+        """Recompute every derived field from the stored inputs; raise on mismatch.
+
+        The constants are recomputed from (k, nu), the two evaluations from
+        the stored epsilon form, and alpha, the conditions (with their waived
+        flags), the verdict and the implied congruence from the scalars.
+        """
+        k, nu = self.k, self.nu
+        if (self.gamma1, self.gamma2, self.zeta3m2k) != (
+            gamma1(k, nu),
+            gamma2(k, nu),
+            zeta_neg(2 * k - 2),
+        ):
+            raise ValueError("certificate constants do not match (k, nu)")
+        if (self.eval_10, self.eval_11) != (
+            self.epsilon_form.evaluate(1, 0),
+            self.epsilon_form.evaluate(1, 1),
+        ):
+            raise ValueError("certificate evaluations do not match its epsilon form")
+        alpha, conditions, verdict, implied = _derive_verdict(
+            k,
+            nu,
+            self.p,
+            self.strictness,
             self.dim,
+            self.l_value,
+            self.zeta3m2k,
+            self.lhs_invariant,
+            self.delta,
+            self.gamma1,
         )
+        if (alpha, conditions) != (self.alpha, self.conditions):
+            raise ValueError("certificate conditions do not match stored inputs")
         if verdict is not self.verdict:
             raise ValueError("certificate verdict does not match stored inputs")
+        if implied != self.implied_congruence:
+            raise ValueError("certificate implied congruence does not match its verdict")
 
 
 def certify(
@@ -449,57 +446,28 @@ def certify(
 ) -> CongruenceCertificate:
     """Assemble the congruence certificate for (k, nu, p, A).
 
-    Checks: (1) the p-order alpha of the normalized standard L-value at
-    k - 1 is positive; (2) the determinant invariant, zeta(3-2k) and the
-    eigenvalue determinant are all p-units; (3) p >= 2(k+nu) - 3, or its
-    substitute p >= max(2k, k+nu-2) when gamma1 is a p-unit.  Strict mode
-    gates the verdict on all three; relaxed mode downgrades a failing size
-    bound to a waived condition.  The stronger mod-p^alpha verdict applies
-    only in cusp dimension 1 with alpha >= 2.
+    p must be prime and the cusp space of weight k + nu one-dimensional;
+    the conditions and the verdict are those of `_derive_verdict`.
     """
     _check_kv(k, nu)
-    basis = eigen_basis(k + nu)
-    d = basis.dimension
-    f = basis.forms[0]
-    if m_list is None:
-        m_list = tuple(range(1, d + 1))
-    m_list = tuple(m_list)
+    if not _is_probable_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    f = _eigenform(k + nu)
+    m_list = (1,) if m_list is None else tuple(m_list)
     if slot is None:
         slot = pick_slot(k, nu, a_matrix, p)
 
     l_value = std_l_value(k, nu, f)
-    alpha = ord_p(p, l_value) if l_value != 0 else 0
     zeta3 = zeta_neg(2 * k - 2)
     if p >= 2 * k:
         # von Staudt-Clausen: no prime >= 2k - 1 divides the denominator
         assert ord_p(p, zeta3) >= 0
     lhs, delta = cond2_determinant(k, nu, a_matrix, m_list, slot)
-    g1, g2 = gamma1(k, nu), gamma2(k, nu)
-
-    cond1 = alpha >= 1
-    cond2 = _is_unit(p, zeta3) and _is_unit(p, lhs) and _is_unit(p, delta)
-    cond3 = p >= 2 * (k + nu) - 3
-    cond3p = p >= max(2 * k, k + nu - 2)
-    gamma1_unit = _is_unit(p, g1)
-    strict = strictness is Strictness.STRICT
-    size_ok = cond3 or (cond3p and gamma1_unit)
-    verdict = _decide_verdict(
-        cond1, cond2, cond3, cond3p, gamma1_unit, strict, alpha, d
+    g1 = gamma1(k, nu)
+    alpha, conditions, verdict, implied = _derive_verdict(
+        k, nu, p, strictness, 1, l_value, zeta3, lhs, delta, g1
     )
-
     eps_form = epsilon(k, nu, 1, a_matrix)
-    modulus = f"{p}^{alpha}" if alpha >= 2 and verdict is Verdict.PROVEN_MOD_P_ALPHA else str(p)
-    implied = (
-        f"lambda_G(q) == (1 + q^{k - 2}) * lambda_f(q) mod {modulus} "
-        "for all primes q"
-    )
-    waive = (not strict) and not size_ok
-    conditions = (
-        ("1", cond1, False),
-        ("2", cond2, False),
-        ("3", cond3, waive and not cond3),
-        ("3prime", cond3p and gamma1_unit, waive and not (cond3p and gamma1_unit)),
-    )
     return CongruenceCertificate(
         k=k,
         nu=nu,
@@ -508,11 +476,11 @@ def certify(
         strictness=strictness,
         m_list=m_list,
         slot=slot,
-        dim=d,
+        dim=1,
         l_value=l_value,
         alpha=alpha,
         gamma1=g1,
-        gamma2=g2,
+        gamma2=gamma2(k, nu),
         zeta3m2k=zeta3,
         epsilon_form=eps_form,
         eval_10=eps_form.evaluate(1, 0),

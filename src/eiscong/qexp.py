@@ -1,11 +1,13 @@
 """Level-1 modular forms as truncated q-expansions over exact rationals.
 
 Provides the classical Eisenstein series and Victor Miller bases, the
-degree-1 Hecke operators, rational eigen-decomposition of the cusp space,
-the weight-k series whose coefficients are built from Cohen's H function,
-and the normalized standard L-value obtained from it by an exact Petersson
-projection.  Every identity used downstream is decided at the Sturm bound,
-so the default working precision is max(20, 2 * sturm_bound(k)).
+degree-1 Hecke operators, the normalized eigenform of a cusp space of
+dimension <= 1 (larger level-1 cusp spaces have irrational Hecke fields and
+raise UnsupportedHeckeField), the weight-k series whose coefficients are
+built from Cohen's H function, and the normalized standard L-value
+obtained from it by an exact Petersson projection.  Every identity used
+downstream is decided at the Sturm bound, so the default working precision
+is max(20, 2 * sturm_bound(k)).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .arith import bernoulli, cohen_h, divisor_power_sum, divisors, factorize
+from .arith import bernoulli, cohen_h, divisor_power_sum, factorize
 from .errors import SingularSystem, UnsupportedHeckeField
 from .gegenbauer import gegenbauer_poly
 
@@ -224,68 +226,7 @@ def hecke_tm(m: int, f: QExpansion) -> QExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Rational eigen-decomposition
-
-
-def _charpoly(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients (ascending) of det(x I - A), by recursive expansion."""
-    d = len(mat)
-
-    def poly_entries(i: int, j: int) -> list[Fraction]:
-        if i == j:
-            return [-mat[i][j], Fraction(1)]
-        return [-mat[i][j]]
-
-    def det(rows: list[int], cols: list[int]) -> list[Fraction]:
-        if len(rows) == 1:
-            return poly_entries(rows[0], cols[0])
-        total = [Fraction(0)]
-        for idx, c in enumerate(cols):
-            minor = det(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = poly_entries(rows[0], c)
-            prod = [Fraction(0)] * (len(minor) + len(term) - 1)
-            for i, a in enumerate(term):
-                for j, b in enumerate(minor):
-                    prod[i + j] += a * b
-            sign = -1 if idx % 2 else 1
-            if len(prod) > len(total):
-                total += [Fraction(0)] * (len(prod) - len(total))
-            for i, v in enumerate(prod):
-                total[i] += sign * v
-        return total
-
-    return det(list(range(d)), list(range(d)))
-
-
-def _integer_roots(poly: list[Fraction]) -> list[int]:
-    """Integer roots of a monic integer polynomial, found by the rational
-    root theorem and removed by synthetic division as they are found."""
-    coeffs = [int(c) for c in poly]
-    roots: list[int] = []
-    while len(coeffs) > 1:
-        if coeffs[0] == 0:
-            root = 0
-        else:
-            root = None
-            for c in divisors(abs(coeffs[0])):
-                for cand in (c, -c):
-                    if sum(a * cand**i for i, a in enumerate(coeffs)) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                break
-        # synthetic division by (x - root), highest coefficient first
-        acc = 0
-        quotient = []
-        for a in reversed(coeffs):
-            acc = a + acc * root
-            quotient.append(acc)
-        assert quotient[-1] == 0
-        coeffs = list(reversed(quotient[:-1]))
-        roots.append(root)
-    return roots
+# The normalized eigenform
 
 
 @dataclass(frozen=True)
@@ -315,66 +256,28 @@ class EigenBasis:
 
 @lru_cache(maxsize=None)
 def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
-    """Diagonalize T(2) on the cusp Miller basis over the rationals.
+    """The normalized eigenform of a cusp space of dimension <= 1.
 
-    Raises UnsupportedHeckeField unless the characteristic polynomial of
-    T(2) splits into distinct rational (hence integer) roots; the weights
-    needed here are all one-dimensional, so nothing more is implemented.
+    A one-dimensional S_k is spanned by its Miller row, which already has
+    a(1) = 1 and so is the normalized eigenform; S_k = 0 gives an empty
+    basis.  Larger level-1 cusp spaces have irrational Hecke eigenvalues
+    (checked for every k <= 60, and for all k if Maeda's conjecture holds),
+    so they raise UnsupportedHeckeField.
     """
     if k < 12 or k % 2:
         raise ValueError("need even k >= 12")
     if prec is None:
         prec = default_precision(k)
     d = dim_cusp(k)
-    if prec < max(2 * d, 2):
+    if d > 1:
+        raise UnsupportedHeckeField(
+            f"the weight-{k} cusp space has dimension {d}; only dimension <= 1 "
+            "has a rational Hecke eigenbasis here"
+        )
+    if prec < 2:
         raise ValueError("precision too low to express T(2)")
     _, cusp = miller_basis(k, prec)
-    # matrix of T(2) in the echelon basis: column j holds coefficients 1..d
-    mat = [[hecke_t(2, cusp[j]).coefficient(i + 1) for j in range(d)] for i in range(d)]
-    poly = _charpoly(mat)
-    roots = _integer_roots(poly)
-    if len(roots) != d or len(set(roots)) != d:
-        raise UnsupportedHeckeField(
-            f"T(2) on the weight-{k} cusp space has irrational eigenvalues"
-        )
-    forms = []
-    for lam in sorted(roots):
-        # kernel of (A - lam I)
-        m = [[mat[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-        vec = _kernel_vector(m)
-        combo = QExpansion(k, prec, (Fraction(0),) * (prec + 1))
-        for c, g in zip(vec, cusp):
-            if c:
-                combo = combo + c * g
-        a1 = combo.coefficient(1)
-        assert a1 != 0, "eigenform with vanishing first coefficient"
-        forms.append((Fraction(1) / a1) * combo)
-    return EigenBasis(k, tuple(forms))
-
-
-def _kernel_vector(m: list[list[Fraction]]) -> list[Fraction]:
-    d = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, d) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = next(c for c in range(d) if c not in pivots)
-    vec = [Fraction(0)] * d
-    vec[free] = Fraction(1)
-    for row, col in enumerate(pivots):
-        vec[col] = -rows[row][free]
-    return vec
+    return EigenBasis(k, cusp)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +310,10 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
 def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
     """Coefficient of the eigenform f in the eigen-expansion of the cusp form g.
 
-    Since distinct eigenforms are orthogonal, this equals (f, g)/(f, f).
-    Solved exactly on q-coefficients up to the Sturm bound; the expansion is
-    then re-verified on every jointly available coefficient.
+    Since distinct eigenforms are orthogonal, this equals (f, g)/(f, f).  The
+    cusp space is spanned by f (see eigen_basis), so the coefficient is g(1);
+    g = g(1) f is then verified on every jointly available coefficient, which
+    must reach the Sturm bound.
     """
     k = f.weight
     if g.weight != k:
@@ -418,64 +322,24 @@ def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
         return Fraction(0)
     if g.coefficient(0) != 0:
         raise ValueError("g has a nonzero constant term; not a cusp form")
-    basis = eigen_basis(k)
-    d = basis.dimension
-    idx = next(
-        (
-            j
-            for j in range(d)
-            if all(
-                basis.forms[j].coefficient(n) == f.coefficient(n)
-                for n in range(1, min(f.prec, basis.forms[j].prec) + 1)
-            )
-        ),
-        None,
-    )
-    if idx is None:
-        raise ValueError("f is not one of the normalized eigenforms of this weight")
+    forms = eigen_basis(k).forms
+    if not forms or any(
+        forms[0].coefficient(n) != f.coefficient(n)
+        for n in range(1, min(f.prec, forms[0].prec) + 1)
+    ):
+        raise ValueError("f is not the normalized eigenform of this weight")
+    eigenform = forms[0]
     bound = sturm_bound(k)
-    avail = min(g.prec, min(h.prec for h in basis.forms))
+    avail = min(g.prec, eigenform.prec)
     if avail < bound:
         raise SingularSystem(
             f"precision {avail} below the Sturm bound {bound}"
         )
-    rows = [[basis.forms[j].coefficient(n) for j in range(d)] for n in range(1, bound + 1)]
-    rhs = [g.coefficient(n) for n in range(1, bound + 1)]
-    sol = _solve_overdetermined(rows, rhs)
-    # safety: the expansion must reproduce g on all shared coefficients
+    ratio = g.coefficient(1)
     for n in range(1, avail + 1):
-        lhs = sum(sol[j] * basis.forms[j].coefficient(n) for j in range(d))
-        if lhs != g.coefficient(n):
+        if ratio * eigenform.coefficient(n) != g.coefficient(n):
             raise ValueError("g does not lie in the cusp eigenspace to this precision")
-    return sol[idx]
-
-
-def _solve_overdetermined(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    d = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][col] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                fct = aug[i][col]
-                aug[i] = [x - fct * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if len(pivots) < d:
-        raise SingularSystem("coefficient system is underdetermined")
-    for i in range(r, len(aug)):
-        if aug[i][d] != 0:
-            raise ValueError("inconsistent coefficient system")
-    sol = [Fraction(0)] * d
-    for row, col in enumerate(pivots):
-        sol[col] = aug[row][d]
-    return sol
+    return ratio
 
 
 def std_l_value(k: int, nu: int, f: QExpansion) -> Fraction:

@@ -24,12 +24,28 @@ __all__ = [
     "chi_star",
     "enumerate_R",
     "format_half_integral",
-    "is_pd",
-    "is_psd",
     "nondeg_part",
     "parse_half_integral",
-    "rank",
 ]
+
+
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals, with its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
 
 
 def _det_int(rows: tuple[tuple[int, ...], ...]) -> int:
@@ -105,19 +121,7 @@ class HalfIntegralMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals, by exact elimination on the doubled form."""
-        m = [[Fraction(x) for x in row] for row in self.doubled]
-        n, r = self.n, 0
-        for col in range(n):
-            pivot = next((i for i in range(r, n) if m[i][col] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(n):
-                if i != r and m[i][col] != 0:
-                    factor = m[i][col] / m[r][col]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            r += 1
-        return r
+        return len(_rref(self.doubled)[1])
 
     def is_psd(self) -> bool:
         """All principal minors nonnegative (not just the leading ones;
@@ -158,18 +162,6 @@ class HalfIntegralMatrix:
             vals.append(self.doubled[i][i] // 2)
             vals.extend(self.doubled[i][i + 1 :])
         return gcd(*vals) if len(vals) > 1 else abs(vals[0])
-
-
-def rank(t: HalfIntegralMatrix) -> int:
-    return t.rank()
-
-
-def is_psd(t: HalfIntegralMatrix) -> bool:
-    return t.is_psd()
-
-
-def is_pd(t: HalfIntegralMatrix) -> bool:
-    return t.is_pd()
 
 
 def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIntegralMatrix:
@@ -252,16 +244,8 @@ def _smith_with_transforms(mat: list[list[int]]) -> tuple[list[list[int]], list[
 def _invert_unimodular(v: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a small unimodular integer matrix."""
     n = len(v)
-    aug = [[Fraction(v[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    m, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(v)])
+    out = [row[n:] for row in m]
     assert all(x.denominator == 1 for row in out for x in row)
     return [[int(x) for x in row] for row in out]
 
@@ -269,21 +253,7 @@ def _invert_unimodular(v: list[list[int]]) -> list[list[int]]:
 def _integer_kernel(doubled: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Primitive integer vectors spanning the rational kernel."""
     n = len(doubled)
-    m = [[Fraction(x) for x in row] for row in doubled]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    m, pivots = _rref(doubled)
     basis = []
     for free in range(n):
         if free in pivots:

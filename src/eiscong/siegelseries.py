@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import fundamental_decomposition, kronecker, ord_p
+from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
 from .quadform import HalfIntegralMatrix, canonical_signed_perm, nondeg_part
 
@@ -336,6 +336,8 @@ def oracle_bp(
     p: int, b: HalfIntegralMatrix, j_max: int, budget: int = DEFAULT_BUDGET
 ) -> PolyX:
     """Truncated character sum sum_j c_j X^j for j <= j_max, exactly."""
+    if not _is_probable_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     return PolyX.from_list(_character_sum_series(p, b, j_max, budget))
@@ -419,13 +421,15 @@ def _local_f_cached(p: int, b: HalfIntegralMatrix, budget: int) -> SiegelSeriesP
 def local_F(
     p: int, b: HalfIntegralMatrix, budget: int = DEFAULT_BUDGET
 ) -> SiegelSeriesPolynomial:
-    """F_p(B, X) for nondegenerate half-integral B of size <= 3.
+    """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
     Sizes 1 and 2 use closed forms; size 3 recovers the polynomial from the
     character sum, whose length is fixed by the degree formula.  Results are
     cached under a signed-permutation canonical form of B, which is sound
     because the series is a GL(Z_p) invariant.
     """
+    if not _is_probable_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     return _local_f_cached(p, canonical_signed_perm(b), budget)

@@ -1,0 +1,94 @@
+"""The public names the package exports, and the bindings the benchmark uses.
+
+perfbench/tracer.py wraps every function named in a module's `__all__` plus a
+few named extras, and perfbench/workloads.py calls into the package directly;
+a deleted or renamed name there breaks the benchmark, not the other tests.
+"""
+
+from __future__ import annotations
+
+from importlib import import_module
+
+import pytest
+
+MODULES = (
+    "eiscong",
+    "eiscong.arith",
+    "eiscong.cli",
+    "eiscong.eisen",
+    "eiscong.errors",
+    "eiscong.gegenbauer",
+    "eiscong.pullback",
+    "eiscong.qexp",
+    "eiscong.quadform",
+    "eiscong.siegelseries",
+)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_resolve(module_name):
+    module = import_module(module_name)
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize(
+    "module_name, path",
+    [
+        ("quadform", "canonical_signed_perm"),
+        ("siegelseries", "expected_degree"),
+        ("eisen", "EisensteinContext.coefficient"),
+        ("gegenbauer", "BivariatePoly.evaluate"),
+        ("cli", "main"),
+        ("pullback", "epsilon"),
+        ("quadform", "HalfIntegralMatrix.diagonal"),
+        ("quadform", "HalfIntegralMatrix.from_doubled"),
+        ("quadform", "HalfIntegralMatrix.identity"),
+        ("quadform", "HalfIntegralMatrix.transform"),
+        ("quadform", "format_half_integral"),
+        ("errors", "BudgetExceeded"),
+    ],
+)
+def test_benchmark_bindings_exist(module_name, path):
+    obj = import_module(f"eiscong.{module_name}")
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    [("arith", "gen_bernoulli"), ("arith", "cohen_h"), ("pullback", "epsilon")],
+)
+def test_benchmark_caches_report(module_name, name):
+    info = getattr(import_module(f"eiscong.{module_name}"), name).cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+# The layers the tracer reports one by one; it only wraps names in __all__.
+@pytest.mark.parametrize(
+    "module_name, name",
+    [
+        ("arith", "bernoulli_poly"),
+        ("arith", "cohen_h"),
+        ("arith", "factorize"),
+        ("arith", "gen_bernoulli"),
+        ("arith", "l_value_neg"),
+        ("cli", "main"),
+        ("gegenbauer", "eval_binary"),
+        ("pullback", "certify"),
+        ("pullback", "cond2_determinant"),
+        ("pullback", "epsilon"),
+        ("qexp", "cohen_series"),
+        ("qexp", "eigen_basis"),
+        ("qexp", "miller_basis"),
+        ("qexp", "petersson_ratio"),
+        ("qexp", "std_l_value"),
+        ("quadform", "chi_star"),
+        ("quadform", "enumerate_R"),
+        ("quadform", "nondeg_part"),
+        ("siegelseries", "local_F"),
+    ],
+)
+def test_traced_layers_stay_public(module_name, name):
+    assert name in import_module(f"eiscong.{module_name}").__all__

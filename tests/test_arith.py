@@ -15,7 +15,6 @@ import pytest
 
 from eiscong.arith import (
     DiscriminantChar,
-    PiRational,
     TRIVIAL_CHAR,
     bernoulli,
     cohen_h,
@@ -256,10 +255,6 @@ class TestSmallUtilities:
         assert ord_p(2, Fraction(9, 2)) == -1
         with pytest.raises(ValueError):
             ord_p(5, 0)
-
-    def test_pi_rational(self):
-        c = PiRational(Fraction(3, 2), 1) * PiRational(Fraction(4), -1)
-        assert c == PiRational(Fraction(6), 0)
-        assert c.rational_part() == 6
-        with pytest.raises(ValueError):
-            PiRational(Fraction(1), 2).rational_part()
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError):
+                ord_p(p, 3)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bounded(*argv, timeout=60):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling the suite; returns (exit code, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eiscong.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+    return proc.returncode, proc.stderr
 
 
 class TestLvalue:
@@ -188,3 +208,40 @@ class TestInterfaceContracts:
         monkeypatch.setenv("EISCONG_PRECISION", "24")
         _, out, _ = run(capsys, "lvalue", "--k", "14", "--nu", "2")
         assert json.loads(out)["precision"] == 24
+
+
+CERTIFY_14_2 = ("certify", "--k", "14", "--nu", "2", "--A", "1,0,1", "--p")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("siegel-series", "--T", "1", "--p", "1"),
+            ("siegel-series", "--T", "1", "--p", "0"),
+            ("siegel-series", "--T", "1", "--p", "4"),
+            (*CERTIFY_14_2, "1"),
+            (*CERTIFY_14_2, "0"),
+            (*CERTIFY_14_2, "4"),
+            ("lvalue", "--k", "14", "--nu", "2", "--ords", "1"),
+            ("lvalue", "--k", "14", "--nu", "2", "--ords", "0"),
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_non_prime_p_is_typed_error(self, argv):
+        code, err = run_bounded(*argv)
+        assert code == 3, err
+        assert "is not a prime" in err
+
+    def test_zero_cusp_space_certify(self, capsys):
+        # dim S_14 = 0: no eigenform, so no certificate and no verdict
+        code, out, err = run(
+            capsys, "certify", "--k", "12", "--nu", "2", "--p", "373", "--A", "1,0,1"
+        )
+        assert code == 3 and out == ""
+        assert "cusp space is zero" in err
+
+    def test_zero_cusp_space_lvalue(self, capsys):
+        code, out, _ = run(capsys, "lvalue", "--k", "12", "--nu", "2")
+        assert code == 0
+        assert json.loads(out)["forms"] == []

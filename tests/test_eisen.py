@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from eiscong.arith import divisor_power_sum, zeta_neg
-from eiscong.eisen import EisensteinContext, eis_coeff, z_const
+from eiscong.eisen import EisensteinContext, z_const
 from eiscong.qexp import eisenstein_qexp
 from eiscong.quadform import HalfIntegralMatrix, build_T
 from test_quadform import random_unimodular
@@ -101,7 +101,7 @@ class TestThetaCrossChecks:
     def test_degree_one_weight_four(self):
         # zeta(-3) * 240 = 2 = 2 sigma_3(1)
         ctx = EisensteinContext(1, 4)
-        assert eis_coeff(ctx, HalfIntegralMatrix.diagonal(1)) == 240 * z_const(1, 4) == 2
+        assert ctx.coefficient(HalfIntegralMatrix.diagonal(1)) == 240 * z_const(1, 4) == 2
 
 
 class TestStructure:

@@ -4,18 +4,44 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from eiscong.gegenbauer import (
-    BinaryForm,
-    eval_binary,
-    gegenbauer_poly,
-    generating_check,
-)
+from eiscong.gegenbauer import BinaryForm, eval_binary, gegenbauer_poly
 from eiscong.quadform import HalfIntegralMatrix
 
 I2 = HalfIntegralMatrix.identity(2)
+
+
+def generating_check(
+    d: int, nu_max: int, s: Fraction | int, m: Fraction | int
+) -> bool:
+    """Compare the closed-form values against the formal generating series.
+
+    For even d the exponent (d-2)/2 is a non-negative integer, so
+    (1 - u)^(-(d-2)/2) with u = 2st - mt^2 expands by the plain binomial
+    series; the coefficient of t^nu evaluated at (s, m) must match
+    gegenbauer_poly(d, nu)(s, m) for every nu <= nu_max.
+    """
+    if d % 2 or d < 4:
+        raise ValueError("generating series oracle needs even d >= 4")
+    s, m = Fraction(s), Fraction(m)
+    alpha = (d - 2) // 2
+    # series[n] = coefficient of t^n in (1 - 2st + mt^2)^(-alpha)
+    series = [Fraction(0)] * (nu_max + 1)
+    for i in range(nu_max + 1):
+        binom = Fraction(comb(alpha - 1 + i, i))
+        # (2st - mt^2)^i contributes to t^(i+l) via C(i, l) (2s)^(i-l) (-m)^l
+        for l in range(i + 1):
+            n = i + l
+            if n > nu_max:
+                break
+            series[n] += binom * comb(i, l) * (2 * s) ** (i - l) * (-m) ** l
+    return all(
+        series[nu] == gegenbauer_poly(d, nu).evaluate(s, m)
+        for nu in range(nu_max + 1)
+    )
 
 
 class TestClosedForm:

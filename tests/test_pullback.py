@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
 
-from eiscong.arith import PiRational, ord_p, pochhammer, zeta_neg
+from eiscong.arith import ord_p, pochhammer, zeta_neg
 from eiscong.pullback import (
     CongruenceCertificate,
     Strictness,
     Verdict,
-    c_kv1,
-    c_kv2,
     certify,
     cond2_determinant,
     epsilon,
@@ -33,6 +32,12 @@ I2 = HalfIntegralMatrix.identity(2)
 # (see the acceptance suite and the reviewer notes).
 EPS_14_2 = 2418024960
 EPS_8_8 = -46666368
+
+
+def c_kv1(k: int, nu: int) -> tuple[Fraction, int]:
+    """The rank-1 pullback constant c_{k,nu,1} = 2^4 (k)_nu (2k-1)_(nu-1) pi,
+    as (rational coefficient, power of pi)."""
+    return 2**4 * pochhammer(k, nu) * pochhammer(2 * k - 1, nu - 1), 1
 
 
 class TestGammaConstants:
@@ -59,7 +64,7 @@ class TestGammaConstants:
         from math import factorial
 
         for k, nu in ((8, 2), (8, 8), (14, 2), (10, 4), (6, 6)):
-            c1 = c_kv1(k, nu)
+            c1, pi_exponent = c_kv1(k, nu)
             i_power = Fraction((-1) ** (nu // 2))  # (2 pi i)^-nu vs (2 pi)^-nu
             sign_k = Fraction((-1) ** (k // 2 + 1))
             value = (
@@ -70,22 +75,11 @@ class TestGammaConstants:
                 * sign_k
                 * Fraction(2 ** (nu - 1))
                 / pochhammer(2 * k + nu - 3, nu)
-                * c1.coefficient
+                * c1
             )
-            total_pi = -nu + (nu - 1) + c1.pi_exponent
+            total_pi = -nu + (nu - 1) + pi_exponent
             assert total_pi == 0
             assert value == gamma1(k, nu), (k, nu)
-
-    def test_c_constants(self):
-        assert c_kv1(14, 2) == PiRational(
-            Fraction(2**4) * pochhammer(14, 2) * pochhammer(27, 1), 1
-        )
-        c2 = c_kv2(8, 8)
-        assert c2.pi_exponent == 3
-        # (-1)^(k/2) = +1 for k = 8
-        assert c2.coefficient == Fraction(2**8) * pochhammer(8, 8) * pochhammer(
-            15, 6
-        ) / 6
 
 
 class TestEpsilon:
@@ -196,6 +190,35 @@ class TestCertify:
         assert cert.gamma1 == -1560 and cert.gamma2 == 6720
 
 
+def _bump(doc: dict, *path: str) -> None:
+    """Add one to the serialized rational at doc[path[0]][path[1]]...; on the
+    relaxed (8, 8, 23) certificate this keeps every p-unit status."""
+    for key in path[:-1]:
+        doc = doc[key]
+    x = doc[path[-1]]
+    x["num"] = str(int(x["num"]) + int(x["den"]))
+
+
+# Each edit leaves alpha, the holds flags and the verdict as they were, so
+# only a check of the edited field itself can reject it.
+TAMPERS = {
+    "waived": lambda doc: doc["conditions"]["3"].update(waived=False),
+    "implied_congruence": lambda doc: doc.update(
+        implied_congruence=doc["implied_congruence"].replace("mod 23^2", "mod 23")
+    ),
+    "gamma1": lambda doc: _bump(doc, "gamma1"),
+    "gamma2": lambda doc: _bump(doc, "gamma2"),
+    "zeta_3_minus_2k": lambda doc: _bump(doc, "zeta_3_minus_2k"),
+    "at_1_0": lambda doc: _bump(doc, "epsilon", "at_1_0"),
+    "at_1_1": lambda doc: _bump(doc, "epsilon", "at_1_1"),
+}
+
+
+@pytest.fixture(scope="module")
+def relaxed_doc() -> dict:
+    return certify(8, 8, 23, I2, strictness=Strictness.RELAXED).to_json_dict()
+
+
 class TestCertificateSerialization:
     def test_round_trip(self):
         cert = certify(14, 2, 373, I2)
@@ -235,3 +258,12 @@ class TestCertificateSerialization:
         assert doc["reference_gamma"] == {"num": "-91", "den": str(2**31)}
         back = CongruenceCertificate.from_json_dict(doc)
         assert back.reference_gamma == ref
+
+    @pytest.mark.parametrize("field", sorted(TAMPERS))
+    def test_tampered_derived_field_rejected(self, relaxed_doc, field):
+        doc = copy.deepcopy(relaxed_doc)
+        CongruenceCertificate.from_json_dict(doc)  # untouched: accepted
+        TAMPERS[field](doc)
+        assert doc != relaxed_doc
+        with pytest.raises(ValueError):
+            CongruenceCertificate.from_json_dict(doc)

@@ -167,7 +167,7 @@ class TestEigenBasis:
         assert basis.forms[0] == delta
 
     def test_weight24_unsupported(self):
-        with pytest.raises(UnsupportedHeckeField):
+        with pytest.raises(UnsupportedHeckeField, match="dimension 2"):
             eigen_basis(24)
 
     def test_normalization_and_multiplicativity(self):
