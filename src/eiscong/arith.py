@@ -61,7 +61,6 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_poly(r: int, x: Fraction) -> Fraction:
     """Bernoulli polynomial B_r(x) = sum_i C(r, i) B_i x^(r-i)."""
     return sum(
@@ -324,16 +323,24 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
 
     m is the conductor; for the trivial character this degenerates to B_r(1),
     which differs from B_r only at r = 1 (it is +1/2 there, making
-    L(0) = -1/2 = zeta(0) come out right).
+    L(0) = -1/2 = zeta(0) come out right).  Expanding B_r and swapping the
+    sums gives sum_i C(r, i) B_i m^(i-1) sum_a chi(a) a^(r-i), so only the
+    integer power sums of chi are needed.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     m = chi.conductor
-    total = sum(
-        (chi(a) * bernoulli_poly(r, Fraction(a, m)) for a in range(1, m + 1)),
+    values = [chi(a) for a in range(1, m + 1)]
+    return sum(
+        (
+            comb(r, i)
+            * bernoulli(i)
+            * Fraction(m) ** (i - 1)
+            * sum(v * a ** (r - i) for a, v in enumerate(values, 1) if v)
+            for i in range(r + 1)
+        ),
         Fraction(0),
     )
-    return m ** (r - 1) * total
 
 
 def l_value_neg(r: int, chi: DiscriminantChar) -> Fraction:

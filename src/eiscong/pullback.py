@@ -23,7 +23,7 @@ from math import factorial
 from .arith import _is_probable_prime, factorize, ord_p, pochhammer, zeta_neg
 from .eisen import EisensteinContext
 from .gegenbauer import BinaryForm, eval_binary
-from .qexp import QExpansion, eigen_basis, std_l_value
+from .qexp import QExpansion, dim_cusp, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -398,9 +398,11 @@ class CongruenceCertificate:
     def revalidate(self) -> None:
         """Recompute every derived field from the stored inputs; raise on mismatch.
 
-        The constants are recomputed from (k, nu), the two evaluations from
-        the stored epsilon form, and alpha, the conditions (with their waived
-        flags), the verdict and the implied congruence from the scalars.
+        The constants and the cusp dimension, which must be 1 (so delta = 1
+        and m_list has one entry), follow from (k, nu); the evaluations and,
+        for m_list = (1,), the determinant invariant from the epsilon form;
+        alpha, the conditions (with waived flags), the verdict and the implied
+        congruence from the scalars.
         """
         k, nu = self.k, self.nu
         if (self.gamma1, self.gamma2, self.zeta3m2k) != (
@@ -409,6 +411,16 @@ class CongruenceCertificate:
             zeta_neg(2 * k - 2),
         ):
             raise ValueError("certificate constants do not match (k, nu)")
+        if self.dim != 1 or dim_cusp(k + nu) != 1:
+            raise ValueError("certificate cusp dimension must be dim S_(k+nu) = 1")
+        if self.delta != 1 or len(self.m_list) != 1:
+            raise ValueError("certificate needs delta = 1 and a single Hecke index")
+        if self.epsilon_form.degree != nu or not 0 <= self.slot <= nu:
+            raise ValueError("certificate slot or epsilon degree does not fit nu")
+        if self.m_list == (1,) and (
+            self.lhs_invariant != self.zeta3m2k * self.epsilon_form.coeffs[self.slot]
+        ):
+            raise ValueError("certificate invariant does not match its epsilon form")
         if (self.eval_10, self.eval_11) != (
             self.epsilon_form.evaluate(1, 0),
             self.epsilon_form.evaluate(1, 1),

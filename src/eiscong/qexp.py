@@ -290,10 +290,12 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     sum_{t^2 <= 4m} P_{2r+2, k-r-1}(t/2, m) H(r, 4m - t^2).
 
     Lands in M_k, and in S_k when r < k - 1.  Requires odd r with
-    3 <= r <= k - 1 and even k.
+    3 <= r <= k - 1, even k and prec >= 0.
     """
     if k % 2 or not (3 <= r <= k - 1) or r % 2 == 0:
         raise ValueError("need even k and odd r with 3 <= r <= k-1")
+    if prec < 0:
+        raise ValueError(f"precision must be >= 0, got {prec}")
     poly = gegenbauer_poly(2 * r + 2, k - r - 1)
     out = []
     for m in range(prec + 1):

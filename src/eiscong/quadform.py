@@ -3,10 +3,12 @@
 A half-integral matrix T (integer diagonal, half-integer off-diagonal) is
 stored through its doubled form 2T, an integer symmetric matrix with even
 diagonal; every query (determinant, rank, minors, definiteness) is decided
-exactly on the doubled matrix.  The module also provides the reduction of a
-positive semidefinite T to its nondegenerate block via a unimodular change
-of basis, the quadratic character attached to an even-rank T, and the
-lattice-point enumeration that gives the pullback sum its finite support.
+exactly on the doubled matrix.  One integer row echelon form with its
+unimodular transform is the only elimination: it gives the rank and the
+change of basis that reduces a positive semidefinite T to its nondegenerate
+block.  The module also provides the quadratic character attached to an
+even-rank T and the lattice-point enumeration that gives the pullback sum
+its finite support.
 """
 
 from __future__ import annotations
@@ -29,23 +31,36 @@ __all__ = [
 ]
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals, with its pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(len(m[0])):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-    return m, pivots
+def _echelon(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, H) with U unimodular and U * rows = H in row echelon form over Z.
+
+    Euclid on each column: the row with the smallest nonzero entry at or
+    below the current pivot row is swapped up and subtracted, by integer
+    multiples, from the rows beneath it until it is the only nonzero entry
+    left there.  Every step is applied to U as well, so the nonzero rows of
+    H come first and the rows of U beside the zero rows of H span the
+    integer left kernel of `rows`.
+    """
+    h = [list(row) for row in rows]
+    n = len(h)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    for col in range(len(h[0])):
+        while r < n:
+            nonzero = [i for i in range(r, n) if h[i][col]]
+            if not nonzero:
+                break
+            p = min(nonzero, key=lambda i: abs(h[i][col]))
+            h[r], h[p] = h[p], h[r]
+            u[r], u[p] = u[p], u[r]
+            if len(nonzero) == 1:
+                r += 1
+                break
+            for i in range(r + 1, n):
+                q = h[i][col] // h[r][col]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+    return u, h
 
 
 def _det_int(rows: tuple[tuple[int, ...], ...]) -> int:
@@ -120,8 +135,9 @@ class HalfIntegralMatrix:
         )
 
     def rank(self) -> int:
-        """Rank over the rationals, by exact elimination on the doubled form."""
-        return len(_rref(self.doubled)[1])
+        """Rank over the rationals: the nonzero rows of the integer echelon
+        form of the doubled matrix."""
+        return sum(1 for row in _echelon(self.doubled)[1] if any(row))
 
     def is_psd(self) -> bool:
         """All principal minors nonnegative (not just the leading ones;
@@ -179,125 +195,26 @@ def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIn
     )
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form over Z (used only on tiny matrices)
-
-
-def _smith_with_transforms(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(U, D, V) with U*mat*V = D diagonal, U and V unimodular."""
-    rows, cols = len(mat), len(mat[0])
-    a = [row[:] for row in mat]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    for k in range(min(rows, cols)):
-        while True:
-            pivot = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if a[i][j] != 0 and (
-                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-            if pivot is None:
-                return u, a, v
-            swap_rows(k, pivot[0])
-            swap_cols(k, pivot[1])
-            done = True
-            for i in range(k + 1, rows):
-                if a[i][k]:
-                    row_op(i, k, a[i][k] // a[k][k])
-                    if a[i][k]:
-                        done = False
-            for j in range(k + 1, cols):
-                if a[k][j]:
-                    col_op(j, k, a[k][j] // a[k][k])
-                    if a[k][j]:
-                        done = False
-            if done and all(a[i][k] == 0 for i in range(k + 1, rows)) and all(
-                a[k][j] == 0 for j in range(k + 1, cols)
-            ):
-                break
-    return u, a, v
-
-
-def _invert_unimodular(v: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a small unimodular integer matrix."""
-    n = len(v)
-    m, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(v)])
-    out = [row[n:] for row in m]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
-def _integer_kernel(doubled: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Primitive integer vectors spanning the rational kernel."""
-    n = len(doubled)
-    m, pivots = _rref(doubled)
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row, col in enumerate(pivots):
-            vec[col] = -m[row][free]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // _gcd_int(lcm, x.denominator)
-        ints = [int(x * lcm) for x in vec]
-        g = _gcd_int(*ints)
-        basis.append([x // g for x in ints])
-    return basis
-
-
-def _gcd_int(*xs: int) -> int:
-    return gcd(*xs) if len(xs) > 1 else abs(xs[0])
-
-
 def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
     """Reduce a PSD matrix to its positive definite block.
 
-    Returns (T~, det(2 T~)) where U (2T) U^t = diag(2 T~, 0) for some
-    unimodular U.  The kernel of 2T meets Z^n in a saturated sublattice; a
-    basis of it is completed to a basis of Z^n through the Smith normal form
-    of the stacked kernel vectors, and T~ is read off the complementary
-    block.  T~ itself depends on the choices, but det(2 T~) does not.
+    Returns (T~, det(2 T~)) where U (2T) U^t = diag(2 T~, 0) for the
+    unimodular U of the integer echelon form U (2T) = H.  The rows of U
+    beside the zero rows of H are a basis of ker(2T) meet Z^n; as 2T is
+    symmetric they clear both the rows and the columns of U (2T) U^t outside
+    its leading m x m block, which is 2 T~.  T~ depends on the elimination
+    order, but its GL_m(Z) class and det(2 T~) do not.
     """
     if not t.is_psd():
         raise ValueError("matrix must be positive semidefinite")
-    m = t.rank()
+    u, h = _echelon(t.doubled)
+    m = sum(1 for row in h if any(row))
     if m == 0:
         raise ValueError("rank 0 has no nondegenerate part")
     n = t.n
     if m == n:
         return t, t.det_doubled()
-    kernel = _integer_kernel(t.doubled)
-    _, _, v = _smith_with_transforms([row[:] for row in kernel])
-    v_inv = _invert_unimodular(v)
-    # first n-m rows of V^-1 span the saturated kernel; complement rows first
-    u_rows = v_inv[n - m :] + v_inv[: n - m]
-    transformed = t.transform(tuple(tuple(r) for r in u_rows))
+    transformed = t.transform(tuple(tuple(row) for row in u))
     for i in range(n):
         for j in range(n):
             if (i >= m or j >= m) and transformed.doubled[i][j] != 0:

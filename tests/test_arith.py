@@ -17,6 +17,7 @@ from eiscong.arith import (
     DiscriminantChar,
     TRIVIAL_CHAR,
     bernoulli,
+    bernoulli_poly,
     cohen_h,
     divisor_power_sum,
     factorize,
@@ -194,6 +195,21 @@ class TestGenBernoulli:
         chi = DiscriminantChar(-3)
         assert gen_bernoulli(3, chi) == Fraction(2, 3)
         assert l_value_neg(3, chi) == Fraction(-2, 9)
+
+    def test_matches_bernoulli_polynomial_sum(self):
+        # the defining sum m^(r-1) sum_a chi(a) B_r(a/m), which the library
+        # evaluates with the sums swapped
+        for d in range(-100, 101):
+            if d == 0 or not is_fundamental_discriminant(d):
+                continue
+            chi = DiscriminantChar(d)
+            m = chi.conductor
+            for r in range(1, 13):
+                direct = m ** (r - 1) * sum(
+                    (chi(a) * bernoulli_poly(r, Fraction(a, m)) for a in range(1, m + 1)),
+                    Fraction(0),
+                )
+                assert gen_bernoulli(r, chi) == direct, (d, r)
 
     def test_parity_vanishing(self):
         for d in (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40):

@@ -245,3 +245,16 @@ class TestBadInput:
         code, out, _ = run(capsys, "lvalue", "--k", "12", "--nu", "2")
         assert code == 0
         assert json.loads(out)["forms"] == []
+
+    def test_negative_precision_flag(self, capsys):
+        code, out, err = run(
+            capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "-1"
+        )
+        assert code == 3 and out == ""
+        assert "precision must be >= 0" in err
+
+    def test_negative_precision_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("EISCONG_PRECISION", "-3")
+        code, out, err = run(capsys, "cohen-series", "--k", "16", "--r", "13")
+        assert code == 3 and out == ""
+        assert "precision must be >= 0" in err

@@ -219,6 +219,24 @@ def relaxed_doc() -> dict:
     return certify(8, 8, 23, I2, strictness=Strictness.RELAXED).to_json_dict()
 
 
+# Edits of the (14, 2, 373) certificate's stored inputs that keep every
+# p-unit status, so the verdict logic alone would accept them.
+INPUT_TAMPERS = {
+    "delta": lambda doc: doc["epsilon_witness"].update(delta={"num": "2", "den": "1"}),
+    "lhs_invariant": lambda doc: doc["epsilon_witness"].update(
+        lhs_invariant={"num": "5", "den": "1"}
+    ),
+    "dim_cusp_space": lambda doc: doc.update(dim_cusp_space=0),
+    "slot": lambda doc: doc.update(slot=1),  # eps(1, I)[1] = 0
+    "m_list": lambda doc: doc.update(m_list=[1, 2]),
+}
+
+
+@pytest.fixture(scope="module")
+def strict_doc() -> dict:
+    return certify(14, 2, 373, I2).to_json_dict()
+
+
 class TestCertificateSerialization:
     def test_round_trip(self):
         cert = certify(14, 2, 373, I2)
@@ -265,5 +283,14 @@ class TestCertificateSerialization:
         CongruenceCertificate.from_json_dict(doc)  # untouched: accepted
         TAMPERS[field](doc)
         assert doc != relaxed_doc
+        with pytest.raises(ValueError):
+            CongruenceCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", sorted(INPUT_TAMPERS))
+    def test_tampered_input_field_rejected(self, strict_doc, field):
+        doc = copy.deepcopy(strict_doc)
+        CongruenceCertificate.from_json_dict(doc)  # untouched: accepted
+        INPUT_TAMPERS[field](doc)
+        assert doc != strict_doc
         with pytest.raises(ValueError):
             CongruenceCertificate.from_json_dict(doc)

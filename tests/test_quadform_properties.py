@@ -1,0 +1,93 @@
+"""Property tests for the integer echelon form behind rank and nondeg_part.
+
+sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
+reduction is checked on matrices built as U diag(T0, 0) U^t, whose
+nondegenerate part is known up to GL_m(Z) equivalence.
+"""
+
+from __future__ import annotations
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eiscong.arith import prime_divisors
+from eiscong.quadform import HalfIntegralMatrix, nondeg_part
+from eiscong.siegelseries import local_F
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def positive_definite(draw) -> HalfIntegralMatrix:
+    """A positive definite T0 of size 1 or 2, given by its doubled form."""
+    if draw(st.booleans()):
+        return HalfIntegralMatrix.from_doubled([[2 * draw(st.integers(1, 6))]])
+    a = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 5))
+    b = draw(st.integers(-5, 5).filter(lambda b: b * b < 4 * a * c))
+    return HalfIntegralMatrix.from_doubled([[2 * a, b], [b, 2 * c]])
+
+
+@st.composite
+def unimodular(draw, n: int) -> tuple[tuple[int, ...], ...]:
+    """A product of elementary row additions and a signed permutation."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, q in draw(st.lists(steps, max_size=6)):
+        if i != j:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(tuple(s * x for x in u[p]) for p, s in zip(perm, signs))
+
+
+@st.composite
+def padded(draw) -> tuple[HalfIntegralMatrix, HalfIntegralMatrix]:
+    """(T0, U diag(T0, 0) U^t) with at least one zero padded row."""
+    t0 = draw(positive_definite())
+    n = draw(st.integers(t0.n + 1, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(t0.n):
+        g[i][: t0.n] = t0.doubled[i]
+    t = HalfIntegralMatrix.from_doubled(g).transform(draw(unimodular(n)))
+    return t0, t
+
+
+@st.composite
+def symmetric(draw) -> HalfIntegralMatrix:
+    """A doubled symmetric integer matrix of size 1 to 3: either free
+    entries or B^t D B with B of at most n rows, so singular and indefinite
+    matrices are common."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * draw(st.integers(-3, 3))
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+        return HalfIntegralMatrix.from_doubled(g)
+    k = draw(st.integers(0, n))
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(k)]
+    d = [2 * draw(st.sampled_from((-2, -1, 1, 2))) for _ in range(k)]
+    return HalfIntegralMatrix.from_doubled(
+        [[sum(d[l] * b[l][i] * b[l][j] for l in range(k)) for j in range(n)] for i in range(n)]
+    )
+
+
+@PROPERTY_SETTINGS
+@given(padded())
+def test_nondeg_part_recovers_the_padded_block(case):
+    t0, t = case
+    tilde, det2 = nondeg_part(t)
+    assert tilde.is_pd()
+    assert tilde.n == t.rank() == t0.n
+    assert det2 == tilde.det_doubled() == t0.det_doubled()
+    for p in prime_divisors(det2):
+        assert local_F(p, tilde) == local_F(p, t0), p
+
+
+@PROPERTY_SETTINGS
+@given(symmetric())
+def test_rank_matches_sympy(t):
+    assert t.rank() == sympy.Matrix(t.doubled).rank()
