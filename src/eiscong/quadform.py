@@ -267,18 +267,20 @@ def canonical_signed_perm(t: HalfIntegralMatrix) -> HalfIntegralMatrix:
 
     Signed permutations are unimodular, so the result is GL_n(Z)-equivalent
     to the input; used as a sound (if coarse) cache key for local invariants.
+    The image of the doubled form under the permutation pi and signs s has
+    entries s_i s_j g[pi(i)][pi(j)]; a global sign flip leaves it unchanged,
+    so s_0 = 1 is fixed.
     """
     n = t.n
-    best = None
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            u = tuple(
-                tuple(signs[i] if perm[i] == j else 0 for j in range(n))
-                for i in range(n)
-            )
-            cand = t.transform(u).doubled
-            if best is None or cand < best:
-                best = cand
+    g = t.doubled
+    best = min(
+        tuple(
+            tuple(s[i] * s[j] * g[perm[i]][perm[j]] for j in range(n))
+            for i in range(n)
+        )
+        for perm in permutations(range(n))
+        for s in ((1, *rest) for rest in product((1, -1), repeat=n - 1))
+    )
     return HalfIntegralMatrix(best)
 
 

@@ -13,10 +13,14 @@ Two independent routes are implemented:
   with entries in p^-j Z / Z, computing levels from elementary divisors, and
   collapsing root-of-unity histograms in the cyclotomic field.
 
-Size 3 recovers F_p by exact power-series division of the character sum by
-gamma_p; the p-power valuations there are tiny, so the enumeration stays
-within the work budget.  The two routes are required to agree wherever both
-run (see the test suite).
+Size 3 combines the second route with Katsurada's functional equation
+(An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
+ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
+of Hilbert symbols.  Only c_0..c_(d//2) of the character sum are enumerated
+(p^(6 (d//2)) points instead of p^(6d)) and divided by gamma_p; the upper
+half follows from the equation, and degree 1 needs no enumeration at all.
+The full-length sum stays available as `oracle_bp`, the test oracle for
+every fast route.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ import numpy as np
 
 from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
-from .quadform import HalfIntegralMatrix, canonical_signed_perm, nondeg_part
+from .quadform import (
+    HalfIntegralMatrix,
+    canonical_signed_perm,
+    format_half_integral,
+    nondeg_part,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -81,22 +90,6 @@ class PolyX:
                 out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
         return PolyX.from_dict(out)
 
-    def __add__(self, other: PolyX) -> PolyX:
-        out = dict(self.coeffs)
-        for e, c in other.coeffs:
-            out[e] = out.get(e, Fraction(0)) + c
-        return PolyX.from_dict(out)
-
-    def __sub__(self, other: PolyX) -> PolyX:
-        return self + (-1 * other)
-
-    def __rmul__(self, scalar) -> PolyX:
-        return PolyX.from_dict({e: Fraction(scalar) * c for e, c in self.coeffs})
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**e for e, c in self.coeffs), Fraction(0))
-
 
 @dataclass(frozen=True)
 class SiegelSeriesPolynomial:
@@ -120,26 +113,32 @@ class SiegelSeriesPolynomial:
         return PolyX.from_list(self.coeffs)
 
 
+def _hilbert(p: int, a: int | Fraction, b: int | Fraction) -> int:
+    """Hilbert symbol (a, b)_p of nonzero rationals; num/den is replaced by
+    num * den, which lies in the same square class."""
+    a, b = Fraction(a), Fraction(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
+    alpha, beta = ord_p(p, a), ord_p(p, b)
+    u, v = a // p**alpha, b // p**beta
+    if p == 2:
+        e = ((u - 1) // 2) * ((v - 1) // 2)
+        e += alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    return sign * kronecker(u, p) ** beta * kronecker(v, p) ** alpha
+
+
 def chi_p(p: int, a: int | Fraction) -> int:
     """Square-class character of Q_p: 1 on squares, -1 when Q_p(sqrt a) is the
-    unramified quadratic extension, 0 when it is ramified."""
+    unramified quadratic extension, 0 when it is ramified.  Away from odd
+    valuations and 2-adic unit parts 3, 7 mod 8 (ramified) it is (a, p)_p."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("need a != 0")
-    if ord_p(p, a) % 2:
+    u = a.numerator * a.denominator
+    if ord_p(p, u) % 2 or (p == 2 and (u >> ord_p(2, u)) % 4 == 3):
         return 0
-
-    def unit_part(m: int) -> int:
-        while m % p == 0:
-            m //= p
-        return m
-
-    num, den = unit_part(a.numerator), unit_part(a.denominator)
-    if p == 2:
-        # odd squares are 1 mod 8, so den is its own inverse mod 8
-        u = (num * den) % 8
-        return {1: 1, 5: -1, 3: 0, 7: 0}[u]
-    return kronecker(num, p) * kronecker(den, p)
+    return _hilbert(p, a, p)
 
 
 def _xi(p: int, b: HalfIntegralMatrix) -> int:
@@ -179,6 +178,38 @@ def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
     sign = -1 if (b.n // 2) % 2 else 1
     _, f = fundamental_decomposition(sign * det2)
     return 2 * ord_p(p, f)
+
+
+def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
+    """Sign of f_(d-i) = sign p^(2d-4i) f_i for nondegenerate ternary B
+    (Katsurada 1999): h_p(B) (-1, -1)_p (-1, det B)_p, where the Hasse
+    invariant h_p(B) is prod_{i<j} (a_i, a_j)_p over any rational
+    diagonalization diag(a_1, a_2, a_3) of B itself (not 2B).
+
+    B need not be definite, so a leading minor may vanish: each step pivots
+    on a nonzero diagonal entry, first making one by e_0 -> e_0 + e_j when
+    the whole diagonal is zero (the new entry is 2 B_0j).
+    """
+    m = [[Fraction(x, 2) for x in row] for row in b.doubled]
+    a: list[Fraction] = []
+    while m:
+        if not any(m[i][i] for i in range(len(m))):
+            j = next(j for j, x in enumerate(m[0]) if x)
+            m[0] = [x + y for x, y in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+        k = next(i for i in range(len(m)) if m[i][i])
+        pivot = m[k]
+        a.append(pivot[k])
+        m = [
+            [x - row[k] * pivot[c] / pivot[k] for c, x in enumerate(row) if c != k]
+            for i, row in enumerate(m)
+            if i != k
+        ]
+    sign = _hilbert(p, -1, -1) * _hilbert(p, -1, a[0] * a[1] * a[2])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        sign *= _hilbert(p, a[i], a[j])
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +281,9 @@ def _character_sum_series(
     points = q**dim
     if points > budget:
         raise BudgetExceeded(
-            f"{points} representatives exceed the budget of {budget}"
+            f"character sum at p = {p} for T = {format_half_integral(b)} "
+            f"through X^{j_max}: {points} representatives exceed the budget "
+            f"of {budget}"
         )
     if j_max == 0:
         return [1]
@@ -343,38 +376,6 @@ def oracle_bp(
     return PolyX.from_list(_character_sum_series(p, b, j_max, budget))
 
 
-def _level_p_sum(p: int, b: HalfIntegralMatrix) -> int:
-    """Coefficient of X^1 of the character sum, via rank-1 cosets.
-
-    Level-p cosets are exactly S/p with S symmetric of rank 1 over F_p, and
-    every such S is c w w^t for a projective point w and c in F_p^*; summing
-    the inner geometric character sum gives p-1 where the quadratic form
-    value w^t B w vanishes mod p and -1 elsewhere.  O(p^2) work, used to
-    avoid the p^(n(n+1)/2) enumeration for degree-1 polynomials.
-    """
-    n = b.n
-    g = b.doubled
-    points: list[tuple[int, ...]] = []
-    for lead in range(n):
-        for rest in range(p ** (n - lead - 1)):
-            w = [0] * lead + [1]
-            r = rest
-            for _ in range(n - lead - 1):
-                w.append(r % p)
-                r //= p
-            points.append(tuple(w))
-    total = 0
-    for w in points:
-        doubled_value = sum(
-            g[i][j] * w[i] * w[j] for i in range(n) for j in range(n)
-        )
-        if (doubled_value // 2) % p == 0:
-            total += p - 1
-        else:
-            total -= 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # The polynomial factor F_p
 
@@ -402,19 +403,23 @@ def _local_f_cached(p: int, b: HalfIntegralMatrix, budget: int) -> SiegelSeriesP
             for i in range(e - a):
                 coeffs[a + 2 * i + 1] -= xi * p ** (2 * a) * p ** (3 * i + 1)
         return SiegelSeriesPolynomial(tuple(coeffs))
-    # size 3: divide the character sum by gamma_p = (1 - X)(1 - p^2 X^2)
+    # size 3: divide the character sum through X^(d//2) by gamma_p =
+    # (1 - X)(1 - p^2 X^2); the functional equation supplies the rest
     deg = expected_degree(p, b)
-    if deg == 1:
-        # f_1 = c_1 - gamma_1 f_0 = c_1 + 1, and c_1 has a cheap closed form
-        return SiegelSeriesPolynomial((1, _level_p_sum(p, b) + 1))
-    series = _character_sum_series(p, b, deg, budget)
+    series = _character_sum_series(p, b, deg // 2, budget)
     gamma = [1, -1, -(p**2), p**2]
-    f_coeffs: list[int] = []
+    f_coeffs = [0] * (deg + 1)
     for j, c in enumerate(series):
-        val = c - sum(
+        f_coeffs[j] = c - sum(
             gamma[i] * f_coeffs[j - i] for i in range(1, min(j, 3) + 1)
         )
-        f_coeffs.append(val)
+    if deg == 0:
+        return SiegelSeriesPolynomial((1,))
+    sign = _functional_equation_sign(p, b)
+    if deg % 2 == 0 and sign == -1 and f_coeffs[deg // 2] != 0:
+        raise AssertionError("middle coefficient must vanish for sign -1")
+    for i in range((deg + 1) // 2):
+        f_coeffs[deg - i] = sign * p ** (2 * deg - 4 * i) * f_coeffs[i]
     return SiegelSeriesPolynomial(tuple(f_coeffs))
 
 
@@ -423,10 +428,15 @@ def local_F(
 ) -> SiegelSeriesPolynomial:
     """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
-    Sizes 1 and 2 use closed forms; size 3 recovers the polynomial from the
-    character sum, whose length is fixed by the degree formula.  Results are
-    cached under a signed-permutation canonical form of B, which is sound
-    because the series is a GL(Z_p) invariant.
+    Sizes 1 and 2 use closed forms.  Size 3 divides the character sum
+    through X^(d//2), d the degree from `expected_degree`, by gamma_p and
+    fills in f_(d-i) = eps p^(2d-4i) f_i for i < ceil(d/2), where
+    eps = h_p(B) (-1, -1)_p (-1, det B)_p and h_p is the Hasse invariant of
+    B itself (B may be indefinite); for even d and eps = -1 the middle
+    coefficient must vanish, which is asserted.  `budget` caps the points of
+    that enumeration.  Results are cached under a signed-permutation
+    canonical form of B, which is sound because the series is a GL(Z_p)
+    invariant.
     """
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")

@@ -146,6 +146,13 @@ class TestSmallCommands:
         _, out, _ = run(capsys, "siegel-series", "--p", "3", "--T", "9")
         assert json.loads(out)["coeffs"] == ["1", "3", "9"]
 
+    def test_siegel_series_indefinite_zero_diagonal(self, capsys):
+        # its first leading principal minor is 0; the coefficient of X is
+        # c_1 + 1 with c_1 = 8 from the full character sum at p = 3
+        code, out, _ = run(capsys, "siegel-series", "--p", "3", "--T", "0,1,0,0,0,3")
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "9"]
+
     def test_eisenstein_coeff_degree1(self, capsys):
         code, out, _ = run(
             capsys, "eisenstein-coeff", "--degree", "1", "--k", "16", "--T", "2"
@@ -258,3 +265,11 @@ class TestBadInput:
         code, out, err = run(capsys, "cohen-series", "--k", "16", "--r", "13")
         assert code == 3 and out == ""
         assert "precision must be >= 0" in err
+
+    def test_budget_exceeded_names_p_and_matrix(self):
+        code, err = run_bounded(
+            "siegel-series", "--p", "2", "--T", "1,0,0,1,0,1", "--budget", "10"
+        )
+        assert code == 3, err
+        assert "BudgetExceeded" in err
+        assert "p = 2" in err and "1,0,0,1,0,1" in err

@@ -102,6 +102,13 @@ class TestEpsilon:
         assert form.degree == 2
         assert form.evaluate(0, 0) == 0
 
+    def test_reach_n7_within_default_budget(self):
+        # the half-length size-3 character sum keeps every local factor of
+        # eps_{14,2}(7, I) inside DEFAULT_BUDGET
+        form = epsilon(14, 2, 7, I2)
+        assert form.degree == 2
+        assert form.coeffs == tuple(reversed(form.coeffs))
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             epsilon(14, 2, 0, I2)

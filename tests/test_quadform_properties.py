@@ -1,18 +1,23 @@
-"""Property tests for the integer echelon form behind rank and nondeg_part.
+"""Property tests for the integer echelon form behind rank and nondeg_part,
+and for the signed-permutation cache key.
 
 sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
 reduction is checked on matrices built as U diag(T0, 0) U^t, whose
-nondegenerate part is known up to GL_m(Z) equivalence.
+nondegenerate part is known up to GL_m(Z) equivalence.  The cache key is
+checked against the direct construction: every signed permutation matrix
+applied through `transform`.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import prime_divisors
-from eiscong.quadform import HalfIntegralMatrix, nondeg_part
+from eiscong.quadform import HalfIntegralMatrix, canonical_signed_perm, nondeg_part
 from eiscong.siegelseries import local_F
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -91,3 +96,24 @@ def test_nondeg_part_recovers_the_padded_block(case):
 @given(symmetric())
 def test_rank_matches_sympy(t):
     assert t.rank() == sympy.Matrix(t.doubled).rank()
+
+
+def signed_perm_min_by_transform(t: HalfIntegralMatrix) -> HalfIntegralMatrix:
+    """The smallest doubled form U (2T) U^t over all 2^n n! signed
+    permutation matrices U."""
+    n = t.n
+    images = []
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            u = tuple(
+                tuple(signs[i] if perm[i] == j else 0 for j in range(n))
+                for i in range(n)
+            )
+            images.append(t.transform(u).doubled)
+    return HalfIntegralMatrix(min(images))
+
+
+@PROPERTY_SETTINGS
+@given(symmetric())
+def test_canonical_signed_perm_matches_transform_loop(t):
+    assert canonical_signed_perm(t) == signed_perm_min_by_transform(t)
