@@ -6,6 +6,14 @@ here through its closed-form coefficient sum.  Substituting a linear form
 for s and a binary quadratic form for m turns P_{d,nu} into a homogeneous
 degree-nu form in two variables; that specialization is the kernel of the
 scalar-to-vector differential operator used by the pullback coefficients.
+
+Every monomial s^i m^j of P_{d,nu} has i + 2j = nu, so at s = u/2, m = w/4
+each one is divided by the same 2^nu.  Specializations are therefore
+evaluated in integers, sum C_ij u^i w^j, and divided once by
+den = 2^nu * lcm(coefficient denominators) (`_integer_coeffs`); Fraction
+normalizes the quotient, so the result is the same rational as the
+term-by-term rational evaluation.  For even d the coefficients are
+integers and den = 2^nu.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .arith import pochhammer
 from .quadform import HalfIntegralMatrix
@@ -105,19 +113,27 @@ def gegenbauer_poly(d: int, nu: int) -> BivariatePoly:
     return BivariatePoly(nu, tuple(entries))
 
 
-def _binary_pow(base: tuple[Fraction, ...], deg: int, e: int) -> tuple[Fraction, ...]:
-    """e-th power of a homogeneous form given as a dense coefficient tuple."""
-    out = (Fraction(1),)
-    out_deg = 0
-    for _ in range(e):
-        new = [Fraction(0)] * (out_deg + deg + 1)
-        for i, a in enumerate(out):
-            if a == 0:
-                continue
-            for j, b in enumerate(base):
-                new[i + j] += a * b
-        out = tuple(new)
-        out_deg += deg
+def _integer_coeffs(d: int, nu: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """((i, j, C_ij), ...) and den with P_{d,nu}(u/2, w/4) = sum C_ij u^i w^j / den.
+
+    Isobaric weight i + 2j = nu turns s^i m^j into u^i w^j / 2^nu; den is
+    2^nu times the lcm of the coefficient denominators (1 for even d).
+    """
+    terms = gegenbauer_poly(d, nu).coeffs
+    scale = lcm(*(c.denominator for _, c in terms))
+    return (
+        tuple((i, j, c.numerator * (scale // c.denominator)) for (i, j), c in terms),
+        scale << nu,
+    )
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two dense coefficient lists of binary forms."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
@@ -131,31 +147,26 @@ def eval_binary(
     """Specialize P_{d,nu} at s = (r1 x + r2 y)/2 and m = n * (x y) Q (x y)^t.
 
     `quad` is the 2x2 half-integral matrix of the quadratic form; the result
-    is a homogeneous binary form of degree nu.
+    is a homogeneous binary form of degree nu.  With g the doubled Q, this
+    is sum C_ij u^i w^j / den for the integral forms u = r1 x + r2 y and
+    w = 4m = 2n (g00 x^2 + 2 g01 x y + g11 y^2): their powers are built
+    incrementally and convolved in integers, and each of the nu + 1
+    coefficients is divided by den once.
     """
     if quad.n != 2:
         raise ValueError("quadratic form must be 2x2")
     g = quad.doubled
-    r1, r2 = r_pair
-    lin = (Fraction(r1, 2), Fraction(r2, 2))
-    quad_coeffs = (
-        Fraction(n * g[0][0], 2),
-        Fraction(n * g[0][1]),
-        Fraction(n * g[1][1], 2),
-    )
-    total = [Fraction(0)] * (nu + 1)
-    for (i, j), c in gegenbauer_poly(d, nu).coeffs:
-        part = _binary_pow(lin, 1, i)
-        if j:
-            qpow = _binary_pow(quad_coeffs, 2, j)
-            merged = [Fraction(0)] * (i + 2 * j + 1)
-            for a, ca in enumerate(part):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(qpow):
-                    merged[a + b] += ca * cb
-            part = tuple(merged)
+    terms, den = _integer_coeffs(d, nu)
+    u = list(r_pair)
+    w = [2 * n * g[0][0], 4 * n * g[0][1], 2 * n * g[1][1]]
+    u_pows, w_pows = [[1]], [[1]]
+    for _ in range(nu):
+        u_pows.append(_convolve(u_pows[-1], u))
+    for _ in range(nu // 2):
+        w_pows.append(_convolve(w_pows[-1], w))
+    total = [0] * (nu + 1)
+    for i, j, c in terms:
         # isobaric: i + 2j = nu
-        for idx, val in enumerate(part):
+        for idx, val in enumerate(_convolve(u_pows[i], w_pows[j])):
             total[idx] += c * val
-    return BinaryForm(nu, tuple(total))
+    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))

@@ -22,8 +22,9 @@ from math import factorial
 
 from .arith import _is_probable_prime, factorize, ord_p, pochhammer, zeta_neg
 from .eisen import EisensteinContext
+from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import BinaryForm, eval_binary
-from .qexp import QExpansion, dim_cusp, eigen_basis, std_l_value
+from .qexp import QExpansion, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -272,8 +273,8 @@ def _derive_verdict(
 class CongruenceCertificate:
     """Structured verdict of the congruence conditions for (k, nu, p, A).
 
-    The numeric fields are everything needed to re-derive the verdict; the
-    verdict of a deserialized certificate is recomputed and must match.
+    The numeric fields are everything needed to re-derive the verdict; a
+    deserialized certificate is rebuilt from its inputs and must match.
     """
 
     k: int
@@ -396,54 +397,29 @@ class CongruenceCertificate:
         return cert
 
     def revalidate(self) -> None:
-        """Recompute every derived field from the stored inputs; raise on mismatch.
+        """Rebuild the certificate from its inputs; raise ValueError on mismatch.
 
-        The constants and the cusp dimension, which must be 1 (so delta = 1
-        and m_list has one entry), follow from (k, nu); the evaluations and,
-        for m_list = (1,), the determinant invariant from the epsilon form;
-        alpha, the conditions (with waived flags), the verdict and the implied
-        congruence from the scalars.
+        The inputs are (k, nu, p, A, m_list, slot, strictness) and the
+        display-only reference value; `certify` recomputes every other field,
+        the L-value and the epsilon form included, and the rebuilt
+        certificate must equal this one.  Inputs that `certify` rejects,
+        an unsupported cusp space among them, raise ValueError too.
         """
-        k, nu = self.k, self.nu
-        if (self.gamma1, self.gamma2, self.zeta3m2k) != (
-            gamma1(k, nu),
-            gamma2(k, nu),
-            zeta_neg(2 * k - 2),
-        ):
-            raise ValueError("certificate constants do not match (k, nu)")
-        if self.dim != 1 or dim_cusp(k + nu) != 1:
-            raise ValueError("certificate cusp dimension must be dim S_(k+nu) = 1")
-        if self.delta != 1 or len(self.m_list) != 1:
-            raise ValueError("certificate needs delta = 1 and a single Hecke index")
-        if self.epsilon_form.degree != nu or not 0 <= self.slot <= nu:
-            raise ValueError("certificate slot or epsilon degree does not fit nu")
-        if self.m_list == (1,) and (
-            self.lhs_invariant != self.zeta3m2k * self.epsilon_form.coeffs[self.slot]
-        ):
-            raise ValueError("certificate invariant does not match its epsilon form")
-        if (self.eval_10, self.eval_11) != (
-            self.epsilon_form.evaluate(1, 0),
-            self.epsilon_form.evaluate(1, 1),
-        ):
-            raise ValueError("certificate evaluations do not match its epsilon form")
-        alpha, conditions, verdict, implied = _derive_verdict(
-            k,
-            nu,
-            self.p,
-            self.strictness,
-            self.dim,
-            self.l_value,
-            self.zeta3m2k,
-            self.lhs_invariant,
-            self.delta,
-            self.gamma1,
-        )
-        if (alpha, conditions) != (self.alpha, self.conditions):
-            raise ValueError("certificate conditions do not match stored inputs")
-        if verdict is not self.verdict:
-            raise ValueError("certificate verdict does not match stored inputs")
-        if implied != self.implied_congruence:
-            raise ValueError("certificate implied congruence does not match its verdict")
+        try:
+            fresh = certify(
+                self.k,
+                self.nu,
+                self.p,
+                self.a_matrix,
+                self.m_list,
+                self.slot,
+                self.strictness,
+                self.reference_gamma,
+            )
+        except (UnsupportedHeckeField, SingularSystem, BudgetExceeded) as exc:
+            raise ValueError(f"certificate inputs rejected: {exc}") from exc
+        if fresh != self:
+            raise ValueError("certificate does not match the one rebuilt from its inputs")
 
 
 def certify(

@@ -19,7 +19,7 @@ from math import factorial, isqrt
 
 from .arith import bernoulli, cohen_h, divisor_power_sum, factorize
 from .errors import SingularSystem, UnsupportedHeckeField
-from .gegenbauer import gegenbauer_poly
+from .gegenbauer import _integer_coeffs
 
 __all__ = [
     "EigenBasis",
@@ -244,15 +244,6 @@ class EigenBasis:
         """T(p) eigenvalue of the j-th form (a(p) for a normalized eigenform)."""
         return self.forms[j].coefficient(p)
 
-    def tm_eigenvalue(self, j: int, m: int) -> Fraction:
-        """Eigenvalue of the composite operator T(p_1)...T(p_r) for m = prod p_i."""
-        if m == 1:
-            return Fraction(1)
-        out = Fraction(1)
-        for p, e in factorize(m).items():
-            out *= self.forms[j].coefficient(p) ** e
-        return out
-
 
 @lru_cache(maxsize=None)
 def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
@@ -290,22 +281,25 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     sum_{t^2 <= 4m} P_{2r+2, k-r-1}(t/2, m) H(r, 4m - t^2).
 
     Lands in M_k, and in S_k when r < k - 1.  Requires odd r with
-    3 <= r <= k - 1, even k and prec >= 0.
+    3 <= r <= k - 1, even k and prec >= 0.  P(t/2, m) is
+    sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer), so each
+    coefficient is the sum of h * sum C_ij t^i (4m)^j over t with one
+    division by den at the end.
     """
     if k % 2 or not (3 <= r <= k - 1) or r % 2 == 0:
         raise ValueError("need even k and odd r with 3 <= r <= k-1")
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
-    poly = gegenbauer_poly(2 * r + 2, k - r - 1)
+    terms, den = _integer_coeffs(2 * r + 2, k - r - 1)
     out = []
     for m in range(prec + 1):
         tmax = isqrt(4 * m)
-        total = Fraction(0)
+        total = 0
         for t in range(-tmax, tmax + 1):
             h = cohen_h(r, 4 * m - t * t)
             if h:
-                total += poly.evaluate(Fraction(t, 2), m) * h
-        out.append(total)
+                total += h * sum(c * t**i * (4 * m) ** j for i, j, c in terms)
+        out.append(Fraction(total, den))
     return QExpansion(k, prec, tuple(out))
 
 

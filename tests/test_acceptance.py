@@ -33,6 +33,7 @@ from eiscong.quadform import (
     nondeg_part,
 )
 from eiscong.siegelseries import gamma_p, local_F, oracle_bp
+from test_qexp import tm_eigenvalue
 from test_quadform import random_unimodular
 
 I2 = HalfIntegralMatrix.identity(2)
@@ -202,7 +203,7 @@ def test_criterion_7_hecke_identity():
     basis = eigen_basis(16)
     base = epsilon(14, 2, 1, I2)
     ok = all(
-        epsilon_hecke(14, 2, m, 1, I2) == basis.tm_eigenvalue(0, m) * base
+        epsilon_hecke(14, 2, m, 1, I2) == tm_eigenvalue(basis.forms[0], m) * base
         for m in (1, 2, 3, 4)
     )
     report("7", ok, "eps(m,1,I) = lambda_m * eps(1,I) as binary forms, m <= 4")

@@ -1,17 +1,80 @@
-"""Tests for the two-variable Gegenbauer polynomials and binary forms."""
+"""Tests for the two-variable Gegenbauer polynomials and binary forms.
+
+The integer route behind `eval_binary` and `cohen_series` is checked against
+test-local copies of the rational routes it replaced: dense Fraction powers
+of the specialized forms, and term-by-term `BivariatePoly.evaluate`.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eiscong.arith import cohen_h
 from eiscong.gegenbauer import BinaryForm, eval_binary, gegenbauer_poly
+from eiscong.qexp import cohen_series, default_precision
 from eiscong.quadform import HalfIntegralMatrix
 
 I2 = HalfIntegralMatrix.identity(2)
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+SWEEP_WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+
+def binary_pow(base: tuple[Fraction, ...], deg: int, e: int) -> tuple[Fraction, ...]:
+    """e-th power of a homogeneous form given as a dense coefficient tuple."""
+    out = (Fraction(1),)
+    out_deg = 0
+    for _ in range(e):
+        new = [Fraction(0)] * (out_deg + deg + 1)
+        for i, a in enumerate(out):
+            if a == 0:
+                continue
+            for j, b in enumerate(base):
+                new[i + j] += a * b
+        out = tuple(new)
+        out_deg += deg
+    return out
+
+
+def eval_binary_fraction(d, nu, r_pair, n, quad) -> tuple[Fraction, ...]:
+    """The rational route: s and m as Fraction forms, powers multiplied
+    term by term and weighted by the rational coefficients of P_{d,nu}."""
+    g = quad.doubled
+    lin = (Fraction(r_pair[0], 2), Fraction(r_pair[1], 2))
+    quad_coeffs = (Fraction(n * g[0][0], 2), Fraction(n * g[0][1]), Fraction(n * g[1][1], 2))
+    total = [Fraction(0)] * (nu + 1)
+    for (i, j), c in gegenbauer_poly(d, nu).coeffs:
+        part = binary_pow(lin, 1, i)
+        if j:
+            qpow = binary_pow(quad_coeffs, 2, j)
+            merged = [Fraction(0)] * (i + 2 * j + 1)
+            for a, ca in enumerate(part):
+                for b, cb in enumerate(qpow):
+                    merged[a + b] += ca * cb
+            part = tuple(merged)
+        for idx, val in enumerate(part):
+            total[idx] += c * val
+    return tuple(total)
+
+
+def cohen_series_fraction(k: int, r: int, prec: int) -> tuple[Fraction, ...]:
+    """Coefficients of cohen_series by evaluating P(t/2, m) in Fractions."""
+    poly = gegenbauer_poly(2 * r + 2, k - r - 1)
+    out = []
+    for m in range(prec + 1):
+        tmax = isqrt(4 * m)
+        total = Fraction(0)
+        for t in range(-tmax, tmax + 1):
+            h = cohen_h(r, 4 * m - t * t)
+            if h:
+                total += poly.evaluate(Fraction(t, 2), m) * h
+        out.append(total)
+    return tuple(out)
 
 
 def generating_check(
@@ -73,6 +136,22 @@ class TestClosedForm:
             p = gegenbauer_poly(9, nu)
             assert p.evaluate(-s, m) == (-1) ** nu * p.evaluate(s, m)
 
+    @pytest.mark.parametrize("d", range(4, 41, 2))
+    def test_even_d_coefficients_are_integers(self, d):
+        # (b)_(nu-mu) / ((nu-2mu)! mu!) = C(b+nu-mu-1, nu-mu) C(nu-mu, mu),
+        # b = d/2 - 1: the integrality behind den = 2^nu for even d
+        b = d // 2 - 1
+        for nu in range(25):
+            p = gegenbauer_poly(d, nu)
+            for mu in range(nu // 2 + 1):
+                expected = (
+                    (-1) ** mu
+                    * comb(b + nu - mu - 1, nu - mu)
+                    * comb(nu - mu, mu)
+                    * 2 ** (nu - 2 * mu)
+                )
+                assert p.coefficient(nu - 2 * mu, mu) == expected, (nu, mu)
+
     def test_isobaric_support(self):
         for d, nu in ((6, 5), (28, 8)):
             p = gegenbauer_poly(d, nu)
@@ -129,6 +208,31 @@ class TestEvalBinary:
     def test_evaluation_at_origin(self):
         form = eval_binary(28, 2, (1, 1), 1, I2)
         assert form.evaluate(0, 0) == 0
+
+
+class TestIntegerRoute:
+    @ORACLE
+    @example(d=3, nu=9, r_pair=(3, -2), n=5, g=(0, 0, 0))
+    @example(d=37, nu=24, r_pair=(0, 0), n=1, g=(0, 0, 0))
+    @given(
+        d=st.integers(3, 40),
+        nu=st.integers(0, 24),
+        r_pair=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        n=st.integers(1, 12),
+        g=st.tuples(st.integers(-4, 4), st.integers(-6, 6), st.integers(-4, 4)),
+    )
+    def test_eval_binary_matches_fraction_route(self, d, nu, r_pair, n, g):
+        # any doubled 2x2 N: definite, indefinite, degenerate and zero
+        quad = HalfIntegralMatrix.from_doubled([[2 * g[0], g[1]], [g[1], 2 * g[2]]])
+        form = eval_binary(d, nu, r_pair, n, quad)
+        assert form.coeffs == eval_binary_fraction(d, nu, r_pair, n, quad)
+
+    @pytest.mark.parametrize("weight", SWEEP_WEIGHTS)
+    def test_cohen_series_matches_fraction_route(self, weight):
+        prec = default_precision(weight)
+        for k in range(6, weight - 1, 2):
+            series = cohen_series(weight, k - 1, prec)
+            assert series.coeffs == cohen_series_fraction(weight, k - 1, prec), k
 
 
 class TestBinaryForm:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Callable
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from eiscong.pullback import (
 )
 from eiscong.qexp import eigen_basis
 from eiscong.quadform import HalfIntegralMatrix
+from test_qexp import tm_eigenvalue
 
 I2 = HalfIntegralMatrix.identity(2)
 
@@ -134,7 +136,7 @@ class TestEpsilonHecke:
         basis = eigen_basis(16)
         base = epsilon(14, 2, 1, I2)
         for m in (1, 2, 3, 4):
-            lam = basis.tm_eigenvalue(0, m)
+            lam = tm_eigenvalue(basis.forms[0], m)
             assert epsilon_hecke(14, 2, m, 1, I2) == lam * base, m
 
 
@@ -226,22 +228,37 @@ def relaxed_doc() -> dict:
     return certify(8, 8, 23, I2, strictness=Strictness.RELAXED).to_json_dict()
 
 
-# Edits of the (14, 2, 373) certificate's stored inputs that keep every
-# p-unit status, so the verdict logic alone would accept them.
+def _edit_rat(key: str, part: str, edit: Callable[[int], int]) -> Callable[[dict], None]:
+    """Tamper that replaces doc[key][part] by edit(int(doc[key][part]))."""
+    return lambda doc: doc[key].update({part: str(edit(int(doc[key][part])))})
+
+
+# Edits of the strict (14, 2, p) certificates' stored inputs that keep every
+# p-unit status, so the verdict logic alone would accept them; each entry is
+# (p, edit).
 INPUT_TAMPERS = {
-    "delta": lambda doc: doc["epsilon_witness"].update(delta={"num": "2", "den": "1"}),
-    "lhs_invariant": lambda doc: doc["epsilon_witness"].update(
-        lhs_invariant={"num": "5", "den": "1"}
+    "delta": (373, lambda doc: doc["epsilon_witness"].update(delta={"num": "2", "den": "1"})),
+    "lhs_invariant": (
+        373,
+        lambda doc: doc["epsilon_witness"].update(lhs_invariant={"num": "5", "den": "1"}),
     ),
-    "dim_cusp_space": lambda doc: doc.update(dim_cusp_space=0),
-    "slot": lambda doc: doc.update(slot=1),  # eps(1, I)[1] = 0
-    "m_list": lambda doc: doc.update(m_list=[1, 2]),
+    "dim_cusp_space": (373, lambda doc: doc.update(dim_cusp_space=0)),
+    "slot": (373, lambda doc: doc.update(slot=1)),  # eps(1, I)[1] = 0
+    "m_list": (373, lambda doc: doc.update(m_list=[1, 2])),
+    "m_list_zero": (373, lambda doc: doc.update(m_list=[0])),
+    "m_list_two": (373, lambda doc: doc.update(m_list=[2])),
+    "L_value_negated": (373, _edit_rat("L_value", "num", lambda x: -x)),
+    "L_value_den_8": (373, _edit_rat("L_value", "den", lambda x: 8)),
+    "L_value_den_negated": (373, _edit_rat("L_value", "den", lambda x: -x)),
+    "L_value_num_plus_one_p7": (7, _edit_rat("L_value", "num", lambda x: x + 1)),
+    # weight 24 has a two-dimensional cusp space: UnsupportedHeckeField inside
+    "k_unsupported_weight": (373, lambda doc: doc.update(k=22)),
 }
 
 
 @pytest.fixture(scope="module")
-def strict_doc() -> dict:
-    return certify(14, 2, 373, I2).to_json_dict()
+def strict_docs() -> dict[int, dict]:
+    return {p: certify(14, 2, p, I2).to_json_dict() for p in (373, 7)}
 
 
 class TestCertificateSerialization:
@@ -294,10 +311,11 @@ class TestCertificateSerialization:
             CongruenceCertificate.from_json_dict(doc)
 
     @pytest.mark.parametrize("field", sorted(INPUT_TAMPERS))
-    def test_tampered_input_field_rejected(self, strict_doc, field):
-        doc = copy.deepcopy(strict_doc)
+    def test_tampered_input_field_rejected(self, strict_docs, field):
+        p, edit = INPUT_TAMPERS[field]
+        doc = copy.deepcopy(strict_docs[p])
         CongruenceCertificate.from_json_dict(doc)  # untouched: accepted
-        INPUT_TAMPERS[field](doc)
-        assert doc != strict_doc
+        edit(doc)
+        assert doc != strict_docs[p]
         with pytest.raises(ValueError):
             CongruenceCertificate.from_json_dict(doc)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiscong.arith import ord_p, zeta_neg
+from eiscong.arith import factorize, ord_p, zeta_neg
 from eiscong.errors import SingularSystem, UnsupportedHeckeField
 from eiscong.qexp import (
     QExpansion,
@@ -24,6 +24,15 @@ from eiscong.qexp import (
     std_l_value,
     sturm_bound,
 )
+
+
+def tm_eigenvalue(f: QExpansion, m: int) -> Fraction:
+    """Eigenvalue of T(p_1)...T(p_r), m = prod p_i, on the normalized
+    eigenform f: the product of a(p)^e over the factorization of m."""
+    out = Fraction(1)
+    for p, e in factorize(m).items() if m > 1 else []:
+        out *= f.coefficient(p) ** e
+    return out
 
 
 def eta_power_24(prec: int) -> list[int]:
@@ -180,9 +189,12 @@ class TestEigenBasis:
 
     def test_tm_eigenvalues(self):
         basis = eigen_basis(16)
-        assert basis.tm_eigenvalue(0, 1) == 1
-        assert basis.tm_eigenvalue(0, 4) == 216**2
-        assert basis.tm_eigenvalue(0, 6) == basis.eigenvalue(0, 2) * basis.eigenvalue(0, 3)
+        f = basis.forms[0]
+        assert tm_eigenvalue(f, 1) == 1
+        assert tm_eigenvalue(f, 4) == 216**2
+        assert tm_eigenvalue(f, 6) == basis.eigenvalue(0, 2) * basis.eigenvalue(0, 3)
+        for m in (1, 2, 4, 6, 9):
+            assert hecke_tm(m, f).coefficient(1) == tm_eigenvalue(f, m), m
 
 
 class TestCohenSeries:
