@@ -9,7 +9,9 @@ Klingen-Eisenstein lifts and other degree-2 Siegel eigenforms.
 
 All values are immutable after construction and all operations are pure
 (modulo internal memo caches with idempotent insertion), so the library is
-safe for concurrent readers.
+safe for concurrent readers.  Each Eisenstein coefficient a(T) is reduced
+once, by `nondeg_part`, and kept in one cache that every
+`EisensteinContext` and every pullback sum share.
 """
 
 from __future__ import annotations

@@ -94,11 +94,6 @@ def gamma2(k: int, nu: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _eis_ctx3(k: int) -> EisensteinContext:
-    return EisensteinContext(3, k)
-
-
-@lru_cache(maxsize=None)
 def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     """The degree-nu binary form eps_{k,nu}(n, N).
 
@@ -111,7 +106,7 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
         raise ValueError("need k >= 6")
     if n < 1:
         raise ValueError("need n >= 1")
-    ctx = _eis_ctx3(k)
+    ctx = EisensteinContext(3, k)
     total = BinaryForm.zero(nu)
     for r_pair in enumerate_R(n, quad):
         coeff = ctx.coefficient(build_T(n, quad, r_pair))
@@ -223,7 +218,6 @@ def _derive_verdict(
     nu: int,
     p: int,
     strictness: Strictness,
-    dim: int,
     l_value: Fraction,
     zeta3: Fraction,
     lhs: Fraction,
@@ -238,7 +232,7 @@ def _derive_verdict(
     substitute (3prime) p >= max(2k, k+nu-2) when gamma1 is a p-unit.
     Strict mode gates the verdict on all three; relaxed mode downgrades a
     failing size bound to a waived condition.  The stronger mod-p^alpha
-    verdict applies only in cusp dimension 1 with alpha >= 2.
+    verdict applies when alpha >= 2 (the cusp space is one-dimensional).
     """
     alpha = ord_p(p, l_value) if l_value != 0 else 0
     cond1 = alpha >= 1
@@ -249,7 +243,7 @@ def _derive_verdict(
     size_ok = cond3 or cond3p
     if not (cond1 and cond2 and (size_ok or not strict)):
         verdict = Verdict.NOT_ESTABLISHED
-    elif alpha >= 2 and dim == 1:
+    elif alpha >= 2:
         verdict = Verdict.PROVEN_MOD_P_ALPHA
     else:
         verdict = Verdict.PROVEN_MOD_P
@@ -434,10 +428,15 @@ def certify(
 ) -> CongruenceCertificate:
     """Assemble the congruence certificate for (k, nu, p, A).
 
-    p must be prime and the cusp space of weight k + nu one-dimensional;
-    the conditions and the verdict are those of `_derive_verdict`.
+    p must be prime, A a positive definite 2x2 matrix and the cusp space
+    of weight k + nu one-dimensional; the conditions and the verdict are
+    those of `_derive_verdict`.
     """
     _check_kv(k, nu)
+    if a_matrix.n != 2 or not a_matrix.is_pd():
+        raise ValueError(
+            f"A = {format_half_integral(a_matrix)} is not a positive definite 2x2 matrix"
+        )
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
     f = _eigenform(k + nu)
@@ -453,7 +452,7 @@ def certify(
     lhs, delta = cond2_determinant(k, nu, a_matrix, m_list, slot)
     g1 = gamma1(k, nu)
     alpha, conditions, verdict, implied = _derive_verdict(
-        k, nu, p, strictness, 1, l_value, zeta3, lhs, delta, g1
+        k, nu, p, strictness, l_value, zeta3, lhs, delta, g1
     )
     eps_form = epsilon(k, nu, 1, a_matrix)
     return CongruenceCertificate(

@@ -3,18 +3,18 @@
 A half-integral matrix T (integer diagonal, half-integer off-diagonal) is
 stored through its doubled form 2T, an integer symmetric matrix with even
 diagonal; every query (determinant, rank, minors, definiteness) is decided
-exactly on the doubled matrix.  One integer row echelon form with its
-unimodular transform is the only elimination: it gives the rank and the
-change of basis that reduces a positive semidefinite T to its nondegenerate
-block.  The module also provides the quadratic character attached to an
-even-rank T and the lattice-point enumeration that gives the pullback sum
-its finite support.
+exactly on the doubled matrix.  `nondeg_part` is the one reduction and the
+one definiteness test on the computation path: a single pass gives the rank
+m, the nondegenerate block T~ and det(2 T~), and rejects T that are not
+positive semidefinite.  One integer row echelon form with its unimodular
+transform is the only elimination, run only when det(2T) = 0.  The module
+also provides the quadratic character attached to an even-rank T and the
+lattice-point enumeration that gives the pullback sum its finite support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
@@ -125,15 +125,6 @@ class HalfIntegralMatrix:
         """det(2T), an exact integer."""
         return _det_int(self.doubled)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry of T itself (possibly half-integral)."""
-        return Fraction(self.doubled[i][j], 2)
-
-    def submatrix(self, idx: tuple[int, ...]) -> HalfIntegralMatrix:
-        return HalfIntegralMatrix(
-            tuple(tuple(self.doubled[i][j] for j in idx) for i in idx)
-        )
-
     def rank(self) -> int:
         """Rank over the rationals: the nonzero rows of the integer echelon
         form of the doubled matrix."""
@@ -141,18 +132,20 @@ class HalfIntegralMatrix:
 
     def is_psd(self) -> bool:
         """All principal minors nonnegative (not just the leading ones;
-        boundary lattice points produce zero leading minors)."""
-        n = self.n
-        for size in range(1, n + 1):
-            for idx in combinations(range(n), size):
-                if _det_int(self.submatrix(idx).doubled) < 0:
-                    return False
-        return True
+        boundary lattice points produce zero leading minors).  The test
+        oracle for `nondeg_part`, which decides definiteness by inertia."""
+        g = self.doubled
+        return all(
+            _det_int(tuple(tuple(g[i][j] for j in idx) for i in idx)) >= 0
+            for size in range(1, self.n + 1)
+            for idx in combinations(range(self.n), size)
+        )
 
     def is_pd(self) -> bool:
         """Sylvester: all leading principal minors positive."""
+        g = self.doubled
         return all(
-            _det_int(self.submatrix(tuple(range(size))).doubled) > 0
+            _det_int(tuple(row[:size] for row in g[:size])) > 0
             for size in range(1, self.n + 1)
         )
 
@@ -196,70 +189,71 @@ def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIn
 
 
 def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
-    """Reduce a PSD matrix to its positive definite block.
+    """(T~, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
 
-    Returns (T~, det(2 T~)) where U (2T) U^t = diag(2 T~, 0) for the
-    unimodular U of the integer echelon form U (2T) = H.  The rows of U
-    beside the zero rows of H are a basis of ker(2T) meet Z^n; as 2T is
-    symmetric they clear both the rows and the columns of U (2T) U^t outside
-    its leading m x m block, which is 2 T~.  T~ depends on the elimination
-    order, but its GL_m(Z) class and det(2 T~) do not.
+    If det(2T) != 0, T~ is T itself.  Otherwise U (2T) U^t = diag(2 T~, 0)
+    for the unimodular U of the integer echelon form U (2T) = H: the rows of
+    U beside the zero rows of H are a basis of ker(2T) meet Z^n, and as 2T
+    is symmetric they clear both the rows and the columns of U (2T) U^t
+    outside its leading m x m block, which is 2 T~.  By Sylvester's law of
+    inertia T is positive semidefinite exactly when T~ is positive definite,
+    so the leading minors of T~ are the PSD test.  T~ depends on the
+    elimination order, but its GL_m(Z) class and det(2 T~) do not.
     """
-    if not t.is_psd():
-        raise ValueError("matrix must be positive semidefinite")
-    u, h = _echelon(t.doubled)
-    m = sum(1 for row in h if any(row))
-    if m == 0:
-        raise ValueError("rank 0 has no nondegenerate part")
-    n = t.n
-    if m == n:
-        return t, t.det_doubled()
-    transformed = t.transform(tuple(tuple(row) for row in u))
-    for i in range(n):
-        for j in range(n):
-            if (i >= m or j >= m) and transformed.doubled[i][j] != 0:
-                raise AssertionError("kernel block failed to vanish")
-    tilde = transformed.submatrix(tuple(range(m)))
+    det2 = t.det_doubled()
+    tilde = t
+    if det2 == 0:
+        u, h = _echelon(t.doubled)
+        m = sum(1 for row in h if any(row))
+        if m == 0:
+            raise ValueError("rank 0 has no nondegenerate part")
+        transformed = t.transform(u).doubled
+        n = t.n
+        if any(transformed[i][j] for i in range(n) for j in range(n) if max(i, j) >= m):
+            raise AssertionError("kernel block failed to vanish")
+        tilde = HalfIntegralMatrix(tuple(row[:m] for row in transformed[:m]))
+        det2 = tilde.det_doubled()
     if not tilde.is_pd():
-        raise AssertionError("nondegenerate part must be positive definite")
-    return tilde, tilde.det_doubled()
+        raise ValueError("matrix must be positive semidefinite")
+    return tilde, det2
 
 
-def chi_star(t: HalfIntegralMatrix) -> DiscriminantChar:
-    """Quadratic character of Q(sqrt((-1)^(m/2) det T~)) for even rank m."""
-    m = t.rank()
-    if m == 0 or m % 2:
+def quadratic_character(m: int, det2: int) -> DiscriminantChar:
+    """The character of Q(sqrt((-1)^(m/2) det T~)) from m and det(2 T~)."""
+    if m % 2:
         raise ValueError("chi_star needs even positive rank")
-    _, det2 = nondeg_part(t)
     sign = -1 if (m // 2) % 2 else 1
     # det T~ and det(2T~) differ by the square 2^m for even m
     return DiscriminantChar(field_discriminant(sign * det2))
 
 
-def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:
-    """All integer rows R with [[n, R/2], [R^t/2, N]] positive semidefinite.
+def chi_star(t: HalfIntegralMatrix) -> DiscriminantChar:
+    """Quadratic character of Q(sqrt((-1)^(m/2) det T~)) for even rank m."""
+    tilde, det2 = nondeg_part(t)
+    return quadratic_character(tilde.n, det2)
 
-    By the Schur complement this is the ellipse R N^(-1) R^t <= 4n; candidate
-    coordinates are bounded by r_i^2 <= 4 n N_ii and filtered by the exact
-    PSD test.  Output is sorted lexicographically.
+
+def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:
+    """All integer rows R with T = [[n, R/2], [R^t/2, N]] positive semidefinite.
+
+    N is positive definite, so by the Schur complement T is PSD exactly when
+    n - R N^(-1) R^t / 4 >= 0, that is when det(2T) = det(2N) (2n - R (2N)^(-1)
+    R^t) >= 0.  Candidate coordinates are bounded by r_i^2 <= 4 n N_ii and
+    kept by that one determinant.  Output is sorted lexicographically.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if not quad.is_pd():
-        raise ValueError("N must be positive definite")
-    g = quad.doubled
-    b1 = _isqrt_floor(2 * n * g[0][0])
-    b2 = _isqrt_floor(2 * n * g[1][1])
-    out = []
-    for r1 in range(-b1, b1 + 1):
-        for r2 in range(-b2, b2 + 1):
-            if build_T(n, quad, (r1, r2)).is_psd():
-                out.append((r1, r2))
-    return sorted(out)
-
-
-def _isqrt_floor(x: int) -> int:
-    return isqrt(x) if x >= 0 else -1
+    if quad.n != 2 or not quad.is_pd():
+        raise ValueError("N must be a positive definite 2x2 matrix")
+    (a, b), (_, c) = quad.doubled
+    b1 = isqrt(2 * n * a)
+    b2 = isqrt(2 * n * c)
+    return [
+        (r1, r2)
+        for r1 in range(-b1, b1 + 1)
+        for r2 in range(-b2, b2 + 1)
+        if _det_int(((2 * n, r1, r2), (r1, a, b), (r2, b, c))) >= 0
+    ]
 
 
 def canonical_signed_perm(t: HalfIntegralMatrix) -> HalfIntegralMatrix:

@@ -248,6 +248,22 @@ class TestBadInput:
         assert code == 3 and out == ""
         assert "cusp space is zero" in err
 
+    @pytest.mark.parametrize("a_text", ["1,0,-1", "1,2,1", "5"])
+    def test_certify_names_a_matrix_that_is_not_pd(self, capsys, a_text):
+        code, out, err = run(
+            capsys, "certify", "--k", "14", "--nu", "2", "--p", "373", "--A", a_text
+        )
+        assert code == 3 and out == ""
+        assert f"A = {a_text} is not a positive definite 2x2 matrix" in err
+        assert "N must" not in err
+
+    def test_epsilon_rejects_a_1x1_N(self, capsys):
+        code, out, err = run(
+            capsys, "epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "5"
+        )
+        assert code == 3 and out == ""
+        assert "N must be a positive definite 2x2 matrix" in err
+
     def test_zero_cusp_space_lvalue(self, capsys):
         code, out, _ = run(capsys, "lvalue", "--k", "12", "--nu", "2")
         assert code == 0

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong import eisen, quadform
 from eiscong.arith import divisor_power_sum, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
 from eiscong.qexp import eisenstein_qexp
@@ -46,10 +47,16 @@ class TestContextValidation:
             assert ctx.coefficient(HalfIntegralMatrix.zero(n)) == z_const(n, 8)
 
     def test_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            EisensteinContext(2, 7)
-        with pytest.raises(ValueError):
-            EisensteinContext(2, 2)
+        # exactly the even k >= 4 are accepted in every degree n <= 3
+        for n in (1, 2, 3):
+            accepted = []
+            for k in range(-2, 41):
+                try:
+                    EisensteinContext(n, k)
+                except ValueError:
+                    continue
+                accepted.append(k)
+            assert accepted == list(range(4, 41, 2)), n
 
     def test_rejects_size_mismatch(self):
         ctx = EisensteinContext(3, 8)
@@ -142,3 +149,34 @@ class TestStructure:
         val = ctx.coefficient(build_T(1, I2, (1, 1)))
         assert isinstance(val, Fraction)
         assert val != 0
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            HalfIntegralMatrix.from_doubled([[6, 6, 0], [6, 6, 0], [0, 0, 0]]),
+            build_T(4, I2, (0, 4)),
+            build_T(3, I2, (1, 2)),
+        ],
+        ids=["rank1", "rank2", "rank3"],
+    )
+    def test_cache_miss_reduces_once(self, t, monkeypatch):
+        calls = {"echelon": 0, "is_psd": 0}
+        echelon, is_psd = quadform._echelon, HalfIntegralMatrix.is_psd
+
+        def counting_echelon(rows):
+            calls["echelon"] += 1
+            return echelon(rows)
+
+        def counting_is_psd(self):
+            calls["is_psd"] += 1
+            return is_psd(self)
+
+        monkeypatch.setattr(quadform, "_echelon", counting_echelon)
+        monkeypatch.setattr(HalfIntegralMatrix, "is_psd", counting_is_psd)
+        misses = eisen._coefficient.cache_info().misses
+        value = EisensteinContext(3, 38).coefficient(t)
+        assert eisen._coefficient.cache_info().misses == misses + 1
+        assert value != 0
+        assert calls["echelon"] <= 1 and calls["is_psd"] == 0, calls

@@ -1,23 +1,35 @@
 """Property tests for the integer echelon form behind rank and nondeg_part,
-and for the signed-permutation cache key.
+for the definiteness decisions of nondeg_part and enumerate_R, and for the
+signed-permutation cache key.
 
 sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
 reduction is checked on matrices built as U diag(T0, 0) U^t, whose
-nondegenerate part is known up to GL_m(Z) equivalence.  The cache key is
-checked against the direct construction: every signed permutation matrix
-applied through `transform`.
+nondegenerate part is known up to GL_m(Z) equivalence.  `is_psd`, which
+reads every principal minor, is the oracle for the PSD test that
+nondeg_part makes by inertia and for the single determinant that
+enumerate_R keeps.  The cache key is checked against the direct
+construction: every signed permutation matrix applied through `transform`.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import isqrt
 
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import prime_divisors
-from eiscong.quadform import HalfIntegralMatrix, canonical_signed_perm, nondeg_part
+from eiscong.quadform import (
+    HalfIntegralMatrix,
+    build_T,
+    canonical_signed_perm,
+    chi_star,
+    enumerate_R,
+    nondeg_part,
+)
 from eiscong.siegelseries import local_F
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -90,12 +102,49 @@ def test_nondeg_part_recovers_the_padded_block(case):
     assert det2 == tilde.det_doubled() == t0.det_doubled()
     for p in prime_divisors(det2):
         assert local_F(p, tilde) == local_F(p, t0), p
+    if t0.n == 2:
+        assert chi_star(t) == chi_star(t0)
 
 
 @PROPERTY_SETTINGS
 @given(symmetric())
 def test_rank_matches_sympy(t):
     assert t.rank() == sympy.Matrix(t.doubled).rank()
+
+
+@PROPERTY_SETTINGS
+@given(symmetric())
+def test_nondeg_part_rejects_exactly_the_non_psd(t):
+    assume(any(map(any, t.doubled)))
+    if not t.is_psd():
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            nondeg_part(t)
+        return
+    tilde, det2 = nondeg_part(t)
+    assert tilde.is_pd()
+    assert tilde.n == t.rank()
+    assert det2 == tilde.det_doubled()
+
+
+@PROPERTY_SETTINGS
+@given(positive_definite().filter(lambda t: t.n == 2), st.integers(1, 6))
+def test_enumerate_R_matches_the_psd_filter(quad, n):
+    # a box two wider on each side than r_i^2 <= 4 n N_ii
+    g = quad.doubled
+    b1, b2 = (isqrt(2 * n * g[i][i]) + 2 for i in (0, 1))
+    expected = [
+        r
+        for r in product(range(-b1, b1 + 1), range(-b2, b2 + 1))
+        if build_T(n, quad, r).is_psd()
+    ]
+    assert enumerate_R(n, quad) == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(symmetric(), padded().map(lambda case: case[1])))
+def test_chi_star_reads_the_nondegenerate_part(t):
+    assume(t.is_psd() and t.rank() == 2)
+    assert chi_star(t) == chi_star(nondeg_part(t)[0])
 
 
 def signed_perm_min_by_transform(t: HalfIntegralMatrix) -> HalfIntegralMatrix:
