@@ -18,27 +18,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import _is_probable_prime, ord_p
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
-from .pullback import Strictness, certify
+from .pullback import Strictness, certify, decode_rat, encode_rat
 from .qexp import cohen_series, default_precision, eigen_basis, std_l_value
 from .quadform import HalfIntegralMatrix, format_half_integral, parse_half_integral
 from .siegelseries import DEFAULT_BUDGET, local_F
 
 __all__ = ["main"]
-
-
-def _rat(x: Fraction | int) -> dict:
-    x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _rat_str(x: Fraction | int) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _matrix_arg(text: str) -> HalfIntegralMatrix:
@@ -87,8 +76,8 @@ def _cmd_lvalue(args) -> tuple[dict, int]:
         value = std_l_value(k, nu, f)
         row = {
             "form": j,
-            "t2_eigenvalue": _rat(f.coefficient(2)),
-            "l_value": _rat(value),
+            "t2_eigenvalue": encode_rat(f.coefficient(2)),
+            "l_value": encode_rat(value),
         }
         for p in args.ords:
             row[f"ord_{p}"] = ord_p(p, value) if value != 0 else None
@@ -115,11 +104,11 @@ def _cmd_epsilon(args) -> tuple[dict, int]:
         "n": args.n,
         "N": format_half_integral(args.N),
         "degree": form.degree,
-        "coeffs": [_rat(c) for c in form.coeffs],
+        "coeffs": [encode_rat(c) for c in form.coeffs],
     }
     if args.at:
         doc["evaluations"] = [
-            {"at": list(pt), "value": _rat(form.evaluate(*pt))} for pt in args.at
+            {"at": list(pt), "value": encode_rat(form.evaluate(*pt))} for pt in args.at
         ]
     return doc, 0
 
@@ -156,7 +145,7 @@ def _cmd_eisenstein_coeff(args) -> tuple[dict, int]:
         "degree": args.degree,
         "k": args.k,
         "T": format_half_integral(args.T),
-        "value": _rat(value),
+        "value": encode_rat(value),
     }, 0
 
 
@@ -168,7 +157,7 @@ def _cmd_cohen_series(args) -> tuple[dict, int]:
         "k": args.k,
         "r": args.r,
         "precision": prec,
-        "coeffs": [_rat(c) for c in series.coeffs],
+        "coeffs": [encode_rat(c) for c in series.coeffs],
     }, 0
 
 
@@ -190,8 +179,8 @@ def _emit(doc: dict, fmt: str, out) -> None:
         for row in doc["forms"]:
             cells = [
                 str(row["form"]),
-                _rat_str(Fraction(int(row["t2_eigenvalue"]["num"]), int(row["t2_eigenvalue"]["den"]))),
-                _rat_str(Fraction(int(row["l_value"]["num"]), int(row["l_value"]["den"]))),
+                str(decode_rat(row["t2_eigenvalue"])),
+                str(decode_rat(row["l_value"])),
             ]
             cells += [str(row.get(c, "")) for c in ord_cols]
             print(",".join(cells), file=out)
@@ -205,7 +194,7 @@ def _pretty(doc: dict, indent: int = 0) -> str:
     lines = []
     for key, val in doc.items():
         if isinstance(val, dict) and set(val) == {"num", "den"}:
-            lines.append(f"{pad}{key}: {_rat_str(Fraction(int(val['num']), int(val['den'])))}")
+            lines.append(f"{pad}{key}: {decode_rat(val)}")
         elif isinstance(val, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_pretty(val, indent + 1))
@@ -213,7 +202,7 @@ def _pretty(doc: dict, indent: int = 0) -> str:
             rendered = []
             for item in val:
                 if isinstance(item, dict) and set(item) == {"num", "den"}:
-                    rendered.append(_rat_str(Fraction(int(item["num"]), int(item["den"]))))
+                    rendered.append(str(decode_rat(item)))
                 elif isinstance(item, dict):
                     rendered.append("\n" + _pretty(item, indent + 1))
                 else:

@@ -8,7 +8,9 @@ binary form of degree nu.  Acting on the q-series n -> eps(n, N) with the
 degree-1 Hecke operators in weight k + nu and reading one coefficient slot
 (the cusp space being one-dimensional) yields an exact rational whose
 p-order certifies the congruence conditions; `certify` assembles the full
-structured verdict.
+structured verdict.  A certificate is determined by its inputs: its JSON
+document is read back by rebuilding it with `certify` and accepting the
+document only when it is exactly the rebuilt one's.
 """
 
 from __future__ import annotations
@@ -176,13 +178,13 @@ def cond2_determinant(
     quad: HalfIntegralMatrix,
     m_list: tuple[int, ...],
     slot: int,
-) -> tuple[Fraction, Fraction]:
+) -> Fraction:
     """Exact invariant behind the nonvanishing condition on a(N, lift).
 
     The cusp space of weight k + nu is one-dimensional (see eigen_basis), so
     the determinant of the criterion is the chosen slot of e_m = eps(m, 1, N)
-    for the single m in m_list.  Returns (zeta(3-2k) * e_m[slot], delta) with
-    the eigenvalue determinant delta = 1 by convention in dimension 1.
+    for the single m in m_list, and its eigenvalue determinant is 1.
+    Returns zeta(3-2k) * e_m[slot].
     """
     _eigenform(k + nu)
     if len(m_list) != 1:
@@ -191,7 +193,7 @@ def cond2_determinant(
         raise ValueError("slot out of range")
     (m,) = m_list
     e_m = epsilon_hecke(k, nu, m, 1, quad)
-    return zeta_neg(2 * k - 2) * e_m.coeffs[slot], Fraction(1)
+    return zeta_neg(2 * k - 2) * e_m.coeffs[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -209,66 +211,31 @@ class Verdict(str, Enum):
     NOT_ESTABLISHED = "NotEstablished"
 
 
+def encode_rat(x: Fraction | int) -> dict:
+    """The JSON form of an exact rational: {"num", "den"} decimal strings."""
+    x = Fraction(x)
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def decode_rat(doc: dict) -> Fraction:
+    """The rational that `encode_rat` wrote as doc."""
+    return Fraction(int(doc["num"]), int(doc["den"]))
+
+
 def _is_unit(p: int, x: Fraction) -> bool:
     return x != 0 and ord_p(p, x) == 0
-
-
-def _derive_verdict(
-    k: int,
-    nu: int,
-    p: int,
-    strictness: Strictness,
-    l_value: Fraction,
-    zeta3: Fraction,
-    lhs: Fraction,
-    delta: Fraction,
-    g1: Fraction,
-) -> tuple[int, tuple[tuple[str, bool, bool], ...], Verdict, str]:
-    """(alpha, conditions, verdict, implied congruence) from the scalars.
-
-    Checks: (1) the p-order alpha of the normalized standard L-value at
-    k - 1 is positive; (2) the determinant invariant, zeta(3-2k) and the
-    eigenvalue determinant are all p-units; (3) p >= 2(k+nu) - 3, or its
-    substitute (3prime) p >= max(2k, k+nu-2) when gamma1 is a p-unit.
-    Strict mode gates the verdict on all three; relaxed mode downgrades a
-    failing size bound to a waived condition.  The stronger mod-p^alpha
-    verdict applies when alpha >= 2 (the cusp space is one-dimensional).
-    """
-    alpha = ord_p(p, l_value) if l_value != 0 else 0
-    cond1 = alpha >= 1
-    cond2 = _is_unit(p, zeta3) and _is_unit(p, lhs) and _is_unit(p, delta)
-    cond3 = p >= 2 * (k + nu) - 3
-    cond3p = p >= max(2 * k, k + nu - 2) and _is_unit(p, g1)
-    strict = strictness is Strictness.STRICT
-    size_ok = cond3 or cond3p
-    if not (cond1 and cond2 and (size_ok or not strict)):
-        verdict = Verdict.NOT_ESTABLISHED
-    elif alpha >= 2:
-        verdict = Verdict.PROVEN_MOD_P_ALPHA
-    else:
-        verdict = Verdict.PROVEN_MOD_P
-    modulus = f"{p}^{alpha}" if verdict is Verdict.PROVEN_MOD_P_ALPHA else str(p)
-    implied = (
-        f"lambda_G(q) == (1 + q^{k - 2}) * lambda_f(q) mod {modulus} "
-        "for all primes q"
-    )
-    # relaxed mode waives the two size conditions when neither holds
-    waive = not strict and not size_ok
-    conditions = (
-        ("1", cond1, False),
-        ("2", cond2, False),
-        ("3", cond3, waive),
-        ("3prime", cond3p, waive),
-    )
-    return alpha, conditions, verdict, implied
 
 
 @dataclass(frozen=True)
 class CongruenceCertificate:
     """Structured verdict of the congruence conditions for (k, nu, p, A).
 
-    The numeric fields are everything needed to re-derive the verdict; a
-    deserialized certificate is rebuilt from its inputs and must match.
+    A certificate is its inputs (k, nu, p, A, strictness, m_list, slot and
+    the display-only reference value): `certify` derives every other field
+    from them, and `from_json_dict` rebuilds it from them.  The cusp space
+    of weight k + nu is one-dimensional, so the serialized dimension and
+    eigenvalue determinant are the constant 1, and the serialized values of
+    the epsilon form at (1, 0) and (1, 1) are read off `epsilon_form`.
     """
 
     k: int
@@ -278,17 +245,13 @@ class CongruenceCertificate:
     strictness: Strictness
     m_list: tuple[int, ...]
     slot: int
-    dim: int
     l_value: Fraction
     alpha: int
     gamma1: Fraction
     gamma2: Fraction
     zeta3m2k: Fraction
     epsilon_form: BinaryForm
-    eval_10: Fraction
-    eval_11: Fraction
     lhs_invariant: Fraction
-    delta: Fraction
     conditions: tuple[tuple[str, bool, bool], ...]  # (name, holds, waived)
     verdict: Verdict
     implied_congruence: str
@@ -305,9 +268,7 @@ class CongruenceCertificate:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def rat(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
-
+        """The `eiscong-cert-v1` document; this is the schema's one statement."""
         out = {
             "schema": CERT_SCHEMA,
             "k": self.k,
@@ -317,21 +278,21 @@ class CongruenceCertificate:
             "strictness": self.strictness.value,
             "m_list": list(self.m_list),
             "slot": self.slot,
-            "dim_cusp_space": self.dim,
-            "L_value": rat(self.l_value),
+            "dim_cusp_space": 1,
+            "L_value": encode_rat(self.l_value),
             "alpha": self.alpha,
-            "gamma1": rat(self.gamma1),
-            "gamma2": rat(self.gamma2),
-            "zeta_3_minus_2k": rat(self.zeta3m2k),
+            "gamma1": encode_rat(self.gamma1),
+            "gamma2": encode_rat(self.gamma2),
+            "zeta_3_minus_2k": encode_rat(self.zeta3m2k),
             "epsilon": {
                 "degree": self.epsilon_form.degree,
-                "coeffs": [rat(c) for c in self.epsilon_form.coeffs],
-                "at_1_0": rat(self.eval_10),
-                "at_1_1": rat(self.eval_11),
+                "coeffs": [encode_rat(c) for c in self.epsilon_form.coeffs],
+                "at_1_0": encode_rat(self.epsilon_form.evaluate(1, 0)),
+                "at_1_1": encode_rat(self.epsilon_form.evaluate(1, 1)),
             },
             "epsilon_witness": {
-                "lhs_invariant": rat(self.lhs_invariant),
-                "delta": rat(self.delta),
+                "lhs_invariant": encode_rat(self.lhs_invariant),
+                "delta": encode_rat(1),
             },
             "conditions": {
                 name: {"holds": holds, "waived": waived}
@@ -341,7 +302,7 @@ class CongruenceCertificate:
             "implied_congruence": self.implied_congruence,
         }
         if self.reference_gamma is not None:
-            out["reference_gamma"] = rat(self.reference_gamma)
+            out["reference_gamma"] = encode_rat(self.reference_gamma)
         return out
 
     def to_json(self) -> str:
@@ -349,71 +310,40 @@ class CongruenceCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> CongruenceCertificate:
+        """The certificate doc states, rebuilt by `certify` from its inputs.
+
+        Only the inputs are read.  doc must be the canonical document of the
+        rebuilt certificate: its JSON text, keys sorted, must equal that of
+        `to_json_dict`, so an edited, extra or missing field, a changed
+        JSON type and a rational not in lowest terms are all rejected.
+        Malformed documents and inputs that `certify` rejects, an
+        unsupported cusp space among them, raise ValueError too.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a certificate document must be a JSON object")
         if doc.get("schema") != CERT_SCHEMA:
             raise ValueError(f"unknown certificate schema {doc.get('schema')!r}")
-
-        def rat(d: dict) -> Fraction:
-            return Fraction(int(d["num"]), int(d["den"]))
-
-        eps = doc["epsilon"]
-        cert = cls(
-            k=int(doc["k"]),
-            nu=int(doc["nu"]),
-            p=int(doc["p"]),
-            a_matrix=parse_half_integral(doc["A"]),
-            strictness=Strictness(doc["strictness"]),
-            m_list=tuple(int(m) for m in doc["m_list"]),
-            slot=int(doc["slot"]),
-            dim=int(doc["dim_cusp_space"]),
-            l_value=rat(doc["L_value"]),
-            alpha=int(doc["alpha"]),
-            gamma1=rat(doc["gamma1"]),
-            gamma2=rat(doc["gamma2"]),
-            zeta3m2k=rat(doc["zeta_3_minus_2k"]),
-            epsilon_form=BinaryForm(
-                int(eps["degree"]), tuple(rat(c) for c in eps["coeffs"])
-            ),
-            eval_10=rat(eps["at_1_0"]),
-            eval_11=rat(eps["at_1_1"]),
-            lhs_invariant=rat(doc["epsilon_witness"]["lhs_invariant"]),
-            delta=rat(doc["epsilon_witness"]["delta"]),
-            conditions=tuple(
-                (name, bool(val["holds"]), bool(val["waived"]))
-                for name, val in doc["conditions"].items()
-            ),
-            verdict=Verdict(doc["verdict"]),
-            implied_congruence=str(doc["implied_congruence"]),
-            reference_gamma=(
-                rat(doc["reference_gamma"]) if "reference_gamma" in doc else None
-            ),
-        )
-        cert.revalidate()
-        return cert
-
-    def revalidate(self) -> None:
-        """Rebuild the certificate from its inputs; raise ValueError on mismatch.
-
-        The inputs are (k, nu, p, A, m_list, slot, strictness) and the
-        display-only reference value; `certify` recomputes every other field,
-        the L-value and the epsilon form included, and the rebuilt
-        certificate must equal this one.  Inputs that `certify` rejects,
-        an unsupported cusp space among them, raise ValueError too.
-        """
         try:
-            fresh = certify(
-                self.k,
-                self.nu,
-                self.p,
-                self.a_matrix,
-                self.m_list,
-                self.slot,
-                self.strictness,
-                self.reference_gamma,
+            inputs = (
+                int(doc["k"]),
+                int(doc["nu"]),
+                int(doc["p"]),
+                parse_half_integral(str(doc["A"])),
+                tuple(int(m) for m in doc["m_list"]),
+                int(doc["slot"]),
+                Strictness(doc["strictness"]),
+                decode_rat(doc["reference_gamma"]) if "reference_gamma" in doc else None,
             )
+            text = json.dumps(doc, sort_keys=True)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed certificate: {exc!r}") from exc
+        try:
+            rebuilt = certify(*inputs)
         except (UnsupportedHeckeField, SingularSystem, BudgetExceeded) as exc:
             raise ValueError(f"certificate inputs rejected: {exc}") from exc
-        if fresh != self:
+        if json.dumps(rebuilt.to_json_dict(), sort_keys=True) != text:
             raise ValueError("certificate does not match the one rebuilt from its inputs")
+        return rebuilt
 
 
 def certify(
@@ -429,8 +359,14 @@ def certify(
     """Assemble the congruence certificate for (k, nu, p, A).
 
     p must be prime, A a positive definite 2x2 matrix and the cusp space
-    of weight k + nu one-dimensional; the conditions and the verdict are
-    those of `_derive_verdict`.
+    of weight k + nu one-dimensional.  Checks: (1) the p-order alpha of the
+    normalized standard L-value at k - 1 is positive; (2) the determinant
+    invariant and zeta(3-2k) are p-units (the eigenvalue determinant is 1);
+    (3) p >= 2(k+nu) - 3, or its substitute (3prime) p >= max(2k, k+nu-2)
+    when gamma1 is a p-unit.  Strict mode gates the verdict on all three;
+    relaxed mode downgrades a failing size bound to a waived condition.
+    The stronger mod-p^alpha verdict applies when alpha >= 2 (the cusp
+    space is one-dimensional).
     """
     _check_kv(k, nu)
     if a_matrix.n != 2 or not a_matrix.is_pd():
@@ -449,12 +385,25 @@ def certify(
     if p >= 2 * k:
         # von Staudt-Clausen: no prime >= 2k - 1 divides the denominator
         assert ord_p(p, zeta3) >= 0
-    lhs, delta = cond2_determinant(k, nu, a_matrix, m_list, slot)
+    lhs = cond2_determinant(k, nu, a_matrix, m_list, slot)
     g1 = gamma1(k, nu)
-    alpha, conditions, verdict, implied = _derive_verdict(
-        k, nu, p, strictness, l_value, zeta3, lhs, delta, g1
-    )
-    eps_form = epsilon(k, nu, 1, a_matrix)
+
+    alpha = ord_p(p, l_value) if l_value != 0 else 0
+    cond1 = alpha >= 1
+    cond2 = _is_unit(p, zeta3) and _is_unit(p, lhs)
+    cond3 = p >= 2 * (k + nu) - 3
+    cond3p = p >= max(2 * k, k + nu - 2) and _is_unit(p, g1)
+    strict = strictness is Strictness.STRICT
+    size_ok = cond3 or cond3p
+    if not (cond1 and cond2 and (size_ok or not strict)):
+        verdict = Verdict.NOT_ESTABLISHED
+    elif alpha >= 2:
+        verdict = Verdict.PROVEN_MOD_P_ALPHA
+    else:
+        verdict = Verdict.PROVEN_MOD_P
+    modulus = f"{p}^{alpha}" if verdict is Verdict.PROVEN_MOD_P_ALPHA else str(p)
+    # relaxed mode waives the two size conditions when neither holds
+    waive = not strict and not size_ok
     return CongruenceCertificate(
         k=k,
         nu=nu,
@@ -463,19 +412,23 @@ def certify(
         strictness=strictness,
         m_list=m_list,
         slot=slot,
-        dim=1,
         l_value=l_value,
         alpha=alpha,
         gamma1=g1,
         gamma2=gamma2(k, nu),
         zeta3m2k=zeta3,
-        epsilon_form=eps_form,
-        eval_10=eps_form.evaluate(1, 0),
-        eval_11=eps_form.evaluate(1, 1),
+        epsilon_form=epsilon(k, nu, 1, a_matrix),
         lhs_invariant=lhs,
-        delta=delta,
-        conditions=conditions,
+        conditions=(
+            ("1", cond1, False),
+            ("2", cond2, False),
+            ("3", cond3, waive),
+            ("3prime", cond3p, waive),
+        ),
         verdict=verdict,
-        implied_congruence=implied,
+        implied_congruence=(
+            f"lambda_G(q) == (1 + q^{k - 2}) * lambda_f(q) mod {modulus} "
+            "for all primes q"
+        ),
         reference_gamma=reference_gamma,
     )

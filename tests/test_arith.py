@@ -2,7 +2,9 @@
 
 Derived expected values are produced by independent oracles implemented in
 this file (binomial recurrence for Bernoulli numbers, Euler-criterion
-Legendre symbols, direct finite character sums) and frozen as literals.
+Legendre symbols, direct finite character sums) and frozen as literals;
+sympy is the oracle for Bernoulli numbers, factorization, Kronecker symbols
+and primality.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
+from sympy.functions.combinatorial.numbers import kronecker_symbol
 
+from eiscong import arith
 from eiscong.arith import (
     DiscriminantChar,
     TRIVIAL_CHAR,
+    _is_probable_prime,
     bernoulli,
     bernoulli_poly,
     cohen_h,
@@ -274,3 +280,44 @@ class TestSmallUtilities:
         for p in (1, 0, -3):
             with pytest.raises(ValueError):
                 ord_p(p, 3)
+
+
+def _fraction(x: sympy.Rational) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestSympyOracles:
+    def test_bernoulli(self):
+        for n in range(121):
+            expected = _fraction(sympy.bernoulli(n))
+            if n == 1:
+                # sympy >= 1.12 takes B_1 = +1/2; this package uses -1/2
+                expected = -expected
+            assert bernoulli(n) == expected, n
+
+    def test_factorize_random(self):
+        rng = random.Random(20240318)
+        for n in [rng.randrange(1, 10**14) for _ in range(300)]:
+            assert factorize(n) == sympy.factorint(n), n
+            assert factorize(-n) == factorize(n)
+
+    @pytest.mark.parametrize("n", [1000003**2, 1000003 * 1000033, 999983**3])
+    def test_factorize_through_pollard_rho(self, monkeypatch, n):
+        calls = []
+
+        def spy(m: int) -> int:
+            calls.append(m)
+            return pollard_rho(m)
+
+        pollard_rho = arith._pollard_rho
+        monkeypatch.setattr(arith, "_pollard_rho", spy)
+        assert factorize(n) == sympy.factorint(n)
+        assert calls and all(m > 10**10 for m in calls)
+
+    def test_kronecker(self):
+        for a in range(-40, 41):
+            for n in range(-40, 41):
+                assert kronecker(a, n) == kronecker_symbol(a, n), (a, n)
+
+    def test_is_probable_prime(self):
+        assert [n for n in range(-5, 5000) if _is_probable_prime(n) != sympy.isprime(n)] == []

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from eiscong.arith import ord_p, pochhammer, zeta_neg
+from eiscong.errors import UnsupportedHeckeField
 from eiscong.pullback import (
     CongruenceCertificate,
     Strictness,
@@ -23,7 +24,7 @@ from eiscong.pullback import (
     pick_slot,
 )
 from eiscong.qexp import eigen_basis
-from eiscong.quadform import HalfIntegralMatrix
+from eiscong.quadform import HalfIntegralMatrix, parse_half_integral
 from test_qexp import tm_eigenvalue
 
 I2 = HalfIntegralMatrix.identity(2)
@@ -143,14 +144,13 @@ class TestEpsilonHecke:
 class TestCond2Determinant:
     def test_dim_one_reduction(self):
         slot = 0
-        lhs, delta = cond2_determinant(14, 2, I2, (1,), slot)
+        lhs = cond2_determinant(14, 2, I2, (1,), slot)
         e1 = epsilon(14, 2, 1, I2).coeffs[slot]
         assert lhs == zeta_neg(26) * e1
-        assert delta == 1
 
     def test_zero_slot_gives_zero(self):
         # the xy slot of eps(1, I) vanishes for nu = 2
-        lhs, _ = cond2_determinant(14, 2, I2, (1,), 1)
+        lhs = cond2_determinant(14, 2, I2, (1,), 1)
         assert lhs == 0
 
     def test_pick_slot(self):
@@ -319,3 +319,199 @@ class TestCertificateSerialization:
         assert doc != strict_docs[p]
         with pytest.raises(ValueError):
             CongruenceCertificate.from_json_dict(doc)
+
+
+# Every top-level key of a certificate document except its schema.
+CERT_KEYS = (
+    "k", "nu", "p", "A", "strictness", "m_list", "slot", "dim_cusp_space",
+    "L_value", "alpha", "gamma1", "gamma2", "zeta_3_minus_2k", "epsilon",
+    "epsilon_witness", "conditions", "verdict", "implied_congruence",
+)
+
+# Each entry maps the strict (14, 2, 373) document to a malformed one.
+MALFORMED = {
+    **{
+        f"missing_{key}": lambda doc, key=key: {k: v for k, v in doc.items() if k != key}
+        for key in CERT_KEYS
+    },
+    "k_null": lambda doc: {**doc, "k": None},
+    "m_list_int": lambda doc: {**doc, "m_list": 5},
+    "A_null": lambda doc: {**doc, "A": None},
+    "reference_gamma_zero_den": lambda doc: {**doc, "reference_gamma": {"num": "1", "den": "0"}},
+    "list_not_object": lambda doc: [doc],
+}
+
+
+class TestMalformedCertificate:
+    def test_cert_keys_are_the_document_keys(self, strict_docs):
+        assert set(strict_docs[373]) == {"schema", *CERT_KEYS}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_value_error(self, strict_docs, case):
+        doc = json.loads(json.dumps(MALFORMED[case](strict_docs[373])))
+        with pytest.raises(ValueError):
+            CongruenceCertificate.from_json_dict(doc)
+
+
+# The fields `certify` takes; every other leaf of a document is derived.
+INPUT_KEYS = {"k", "nu", "p", "A", "strictness", "m_list", "slot", "reference_gamma"}
+
+LEAF_DOCS = {
+    "strict_14_2_373": (14, 2, 373, Strictness.STRICT, None),
+    "strict_14_2_7": (14, 2, 7, Strictness.STRICT, None),
+    "relaxed_8_8_23": (8, 8, 23, Strictness.RELAXED, None),
+    "reference_gamma": (14, 2, 373, Strictness.STRICT, Fraction(-91, 2**31)),
+}
+
+# The value edits whose document is still certify's: (14, 2, 373) meets
+# every condition, so relaxing it changes nothing else, and the display-only
+# reference value -91/(2^31 + 1) is in lowest terms.
+ACCEPTED_INPUT_EDITS = {
+    "strict_14_2_373": [("strictness",)],
+    "reference_gamma": [("strictness",), ("reference_gamma", "den")],
+}
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _replaced(doc: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _is_digits(value) -> bool:
+    return isinstance(value, str) and value.lstrip("-").isdigit()
+
+
+def _changed(value):
+    """Another value of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if _is_digits(value):
+        return str(int(value) + 1)
+    for enum in (Verdict, Strictness):
+        values = [member.value for member in enum]
+        if value in values:
+            return values[(values.index(value) + 1) % len(values)]
+    return value + " "
+
+
+def _retyped(value) -> list:
+    """value as other JSON types: int -> float and str, bool -> int, digits -> int."""
+    if isinstance(value, bool):
+        return [int(value)]
+    if isinstance(value, int):
+        return [float(value), str(value)]
+    return [int(value)] if _is_digits(value) else []
+
+
+def _certified(doc: dict) -> dict | None:
+    """certify's document for the inputs doc states, or None if it rejects them."""
+    ref = doc.get("reference_gamma")
+    try:
+        return certify(
+            doc["k"], doc["nu"], doc["p"], parse_half_integral(doc["A"]),
+            tuple(doc["m_list"]), doc["slot"], Strictness(doc["strictness"]),
+            None if ref is None else Fraction(int(ref["num"]), int(ref["den"])),
+        ).to_json_dict()
+    except (ValueError, UnsupportedHeckeField):
+        return None
+
+
+def _same_json(a, b) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _accepted(doc) -> bool:
+    try:
+        cert = CongruenceCertificate.from_json_dict(doc)
+    except ValueError:
+        return False
+    assert _same_json(cert.to_json_dict(), doc)
+    return True
+
+
+@pytest.fixture(scope="module")
+def leaf_docs() -> dict[str, dict]:
+    return {
+        name: certify(k, nu, p, I2, strictness=s, reference_gamma=ref).to_json_dict()
+        for name, (k, nu, p, s, ref) in LEAF_DOCS.items()
+    }
+
+
+class TestEveryLeafTamper:
+    """Every edit of every leaf is rejected, except an edit of an input whose
+    document is exactly the one `certify` builds from the edited inputs."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_DOCS))
+    def test_changed_value(self, leaf_docs, name):
+        doc = leaf_docs[name]
+        wrong, accepted = [], []
+        for path, value in _nodes(doc):
+            if isinstance(value, (dict, list)):
+                continue
+            edited = _replaced(doc, path, _changed(value))
+            if path[0] in INPUT_KEYS:
+                expected = _certified(edited)
+                should_accept = expected is not None and _same_json(expected, edited)
+            else:
+                should_accept = False
+            if _accepted(edited) != should_accept:
+                wrong.append((path, should_accept))
+            elif should_accept:
+                accepted.append(path)
+        assert wrong == []
+        assert accepted == ACCEPTED_INPUT_EDITS.get(name, [])
+
+    @pytest.mark.parametrize("name", sorted(LEAF_DOCS))
+    def test_changed_type(self, leaf_docs, name):
+        doc = leaf_docs[name]
+        edits = [
+            (path, new)
+            for path, value in _nodes(doc)
+            if not isinstance(value, (dict, list))
+            for new in _retyped(value)
+        ]
+        assert any(isinstance(new, float) for _, new in edits)
+        assert any(isinstance(new, int) and not isinstance(new, bool) for _, new in edits)
+        assert [path for path, new in edits if _accepted(_replaced(doc, path, new))] == []
+
+    @pytest.mark.parametrize("name", sorted(LEAF_DOCS))
+    def test_extra_key(self, leaf_docs, name):
+        doc = leaf_docs[name]
+        objects = [path for path, node in _nodes(doc) if isinstance(node, dict)]
+        assert () in objects and ("epsilon",) in objects
+        assert [path for path in objects if _accepted(_replaced(doc, (*path, "extra"), 0))] == []
+
+    @pytest.mark.parametrize("name", sorted(LEAF_DOCS))
+    def test_non_canonical_rational(self, leaf_docs, name):
+        doc = leaf_docs[name]
+        rationals = [
+            (path, node)
+            for path, node in _nodes(doc)
+            if isinstance(node, dict) and set(node) == {"num", "den"}
+        ]
+        if name == "reference_gamma":
+            assert ("reference_gamma",) in [path for path, _ in rationals]
+        doubled = {
+            path: {"num": str(2 * int(node["num"])), "den": str(2 * int(node["den"]))}
+            for path, node in rationals
+        }
+        assert [path for path, new in doubled.items() if _accepted(_replaced(doc, path, new))] == []
