@@ -49,7 +49,6 @@ from .qexp import (
     eigen_basis,
     eisenstein_qexp,
     hecke_t,
-    hecke_tm,
     miller_basis,
     petersson_ratio,
     std_l_value,
@@ -57,7 +56,6 @@ from .qexp import (
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
-    chi_star,
     enumerate_R,
     nondeg_part,
 )
@@ -66,7 +64,6 @@ from .siegelseries import (
     chi_p,
     gamma_p,
     local_F,
-    local_F_star,
     oracle_bp,
 )
 
@@ -91,7 +88,6 @@ __all__ = [
     "build_T",
     "certify",
     "chi_p",
-    "chi_star",
     "cohen_h",
     "cohen_series",
     "cond2_determinant",
@@ -108,11 +104,9 @@ __all__ = [
     "gegenbauer_poly",
     "gen_bernoulli",
     "hecke_t",
-    "hecke_tm",
     "kronecker",
     "l_value_neg",
     "local_F",
-    "local_F_star",
     "miller_basis",
     "nondeg_part",
     "oracle_bp",

@@ -21,7 +21,6 @@ __all__ = [
     "cohen_h",
     "divisor_power_sum",
     "factorize",
-    "field_discriminant",
     "fundamental_decomposition",
     "gen_bernoulli",
     "is_fundamental_discriminant",
@@ -37,28 +36,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+# (B_0..B_m, the Akiyama-Tanigawa working row after m), replaced as a whole
+_bernoulli_cache: tuple[list[Fraction], list[Fraction]] = ([], [])
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2 (so zeta(0) = -1/2).
 
     Computed by the Akiyama-Tanigawa triangle, which naturally produces
-    B_1 = +1/2; the sign is flipped for n = 1.  Values are cached.
+    B_1 = +1/2; the sign is flipped for n = 1.  Values are cached, and a
+    larger n extends the cached working row from where it stopped.  The
+    extension works on copies and publishes them in one assignment, so a
+    concurrent reader never sees a half-extended row.
     """
+    global _bernoulli_cache
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n >= len(_bernoulli_cache):
-        row = [Fraction(0)] * (n + 1)
-        out: list[Fraction] = []
-        for m in range(n + 1):
-            row[m] = Fraction(1, m + 1)
+    values, row = _bernoulli_cache
+    if n >= len(values):
+        values, row = list(values), list(row)
+        for m in range(len(values), n + 1):
+            row.append(Fraction(1, m + 1))
             for j in range(m, 0, -1):
                 row[j - 1] = j * (row[j - 1] - row[j])
-            out.append(row[0])
-        out[1] = Fraction(-1, 2)
-        _bernoulli_cache[:] = out
-    return _bernoulli_cache[n]
+            values.append(-row[0] if m == 1 else row[0])
+        _bernoulli_cache = (values, row)
+    return values[n]
 
 
 def bernoulli_poly(r: int, x: Fraction) -> Fraction:
@@ -259,14 +262,6 @@ def is_fundamental_discriminant(d: int) -> bool:
     if f == 1:
         return d % 4 == 1
     return f == 2 and d == 4 * s and s % 4 in (2, 3)
-
-
-def field_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for nonzero m; returns 1 when m is a square."""
-    s, _ = squarefree_decomposition(m)
-    if s == 1:
-        return 1
-    return s if s % 4 == 1 else 4 * s
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def _coefficient(n: int, k: int, budget: int, t: HalfIntegralMatrix) -> Fraction
     m = tilde.n
     value = Fraction(2) ** ((m + 1) // 2)
     for p in prime_divisors(det2):
-        value *= local_F(p, tilde, budget).evaluate(Fraction(p) ** (k - m - 1))
+        value *= local_F(p, tilde, budget).evaluate(p ** (k - m - 1))
     for i in range(m // 2 + 1, n // 2 + 1):
         value *= zeta_neg(2 * k - 2 * i)
     if m % 2 == 0:

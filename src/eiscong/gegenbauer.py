@@ -41,9 +41,6 @@ class BivariatePoly:
     degree: int
     coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return dict(self.coeffs).get((i, j), Fraction(0))
-
     def evaluate(self, s: Fraction | int, m: Fraction | int) -> Fraction:
         s, m = Fraction(s), Fraction(m)
         return sum((c * s**i * m**j for (i, j), c in self.coeffs), Fraction(0))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .arith import bernoulli, cohen_h, divisor_power_sum, factorize
+from .arith import bernoulli, cohen_h, divisor_power_sum
 from .errors import SingularSystem, UnsupportedHeckeField
 from .gegenbauer import _integer_coeffs
 
@@ -32,7 +32,6 @@ __all__ = [
     "eigen_basis",
     "eisenstein_qexp",
     "hecke_t",
-    "hecke_tm",
     "miller_basis",
     "petersson_ratio",
     "std_l_value",
@@ -77,20 +76,10 @@ class QExpansion:
         if len(self.coeffs) != self.prec + 1:
             raise ValueError("need exactly prec + 1 coefficients")
 
-    @classmethod
-    def from_list(cls, weight: int, coeffs) -> QExpansion:
-        cs = tuple(Fraction(c) for c in coeffs)
-        return cls(weight, len(cs) - 1, cs)
-
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.prec:
             raise IndexError(f"coefficient {n} beyond precision {self.prec}")
         return self.coeffs[n]
-
-    def truncate(self, prec: int) -> QExpansion:
-        if prec > self.prec:
-            raise ValueError("cannot extend precision")
-        return QExpansion(self.weight, prec, self.coeffs[: prec + 1])
 
     def __add__(self, other: QExpansion) -> QExpansion:
         if self.weight != other.weight:
@@ -213,36 +202,16 @@ def hecke_t(p: int, f: QExpansion) -> QExpansion:
     return QExpansion(f.weight, new_prec, tuple(out))
 
 
-def hecke_tm(m: int, f: QExpansion) -> QExpansion:
-    """Composite operator T(p_1)...T(p_r) over the prime factorization of m,
-    primes repeated with multiplicity; m = 1 is the identity."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    out = f
-    for p, e in factorize(m).items() if m > 1 else []:
-        for _ in range(e):
-            out = hecke_t(p, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The normalized eigenform
 
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Normalized rational Hecke eigenforms of one weight, with eigenvalue access."""
+    """Normalized rational Hecke eigenforms of one weight."""
 
     weight: int
     forms: tuple[QExpansion, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.forms)
-
-    def eigenvalue(self, j: int, p: int) -> Fraction:
-        """T(p) eigenvalue of the j-th form (a(p) for a normalized eigenform)."""
-        return self.forms[j].coefficient(p)
 
 
 @lru_cache(maxsize=None)

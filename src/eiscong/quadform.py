@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
-from .arith import DiscriminantChar, field_discriminant
+from .arith import DiscriminantChar, fundamental_decomposition
 
 __all__ = [
     "HalfIntegralMatrix",
     "build_T",
-    "chi_star",
     "enumerate_R",
     "format_half_integral",
     "nondeg_part",
@@ -219,18 +218,16 @@ def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
 
 
 def quadratic_character(m: int, det2: int) -> DiscriminantChar:
-    """The character of Q(sqrt((-1)^(m/2) det T~)) from m and det(2 T~)."""
+    """The character of Q(sqrt((-1)^(m/2) det T~)) from m and det(2 T~).
+
+    det T~ and det(2T~) differ by the square 2^m for even m.  The only even
+    rank <= 3 is m = 2, where -det(2T~) = b^2 - 4ac is 0 or 1 mod 4, so it
+    has a fundamental decomposition whose discriminant gives the character.
+    """
     if m % 2:
-        raise ValueError("chi_star needs even positive rank")
+        raise ValueError("the quadratic character needs even rank")
     sign = -1 if (m // 2) % 2 else 1
-    # det T~ and det(2T~) differ by the square 2^m for even m
-    return DiscriminantChar(field_discriminant(sign * det2))
-
-
-def chi_star(t: HalfIntegralMatrix) -> DiscriminantChar:
-    """Quadratic character of Q(sqrt((-1)^(m/2) det T~)) for even rank m."""
-    tilde, det2 = nondeg_part(t)
-    return quadratic_character(tilde.n, det2)
+    return fundamental_decomposition(sign * det2)[0]
 
 
 def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:

@@ -11,7 +11,10 @@ Two independent routes are implemented:
   content/square-part formula behind the degree-2 Eisenstein coefficients);
 * the character sum itself, evaluated exactly by enumerating representatives
   with entries in p^-j Z / Z, computing levels from elementary divisors, and
-  collapsing root-of-unity histograms in the cyclotomic field.
+  collapsing root-of-unity histograms in the cyclotomic field.  One kernel
+  serves every size: the k-th elementary divisor exponent is the valuation
+  of the gcd of the k x k minors less that of the (k-1) x (k-1) minors.
+  numpy is imported on the first enumeration, not with the package.
 
 Size 3 combines the second route with Katsurada's functional equation
 (An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
@@ -19,17 +22,17 @@ ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Only c_0..c_(d//2) of the character sum are enumerated
 (p^(6 (d//2)) points instead of p^(6d)) and divided by gamma_p; the upper
 half follows from the equation, and degree 1 needs no enumeration at all.
-The full-length sum stays available as `oracle_bp`, the test oracle for
-every fast route.
+Only this route is memoized, keyed on a signed-permutation canonical form
+of B; the closed forms are cheaper than the key.  The full-length sum stays
+available as `oracle_bp`, the test oracle for every fast route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
+from functools import lru_cache, reduce
+from itertools import combinations, combinations_with_replacement
 
 from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
@@ -37,7 +40,6 @@ from .quadform import (
     HalfIntegralMatrix,
     canonical_signed_perm,
     format_half_integral,
-    nondeg_part,
 )
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "expected_degree",
     "gamma_p",
     "local_F",
-    "local_F_star",
     "oracle_bp",
 ]
 
@@ -105,9 +106,12 @@ class SiegelSeriesPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**e for e, c in enumerate(self.coeffs)), Fraction(0))
+    def evaluate(self, x: Fraction | int) -> Fraction | int:
+        """F_p(B, x) by Horner's rule, in the type of x (an int stays an int)."""
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
 
     def as_poly(self) -> PolyX:
         return PolyX.from_list(self.coeffs)
@@ -218,6 +222,8 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
 
 def _valuations(arr: np.ndarray, p: int, inf: int) -> np.ndarray:
     """Elementwise p-adic valuation of |arr|, with zeros mapped to `inf`."""
+    import numpy as np
+
     a = np.abs(arr)
     zero = a == 0
     if p == 2:
@@ -287,20 +293,15 @@ def _character_sum_series(
         )
     if j_max == 0:
         return [1]
+    import numpy as np
+
+    # R's entries in upper-triangular row-major order, and the 2 x 2 minors
+    # of the symmetric R over row/column pairs with rows <= cols
     g = b.doubled
-    if n == 1:
-        tr_mult = (g[0][0] // 2,)
-    elif n == 2:
-        tr_mult = (g[0][0] // 2, g[0][1], g[1][1] // 2)
-    else:
-        tr_mult = (
-            g[0][0] // 2,
-            g[0][1],
-            g[0][2],
-            g[1][1] // 2,
-            g[1][2],
-            g[2][2] // 2,
-        )
+    pos = [(i, j) for i in range(n) for j in range(i, n)]
+    tr_mult = [g[i][j] // 2 if i == j else g[i][j] for i, j in pos]
+    pairs = list(combinations(range(n), 2))
+    minor_keys = list(combinations_with_replacement(pairs, 2))
     inf = 10**6
     max_level = n * j_max
     hist = np.zeros((max_level + 1, q), dtype=np.int64)
@@ -313,49 +314,36 @@ def _character_sum_series(
         for _ in range(dim):
             digits.append(rem % q)
             rem = rem // q
-        if n == 1:
-            (a,) = digits
-            e1 = _valuations(a, p, inf)
-            level = np.maximum(0, j_max - e1)
-        elif n == 2:
-            a, bb, d = digits
-            g1 = np.gcd(np.gcd(a, bb), d)
-            det = a * d - bb * bb
-            v1 = _valuations(g1, p, inf)
-            vd = _valuations(det, p, inf)
-            e2 = np.where(det == 0, inf, vd - np.where(g1 == 0, 0, v1))
-            level = np.maximum(0, j_max - v1) + np.maximum(0, j_max - e2)
-        else:
-            a, bb, c, d, e, f = digits
-            m1 = a * d - bb * bb
-            m2 = a * e - bb * c
-            m3 = bb * e - c * d
-            m4 = a * f - c * c
-            m5 = bb * f - c * e
-            m6 = d * f - e * e
-            det = a * m6 - bb * m5 + c * m3
-            g1 = np.gcd(np.gcd(np.gcd(a, bb), np.gcd(c, d)), np.gcd(e, f))
-            g2 = np.gcd(
-                np.gcd(np.gcd(np.abs(m1), np.abs(m2)), np.gcd(np.abs(m3), np.abs(m4))),
-                np.gcd(np.abs(m5), np.abs(m6)),
-            )
-            v1 = _valuations(g1, p, inf)
-            v2 = _valuations(g2, p, inf)
-            vd = _valuations(det, p, inf)
-            e2 = np.where(g2 == 0, inf, v2 - np.where(g1 == 0, 0, v1))
-            e3 = np.where(det == 0, inf, vd - np.where(g2 == 0, 0, v2))
-            level = (
-                np.maximum(0, j_max - v1)
-                + np.maximum(0, j_max - e2)
-                + np.maximum(0, j_max - e3)
-            )
+        r = {}
+        for (i, j), digit in zip(pos, digits):
+            r[i, j] = r[j, i] = digit
+        m2 = {
+            (s, t): r[s[0], t[0]] * r[s[1], t[1]] - r[s[0], t[1]] * r[s[1], t[0]]
+            for s, t in minor_keys
+        }
+        minors = [digits, list(m2.values())][:n]
+        if n == 3:
+            # cofactor expansion along row 0; the complementary minor of
+            # column c has rows (1, 2) and columns pairs[2 - c]
+            det = sum((-1) ** c * r[0, c] * m2[pairs[2 - c], (1, 2)] for c in range(3))
+            minors.append([det])
+        # v_k is the valuation of the gcd of the k x k minors, e_k = v_k -
+        # v_(k-1) the k-th elementary divisor exponent (infinite once the
+        # minors vanish), and the level adds max(0, j - e_k)
+        level = np.zeros_like(idx)
+        v_prev = 0
+        for k_minors in minors:
+            gk = reduce(np.gcd, k_minors)
+            vk = _valuations(gk, p, inf)
+            ek = np.where(gk == 0, inf, vk - v_prev)
+            level += np.maximum(0, j_max - ek)
+            v_prev = vk
         trace = np.zeros_like(idx)
         for mult, digit in zip(tr_mult, digits):
             if mult:
                 trace += mult * digit
         trace %= q
-        keep = level <= max_level
-        keys = level[keep] * q + trace[keep]
+        keys = level * q + trace
         hist += np.bincount(keys, minlength=(max_level + 1) * q).reshape(
             max_level + 1, q
         )
@@ -382,29 +370,8 @@ def oracle_bp(
 
 @lru_cache(maxsize=None)
 def _local_f_cached(p: int, b: HalfIntegralMatrix, budget: int) -> SiegelSeriesPolynomial:
-    n = b.n
-    g = b.doubled
-    if n == 1:
-        v = ord_p(p, g[0][0] // 2)
-        return SiegelSeriesPolynomial(tuple(p**i for i in range(v + 1)))
-    if n == 2:
-        # content / square-part closed form (the p-factor of the classical
-        # divisor-sum expression for degree-2 Eisenstein coefficients)
-        content = b.content()
-        cv = ord_p(p, content)
-        chi, f = fundamental_decomposition(-b.det_doubled())
-        e = ord_p(p, f)
-        xi = chi(p)
-        assert cv <= e, "content valuation exceeds the square-part valuation"
-        coeffs = [0] * (2 * e + 1)
-        for a in range(cv + 1):
-            for i in range(e - a + 1):
-                coeffs[a + 2 * i] += p ** (2 * a) * p ** (3 * i)
-            for i in range(e - a):
-                coeffs[a + 2 * i + 1] -= xi * p ** (2 * a) * p ** (3 * i + 1)
-        return SiegelSeriesPolynomial(tuple(coeffs))
-    # size 3: divide the character sum through X^(d//2) by gamma_p =
-    # (1 - X)(1 - p^2 X^2); the functional equation supplies the rest
+    """Size 3: divide the character sum through X^(d//2) by gamma_p =
+    (1 - X)(1 - p^2 X^2); the functional equation supplies the rest."""
     deg = expected_degree(p, b)
     series = _character_sum_series(p, b, deg // 2, budget)
     gamma = [1, -1, -(p**2), p**2]
@@ -428,29 +395,38 @@ def local_F(
 ) -> SiegelSeriesPolynomial:
     """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
-    Sizes 1 and 2 use closed forms.  Size 3 divides the character sum
+    Sizes 1 and 2 return closed forms, uncached: a geometric sum, and the
+    content/square-part formula behind the classical divisor-sum expression
+    for degree-2 Eisenstein coefficients.  Size 3 divides the character sum
     through X^(d//2), d the degree from `expected_degree`, by gamma_p and
     fills in f_(d-i) = eps p^(2d-4i) f_i for i < ceil(d/2), where
     eps = h_p(B) (-1, -1)_p (-1, det B)_p and h_p is the Hasse invariant of
     B itself (B may be indefinite); for even d and eps = -1 the middle
     coefficient must vanish, which is asserted.  `budget` caps the points of
-    that enumeration.  Results are cached under a signed-permutation
+    that enumeration.  Only size 3 is memoized, under a signed-permutation
     canonical form of B, which is sound because the series is a GL(Z_p)
-    invariant.
+    invariant; the key lets B, its sign flips and its permutations share one
+    enumeration.
     """
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
-    if b.det_doubled() == 0:
+    det2 = b.det_doubled()
+    if det2 == 0:
         raise ValueError("B must be nondegenerate")
+    if b.n == 1:
+        v = ord_p(p, det2 // 2)
+        return SiegelSeriesPolynomial(tuple(p**i for i in range(v + 1)))
+    if b.n == 2:
+        cv = ord_p(p, b.content())
+        chi, f = fundamental_decomposition(-det2)
+        e = ord_p(p, f)
+        xi = chi(p)
+        assert cv <= e, "content valuation exceeds the square-part valuation"
+        coeffs = [0] * (2 * e + 1)
+        for a in range(cv + 1):
+            for i in range(e - a + 1):
+                coeffs[a + 2 * i] += p ** (2 * a) * p ** (3 * i)
+            for i in range(e - a):
+                coeffs[a + 2 * i + 1] -= xi * p ** (2 * a) * p ** (3 * i + 1)
+        return SiegelSeriesPolynomial(tuple(coeffs))
     return _local_f_cached(p, canonical_signed_perm(b), budget)
-
-
-def local_F_star(
-    p: int,
-    t: HalfIntegralMatrix,
-    x: Fraction | int,
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """F_p of the nondegenerate part of a PSD matrix, evaluated at x."""
-    tilde, _ = nondeg_part(t)
-    return local_F(p, tilde, budget).evaluate(x)

@@ -84,7 +84,6 @@ def test_benchmark_caches_report(module_name, name):
         ("qexp", "miller_basis"),
         ("qexp", "petersson_ratio"),
         ("qexp", "std_l_value"),
-        ("quadform", "chi_star"),
         ("quadform", "enumerate_R"),
         ("quadform", "nondeg_part"),
         ("siegelseries", "local_F"),

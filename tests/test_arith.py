@@ -27,7 +27,6 @@ from eiscong.arith import (
     cohen_h,
     divisor_power_sum,
     factorize,
-    field_discriminant,
     fundamental_decomposition,
     gen_bernoulli,
     is_fundamental_discriminant,
@@ -159,9 +158,11 @@ class TestFundamentalDecomposition:
             assert is_fundamental_discriminant(chi.d)
 
     def test_field_discriminant(self):
-        assert field_discriminant(-1) == -4
-        assert field_discriminant(Fraction(3, 4).numerator * Fraction(3, 4).denominator) == 12
-        assert field_discriminant(9) == 1
+        # the fundamental part of m = 0, 1 mod 4 is the discriminant of Q(sqrt m)
+        assert fundamental_decomposition(-4)[0].d == -4
+        assert fundamental_decomposition(-36)[0].d == -4
+        assert fundamental_decomposition(12)[0].d == 12
+        assert fundamental_decomposition(9)[0].d == 1
 
 
 class TestDiscriminantChar:

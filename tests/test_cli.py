@@ -20,19 +20,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_bounded(*argv, timeout=60):
-    """The CLI in a child process, so that a hang fails the test instead of
-    stalling the suite; returns (exit code, stderr)."""
+def run_python(*args, timeout=60) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's sources on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eiscong.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
+
+
+def run_bounded(*argv, timeout=60):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling the suite; returns (exit code, stderr)."""
+    proc = run_python("-m", "eiscong.cli", *argv, timeout=timeout)
     return proc.returncode, proc.stderr
 
 
@@ -215,6 +216,20 @@ class TestInterfaceContracts:
         monkeypatch.setenv("EISCONG_PRECISION", "24")
         _, out, _ = run(capsys, "lvalue", "--k", "14", "--nu", "2")
         assert json.loads(out)["precision"] == 24
+
+    def test_numpy_loads_only_for_an_enumeration(self):
+        # importing the CLI and a whole lvalue command never enumerate
+        script = (
+            "import sys\n"
+            "from eiscong.cli import main\n"
+            "assert 'numpy' not in sys.modules, 'import eiscong.cli loaded numpy'\n"
+            "code = main(['lvalue', '--k', '14', '--nu', '2'])\n"
+            "assert 'numpy' not in sys.modules, 'lvalue loaded numpy'\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["forms"][0]["l_value"]["den"] == "7"
 
 
 CERTIFY_14_2 = ("certify", "--k", "14", "--nu", "2", "--A", "1,0,1", "--p")

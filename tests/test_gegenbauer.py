@@ -121,14 +121,10 @@ class TestClosedForm:
 
     def test_d4_nu2(self):
         # coefficient of t^2 in (1 - 2st + mt^2)^(-1) is 4s^2 - m
-        p = gegenbauer_poly(4, 2)
-        assert p.coefficient(2, 0) == 4
-        assert p.coefficient(0, 1) == -1
+        assert dict(gegenbauer_poly(4, 2).coeffs) == {(2, 0): 4, (0, 1): -1}
 
     def test_d28_nu2(self):
-        p = gegenbauer_poly(28, 2)
-        assert p.coefficient(2, 0) == 364
-        assert p.coefficient(0, 1) == -13
+        assert dict(gegenbauer_poly(28, 2).coeffs) == {(2, 0): 364, (0, 1): -13}
 
     def test_parity(self):
         s, m = Fraction(5, 3), Fraction(-2, 7)
@@ -142,7 +138,7 @@ class TestClosedForm:
         # b = d/2 - 1: the integrality behind den = 2^nu for even d
         b = d // 2 - 1
         for nu in range(25):
-            p = gegenbauer_poly(d, nu)
+            coeffs = dict(gegenbauer_poly(d, nu).coeffs)
             for mu in range(nu // 2 + 1):
                 expected = (
                     (-1) ** mu
@@ -150,7 +146,7 @@ class TestClosedForm:
                     * comb(nu - mu, mu)
                     * 2 ** (nu - 2 * mu)
                 )
-                assert p.coefficient(nu - 2 * mu, mu) == expected, (nu, mu)
+                assert coeffs.get((nu - 2 * mu, mu), 0) == expected, (nu, mu)
 
     def test_isobaric_support(self):
         for d, nu in ((6, 5), (28, 8)):

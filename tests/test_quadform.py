@@ -11,11 +11,11 @@ from eiscong.quadform import (
     HalfIntegralMatrix,
     build_T,
     canonical_signed_perm,
-    chi_star,
     enumerate_R,
     format_half_integral,
     nondeg_part,
     parse_half_integral,
+    quadratic_character,
 )
 
 I2 = HalfIntegralMatrix.identity(2)
@@ -111,6 +111,12 @@ class TestNondegPart:
                 assert tilde_u.n == t.rank()
 
 
+def chi_star(t: HalfIntegralMatrix):
+    """The character of Q(sqrt((-1)^(m/2) det T~)), as a(T) takes it."""
+    tilde, det2 = nondeg_part(t)
+    return quadratic_character(tilde.n, det2)
+
+
 class TestChiStar:
     def test_identity_two(self):
         assert chi_star(I2).d == -4
@@ -126,7 +132,7 @@ class TestChiStar:
         assert chi_star(t).d == -4
 
     def test_odd_rank_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even rank"):
             chi_star(I3)
 
 

@@ -26,11 +26,11 @@ from eiscong.quadform import (
     HalfIntegralMatrix,
     build_T,
     canonical_signed_perm,
-    chi_star,
     enumerate_R,
     nondeg_part,
 )
 from eiscong.siegelseries import local_F
+from test_quadform import chi_star
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -10,14 +10,15 @@ import pytest
 
 from eiscong.arith import divisor_power_sum, factorize
 from eiscong.errors import BudgetExceeded
-from eiscong.quadform import HalfIntegralMatrix
+from eiscong.quadform import HalfIntegralMatrix, nondeg_part
+from eiscong import siegelseries
 from eiscong.siegelseries import (
+    DEFAULT_BUDGET,
     PolyX,
     chi_p,
     expected_degree,
     gamma_p,
     local_F,
-    local_F_star,
     oracle_bp,
 )
 
@@ -207,6 +208,38 @@ class TestInvariants:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             oracle_bp(2, HalfIntegralMatrix.identity(3), 5, budget=2**24)
+
+
+def local_F_star(p, t, x):
+    """F_p of the nondegenerate part of a PSD matrix, evaluated at x."""
+    return local_F(p, nondeg_part(t)[0]).evaluate(x)
+
+
+class TestMemo:
+    """Only the size-3 route is memoized, keyed on canonical_signed_perm."""
+
+    def test_closed_forms_skip_the_key(self, monkeypatch):
+        calls = []
+        key = siegelseries.canonical_signed_perm
+        monkeypatch.setattr(
+            siegelseries, "canonical_signed_perm", lambda b: calls.append(b) or key(b)
+        )
+        for b in (HalfIntegralMatrix.diagonal(12), HalfIntegralMatrix.from_doubled([[4, 1], [1, 6]])):
+            for p in (2, 3, 23):
+                local_F(p, b)
+        assert calls == []
+        local_F(2, HalfIntegralMatrix.identity(3))
+        assert len(calls) == 1
+
+    def test_sign_flip_shares_one_entry(self):
+        b = HalfIntegralMatrix.from_doubled([[2, 1, 1], [1, 4, 1], [1, 1, 6]])
+        flipped = b.transform(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert flipped != b
+        budget = DEFAULT_BUDGET - 1  # a cache key that no other test uses
+        before = siegelseries._local_f_cached.cache_info()
+        assert local_F(19, b, budget) == local_F(19, flipped, budget)
+        after = siegelseries._local_f_cached.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 class TestLocalFStar:
