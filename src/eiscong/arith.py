@@ -193,10 +193,9 @@ def divisor_power_sum(n: int, e: int) -> int:
 
 
 def ord_p(p: int, x: int | Fraction) -> int:
-    """p-adic valuation of a nonzero rational; p must be at least 2."""
+    """p-adic valuation of a nonzero int or Fraction; p must be at least 2."""
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
-    x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero is undefined")
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .arith import l_value_neg, prime_divisors, zeta_neg
 from .quadform import HalfIntegralMatrix, nondeg_part, quadratic_character
-from .siegelseries import DEFAULT_BUDGET, local_F
+from .siegelseries import DEFAULT_BUDGET, _check_budget, local_F
 
 __all__ = ["EisensteinContext", "z_const"]
 
@@ -69,6 +69,7 @@ class EisensteinContext:
             raise ValueError("degree must be 1, 2 or 3")
         if k % 2 or k < 4:
             raise ValueError("need even weight k >= 4")
+        _check_budget(budget)
         self.n = n
         self.k = k
         self.budget = budget

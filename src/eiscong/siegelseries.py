@@ -19,11 +19,12 @@ Two independent routes are implemented:
 Size 3 combines the second route with Katsurada's functional equation
 (An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
 ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
-of Hilbert symbols.  Only c_0..c_(d//2) of the character sum are enumerated
-(p^(6 (d//2)) points instead of p^(6d)) and divided by gamma_p; the upper
-half follows from the equation, and degree 1 needs no enumeration at all.
-Only this route is memoized, keyed on a signed-permutation canonical form
-of B; the closed forms are cheaper than the key.  The full-length sum stays
+of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
+F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
+sum are enumerated (p^(6 (d//2)) points instead of p^(6d)) and divided by
+gamma_p; the upper half follows from the equation.  Only d >= 2 is
+memoized, keyed on a signed-permutation canonical form of B; the closed
+forms and d <= 1 are cheaper than the key.  The full-length sum stays
 available as `oracle_bp`, the test oracle for every fast route.
 """
 
@@ -36,11 +37,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
-from .quadform import (
-    HalfIntegralMatrix,
-    canonical_signed_perm,
-    format_half_integral,
-)
+from .quadform import HalfIntegralMatrix, canonical_signed_perm, format_half_integral
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -120,7 +117,6 @@ class SiegelSeriesPolynomial:
 def _hilbert(p: int, a: int | Fraction, b: int | Fraction) -> int:
     """Hilbert symbol (a, b)_p of nonzero rationals; num/den is replaced by
     num * den, which lies in the same square class."""
-    a, b = Fraction(a), Fraction(b)
     a, b = a.numerator * a.denominator, b.numerator * b.denominator
     alpha, beta = ord_p(p, a), ord_p(p, b)
     u, v = a // p**alpha, b // p**beta
@@ -136,7 +132,6 @@ def chi_p(p: int, a: int | Fraction) -> int:
     """Square-class character of Q_p: 1 on squares, -1 when Q_p(sqrt a) is the
     unramified quadratic extension, 0 when it is ramified.  Away from odd
     valuations and 2-adic unit parts 3, 7 mod 8 (ramified) it is (a, p)_p."""
-    a = Fraction(a)
     if a == 0:
         raise ValueError("need a != 0")
     u = a.numerator * a.denominator
@@ -145,19 +140,13 @@ def chi_p(p: int, a: int | Fraction) -> int:
     return _hilbert(p, a, p)
 
 
-def _xi(p: int, b: HalfIntegralMatrix) -> int:
-    """chi_p((-1)^(n/2) det B) for even n, computed on the doubled determinant
-    (they differ by the square 2^n)."""
-    sign = -1 if (b.n // 2) % 2 else 1
-    return chi_p(p, sign * b.det_doubled())
-
-
 def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[PolyX, PolyX]:
     """gamma_p(B, X) as a (numerator, denominator) pair of polynomials.
 
     Odd size: (1 - X) prod_{i<=(n-1)/2} (1 - p^2i X^2), denominator 1.
     Even size: the same shape of numerator with i <= n/2, divided by
-    (1 - p^(n/2) xi X).
+    (1 - p^(n/2) xi X), xi = chi_p((-1)^(n/2) det B), read on det(2B) (they
+    differ by the square 2^n).
     """
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
@@ -167,8 +156,14 @@ def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[PolyX, PolyX]:
         num = num * PolyX.from_dict({0: Fraction(1), 2: Fraction(-(p ** (2 * i)))})
     if n % 2:
         return num, PolyX.one()
-    den = PolyX.from_dict({0: Fraction(1), 1: Fraction(-(p ** (n // 2) * _xi(p, b)))})
+    xi = chi_p(p, (-1) ** (n // 2) * b.det_doubled())
+    den = PolyX.from_dict({0: Fraction(1), 1: Fraction(-(p ** (n // 2) * xi))})
     return num, den
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
@@ -190,12 +185,14 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
     invariant h_p(B) is prod_{i<j} (a_i, a_j)_p over any rational
     diagonalization diag(a_1, a_2, a_3) of B itself (not 2B).
 
-    B need not be definite, so a leading minor may vanish: each step pivots
-    on a nonzero diagonal entry, first making one by e_0 -> e_0 + e_j when
-    the whole diagonal is zero (the new entry is 2 B_0j).
+    Fraction-free (Bareiss) elimination on 2B: the i-th pivot M_i is a
+    principal minor of 2B (M_0 = 1), so a_i = M_i / (2 M_(i-1)) lies in the
+    square class of the integer 2 M_i M_(i-1).  B may be indefinite: each
+    step pivots on the first nonzero diagonal entry, after e_0 -> e_0 + e_j
+    if there is none.
     """
-    m = [[Fraction(x, 2) for x in row] for row in b.doubled]
-    a: list[Fraction] = []
+    m = [list(row) for row in b.doubled]
+    a, m_prev = [], 1
     while m:
         if not any(m[i][i] for i in range(len(m))):
             j = next(j for j, x in enumerate(m[0]) if x)
@@ -203,13 +200,14 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
             for row in m:
                 row[0] += row[j]
         k = next(i for i in range(len(m)) if m[i][i])
-        pivot = m[k]
-        a.append(pivot[k])
+        pivot, m_k = m[k], m[k][k]
+        a.append(2 * m_k * m_prev)
         m = [
-            [x - row[k] * pivot[c] / pivot[k] for c, x in enumerate(row) if c != k]
+            [(m_k * x - row[k] * pivot[c]) // m_prev for c, x in enumerate(row) if c != k]
             for i, row in enumerate(m)
             if i != k
         ]
+        m_prev = m_k
     sign = _hilbert(p, -1, -1) * _hilbert(p, -1, a[0] * a[1] * a[2])
     for i, j in ((0, 1), (0, 2), (1, 2)):
         sign *= _hilbert(p, a[i], a[j])
@@ -291,8 +289,6 @@ def _character_sum_series(
             f"through X^{j_max}: {points} representatives exceed the budget "
             f"of {budget}"
         )
-    if j_max == 0:
-        return [1]
     import numpy as np
 
     # R's entries in upper-triangular row-major order, and the 2 x 2 minors
@@ -359,6 +355,7 @@ def oracle_bp(
     """Truncated character sum sum_j c_j X^j for j <= j_max, exactly."""
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
+    _check_budget(budget)
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     return PolyX.from_list(_character_sum_series(p, b, j_max, budget))
@@ -380,8 +377,6 @@ def _local_f_cached(p: int, b: HalfIntegralMatrix, budget: int) -> SiegelSeriesP
         f_coeffs[j] = c - sum(
             gamma[i] * f_coeffs[j - i] for i in range(1, min(j, 3) + 1)
         )
-    if deg == 0:
-        return SiegelSeriesPolynomial((1,))
     sign = _functional_equation_sign(p, b)
     if deg % 2 == 0 and sign == -1 and f_coeffs[deg // 2] != 0:
         raise AssertionError("middle coefficient must vanish for sign -1")
@@ -397,25 +392,23 @@ def local_F(
 
     Sizes 1 and 2 return closed forms, uncached: a geometric sum, and the
     content/square-part formula behind the classical divisor-sum expression
-    for degree-2 Eisenstein coefficients.  Size 3 divides the character sum
-    through X^(d//2), d the degree from `expected_degree`, by gamma_p and
-    fills in f_(d-i) = eps p^(2d-4i) f_i for i < ceil(d/2), where
-    eps = h_p(B) (-1, -1)_p (-1, det B)_p and h_p is the Hasse invariant of
-    B itself (B may be indefinite); for even d and eps = -1 the middle
-    coefficient must vanish, which is asserted.  `budget` caps the points of
-    that enumeration.  Only size 3 is memoized, under a signed-permutation
-    canonical form of B, which is sound because the series is a GL(Z_p)
-    invariant; the key lets B, its sign flips and its permutations share one
-    enumeration.
+    for degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) =
+    eps p^(2d-4i) f_i, d = `expected_degree` (read off det(2B)) and
+    eps = `_functional_equation_sign`: d = 0 gives 1 and d = 1 gives
+    1 + eps p^2 X.  For d >= 2 the character sum through X^(d//2) is divided
+    by gamma_p and f_(d-i) filled in for i < ceil(d/2); for even d and
+    eps = -1 the middle coefficient must vanish, which is asserted.
+    `budget` (at least 1 on every route) caps the enumeration's points.
+    Only d >= 2 is memoized, under a signed-permutation canonical form of B,
+    sound because the series is a GL(Z_p) invariant; B, its sign flips and
+    its permutations share one enumeration.
     """
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
+    _check_budget(budget)
     det2 = b.det_doubled()
     if det2 == 0:
         raise ValueError("B must be nondegenerate")
-    if b.n == 1:
-        v = ord_p(p, det2 // 2)
-        return SiegelSeriesPolynomial(tuple(p**i for i in range(v + 1)))
     if b.n == 2:
         cv = ord_p(p, b.content())
         chi, f = fundamental_decomposition(-det2)
@@ -429,4 +422,11 @@ def local_F(
             for i in range(e - a):
                 coeffs[a + 2 * i + 1] -= xi * p ** (2 * a) * p ** (3 * i + 1)
         return SiegelSeriesPolynomial(tuple(coeffs))
+    deg = ord_p(p, det2 // 2)  # expected_degree for odd sizes
+    if b.n == 1:
+        return SiegelSeriesPolynomial(tuple(p**i for i in range(deg + 1)))
+    if deg == 0:
+        return SiegelSeriesPolynomial((1,))
+    if deg == 1:
+        return SiegelSeriesPolynomial((1, _functional_equation_sign(p, b) * p**2))
     return _local_f_cached(p, canonical_signed_perm(b), budget)

@@ -297,6 +297,24 @@ class TestBadInput:
         assert code == 3 and out == ""
         assert "precision must be >= 0" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("siegel-series", "--p", "3", "--T", "1,0,1"),
+            ("siegel-series", "--p", "3", "--T", "1,0,0,1,0,1"),
+            ("siegel-series", "--p", "3", "--T", "1,0,0,1,0,3"),
+            ("siegel-series", "--p", "2", "--T", "1,0,0,1,0,1"),
+            ("eisenstein-coeff", "--degree", "2", "--k", "10", "--T", "1,1,1"),
+            ("eisenstein-coeff", "--degree", "3", "--k", "8", "--T", "1,0,0,1,0,1"),
+        ],
+        ids=["size2", "size3-d0", "size3-d1", "size3-d2", "coeff-degree2", "coeff-degree3"],
+    )
+    def test_budget_below_one_is_typed_error(self, capsys, argv, budget):
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 3 and out == ""
+        assert f"ValueError: budget must be >= 1, got {budget}" in err
+
     def test_budget_exceeded_names_p_and_matrix(self):
         code, err = run_bounded(
             "siegel-series", "--p", "2", "--T", "1,0,0,1,0,1", "--budget", "10"

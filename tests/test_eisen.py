@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eiscong import eisen, quadform
 from eiscong.arith import divisor_power_sum, zeta_neg
@@ -149,6 +151,51 @@ class TestStructure:
         val = ctx.coefficient(build_T(1, I2, (1, 1)))
         assert isinstance(val, Fraction)
         assert val != 0
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def ternary_psd(draw) -> HalfIntegralMatrix:
+    """A PSD ternary T of any rank with small entries (det(2T) <= 64)."""
+    a, b, c = (draw(st.integers(0, 2)) for _ in range(3))
+    r, s, t = (draw(st.integers(-2, 2)) for _ in range(3))
+    m = HalfIntegralMatrix.from_doubled([[2 * a, r, s], [r, 2 * b, t], [s, t, 2 * c]])
+    assume(m.is_psd())
+    return m
+
+
+@st.composite
+def binary_psd(draw) -> HalfIntegralMatrix:
+    a, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    b = draw(st.integers(-6, 6))
+    m = HalfIntegralMatrix.from_doubled([[2 * a, b], [b, 2 * c]])
+    assume(m.is_psd())
+    return m
+
+
+class TestStructureProperties:
+    """Hypothesis versions of `TestStructure`; they guard the size-3 local
+    factors of degree <= 1, which are read off det(2T) without a canonical
+    form."""
+
+    @PROPERTY
+    @given(ternary_psd(), st.sampled_from((8, 14)), st.integers(0, 2**32))
+    def test_unimodular_invariance(self, t, k, seed):
+        u = random_unimodular(random.Random(seed))
+        ctx = EisensteinContext(3, k)
+        assert ctx.coefficient(t.transform(u)) == ctx.coefficient(t)
+
+    @PROPERTY
+    @given(binary_psd(), st.sampled_from((8, 14)))
+    def test_siegel_operator_compatibility(self, t2, k):
+        padded = HalfIntegralMatrix.from_doubled(
+            [list(row) + [0] for row in t2.doubled] + [[0, 0, 0]]
+        )
+        assert EisensteinContext(3, k).coefficient(padded) == EisensteinContext(
+            2, k
+        ).coefficient(t2)
 
 
 class TestOneReduction:

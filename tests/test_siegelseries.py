@@ -216,7 +216,8 @@ def local_F_star(p, t, x):
 
 
 class TestMemo:
-    """Only the size-3 route is memoized, keyed on canonical_signed_perm."""
+    """Only the size-3 route with degree >= 2 is memoized, keyed on
+    canonical_signed_perm; degree <= 1 is read off det(2B) and the sign."""
 
     def test_closed_forms_skip_the_key(self, monkeypatch):
         calls = []
@@ -232,14 +233,59 @@ class TestMemo:
         assert len(calls) == 1
 
     def test_sign_flip_shares_one_entry(self):
-        b = HalfIntegralMatrix.from_doubled([[2, 1, 1], [1, 4, 1], [1, 1, 6]])
+        # det(2B) = 18: degree 2 at p = 3
+        b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
         flipped = b.transform(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        assert flipped != b
+        assert flipped != b and expected_degree(3, b) == 2
         budget = DEFAULT_BUDGET - 1  # a cache key that no other test uses
         before = siegelseries._local_f_cached.cache_info()
-        assert local_F(19, b, budget) == local_F(19, flipped, budget)
+        assert local_F(3, b, budget) == local_F(3, flipped, budget)
         after = siegelseries._local_f_cached.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "p, doubled, coeffs",
+        [
+            (3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]], (1,)),
+            (19, [[2, 1, 1], [1, 4, 1], [1, 1, 6]], (1, -361)),
+            (3, [[0, 1, 0], [1, 0, 0], [0, 0, 6]], (1, 9)),
+            (3, [[0, 1, 1], [1, 0, 3], [1, 3, 0]], (1, 9)),
+        ],
+        ids=["d0", "d1", "d1-indefinite", "d1-zero-diagonal"],
+    )
+    def test_degree_at_most_one_skips_key_and_memo(self, monkeypatch, p, doubled, coeffs):
+        calls = []
+        key = siegelseries.canonical_signed_perm
+        monkeypatch.setattr(
+            siegelseries, "canonical_signed_perm", lambda b: calls.append(b) or key(b)
+        )
+        b = HalfIntegralMatrix.from_doubled(doubled)
+        assert expected_degree(p, b) == len(coeffs) - 1
+        before = siegelseries._local_f_cached.cache_info()
+        assert local_F(p, b, DEFAULT_BUDGET - 2).coeffs == coeffs
+        assert calls == []
+        assert siegelseries._local_f_cached.cache_info() == before
+
+
+class TestBudgetValidation:
+    """A budget below 1 is a ValueError on every route, before any is chosen."""
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize(
+        "b",
+        [
+            HalfIntegralMatrix.diagonal(6),
+            HalfIntegralMatrix.diagonal(1, 1),
+            HalfIntegralMatrix.identity(3),
+            HalfIntegralMatrix.diagonal(1, 1, 3),
+        ],
+        ids=["size1", "size2", "size3-d0", "size3-d1"],
+    )
+    def test_local_F_and_oracle(self, b, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            local_F(3, b, budget)
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            oracle_bp(3, b, 0, budget)
 
 
 class TestLocalFStar:

@@ -16,13 +16,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_quadform import random_unimodular
 
 from eiscong.arith import prime_divisors
 from eiscong.quadform import HalfIntegralMatrix, canonical_signed_perm
-from eiscong.siegelseries import _hilbert, expected_degree, local_F, oracle_bp
+from eiscong.siegelseries import (
+    _functional_equation_sign,
+    _hilbert,
+    expected_degree,
+    local_F,
+    oracle_bp,
+)
 
 FEW = settings(max_examples=15, deadline=None, derandomize=True)
 MANY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -146,6 +152,19 @@ def test_degree_one_matches_level_p_coefficient():
     assert checked > 100
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ternary_indefinite())
+def test_degree_one_indefinite_matches_level_p_coefficient(b):
+    # the degree-1 route returns (1, eps p^2) without enumerating
+    checked = 0
+    for p in prime_divisors(b.det_doubled()):
+        if expected_degree(p, b) == 1 and p**6 <= ORACLE_POINTS:
+            c1 = oracle_bp(p, b, 1).coefficient(1)
+            assert local_F(p, b).coeffs == (1, c1 + 1), p
+            checked += 1
+    assume(checked)
+
+
 @lru_cache(maxsize=None)
 def degree_two_and_up() -> list[tuple[int, HalfIntegralMatrix]]:
     """(p, T) with deg F_p(T) >= 2 over the classes with det(2T) <= 64."""
@@ -163,6 +182,59 @@ def test_unimodular_invariance_degree_two_and_up(data, seed):
     p, b = data.draw(st.sampled_from(degree_two_and_up()))
     u = random_unimodular(random.Random(seed))
     assert local_F(p, b.transform(u)) == local_F(p, b)
+
+
+# ---------------------------------------------------------------------------
+# The functional-equation sign
+
+
+def fraction_sign(p: int, b: HalfIntegralMatrix) -> int:
+    """The sign by rational elimination on B itself: the diagonal entries a_i
+    of a diagonalization, pivoting on the first nonzero diagonal entry after
+    e_0 -> e_0 + e_j when the whole diagonal is zero."""
+    m = [[Fraction(x, 2) for x in row] for row in b.doubled]
+    a: list[Fraction] = []
+    while m:
+        if not any(m[i][i] for i in range(len(m))):
+            j = next(j for j, x in enumerate(m[0]) if x)
+            m[0] = [x + y for x, y in zip(m[0], m[j])]
+            for row in m:
+                row[0] += row[j]
+        k = next(i for i in range(len(m)) if m[i][i])
+        pivot = m[k]
+        a.append(pivot[k])
+        m = [
+            [x - row[k] * pivot[c] / pivot[k] for c, x in enumerate(row) if c != k]
+            for i, row in enumerate(m)
+            if i != k
+        ]
+    sign = _hilbert(p, -1, -1) * _hilbert(p, -1, a[0] * a[1] * a[2])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        sign *= _hilbert(p, a[i], a[j])
+    return sign
+
+
+@st.composite
+def ternary_nondegenerate(draw) -> HalfIntegralMatrix:
+    """A nondegenerate ternary T of any signature; the diagonal may be zero
+    in some entries or, with the off-diagonal entries all nonzero, in all."""
+    if draw(st.booleans()):
+        a = b = c = 0
+    else:
+        a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    r, s, t = (draw(st.integers(-6, 6)) for _ in range(3))
+    m = HalfIntegralMatrix.from_doubled([[2 * a, r, s], [r, 2 * b, t], [s, t, 2 * c]])
+    assume(m.det_doubled() != 0)
+    return m
+
+
+@MANY
+@given(ternary_nondegenerate(), st.sampled_from((2, 3, 5, 7, 11)))
+@example(HalfIntegralMatrix.from_doubled([[0, 1, 1], [1, 0, 3], [1, 3, 0]]), 3)
+@example(HalfIntegralMatrix.from_doubled([[0, 2, -1], [2, 0, 5], [-1, 5, 0]]), 2)
+@example(HalfIntegralMatrix.from_doubled([[0, 1, 0], [1, 0, 0], [0, 0, 6]]), 3)
+def test_integer_sign_matches_fraction_elimination(b, p):
+    assert _functional_equation_sign(p, b) == fraction_sign(p, b)
 
 
 # ---------------------------------------------------------------------------
