@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 __all__ = [
     "DiscriminantChar",
@@ -318,23 +318,27 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     m is the conductor; for the trivial character this degenerates to B_r(1),
     which differs from B_r only at r = 1 (it is +1/2 there, making
     L(0) = -1/2 = zeta(0) come out right).  Expanding B_r and swapping the
-    sums gives sum_i C(r, i) B_i m^(i-1) sum_a chi(a) a^(r-i), so only the
-    integer power sums of chi are needed.
+    sums gives sum_i C(r, i) B_i m^(i-1) S_(r-i), S_j = sum_{a<=m} chi(a) a^j,
+    every S_j built in one pass over a.  Over the lcm den of the Bernoulli
+    denominators the sum is an integer num, and one Fraction(num, den m) ends.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     m = chi.conductor
-    values = [chi(a) for a in range(1, m + 1)]
-    return sum(
-        (
-            comb(r, i)
-            * bernoulli(i)
-            * Fraction(m) ** (i - 1)
-            * sum(v * a ** (r - i) for a, v in enumerate(values, 1) if v)
-            for i in range(r + 1)
-        ),
-        Fraction(0),
+    sums = [0] * (r + 1)
+    for a in range(1, m + 1):
+        power = chi(a)
+        if power:
+            for j in range(r + 1):
+                sums[j] += power
+                power *= a
+    b = [bernoulli(i) for i in range(r + 1)]
+    den = lcm(*(x.denominator for x in b))
+    num = sum(
+        comb(r, i) * (x.numerator * den // x.denominator) * m**i * sums[r - i]
+        for i, x in enumerate(b)
     )
+    return Fraction(num, den * m)
 
 
 def l_value_neg(r: int, chi: DiscriminantChar) -> Fraction:

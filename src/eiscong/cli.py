@@ -23,7 +23,7 @@ from .arith import _is_probable_prime, ord_p
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .pullback import Strictness, certify, decode_rat, encode_rat
-from .qexp import cohen_series, default_precision, eigen_basis, std_l_value
+from .qexp import _check_l_pair, cohen_series, default_precision, eigen_basis, std_l_value
 from .quadform import HalfIntegralMatrix, format_half_integral, parse_half_integral
 from .siegelseries import DEFAULT_BUDGET, local_F
 
@@ -66,6 +66,7 @@ def _precision(args: argparse.Namespace, weight: int) -> int:
 
 def _cmd_lvalue(args) -> tuple[dict, int]:
     k, nu = args.k, args.nu
+    _check_l_pair(k, nu)
     for p in args.ords:
         if not _is_probable_prime(p):
             raise ValueError(f"p = {p} is not a prime")

@@ -2,19 +2,15 @@
 
 The normalization constant Z(n, k) = zeta(1-k) prod_{j<=[n/2]} zeta(1+2j-2k)
 multiplies the classical series so that every Fourier coefficient becomes an
-exact rational given by a product of local factors:
-
-    a(T) = 2^[(m+1)/2] * prod_{p | det(2 T~)} F_p(T~, p^(k-m-1)) * (zeta/L tail)
-
-where m = rank T, T~ is the nondegenerate part, the tail is
-prod_{i=m/2+1}^{[n/2]} zeta(1+2i-2k) * L(1+m/2-k, chi) for even m (chi the
-quadratic character attached to T~) and prod_{i=(m+1)/2}^{[n/2]} zeta(1+2i-2k)
-for odd m; the rank-0 coefficient is Z(n, k) itself.
+exact rational, read off by the rank m of T (see `_coefficient`).  Rank 3 is
+a product of local factors F_p.  For m <= 2 the product (with L(1+m/2-k, chi)
+for m = 2) collapses to the degree-1 divisor sum and to the Maass
+formula in Cohen's function H (Cohen, Math. Ann. 217, 1975; Eichler-Zagier,
+The Theory of Jacobi Forms, 1985, section 6).
 
 One `nondeg_part` pass gives m, T~ and det(2 T~) and rejects T that are not
 positive semidefinite.  Coefficients live in one process-wide cache keyed on
-(degree, weight, budget, T), shared by every context and by every pullback
-sum that needs them.
+(degree, weight, budget, T), shared by every context and every pullback sum.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import l_value_neg, prime_divisors, zeta_neg
-from .quadform import HalfIntegralMatrix, nondeg_part, quadratic_character
+from .arith import cohen_h, divisor_power_sum, divisors, prime_divisors, zeta_neg
+from .quadform import HalfIntegralMatrix, nondeg_part
 from .siegelseries import DEFAULT_BUDGET, _check_budget, local_F
 
 __all__ = ["EisensteinContext", "z_const"]
@@ -41,17 +37,25 @@ def z_const(n: int, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _coefficient(n: int, k: int, budget: int, t: HalfIntegralMatrix) -> Fraction:
+    """a(T), m = rank T, D = det(2 T~): 2 sigma_(k-1)(D/2) for m = 1,
+    2 sum_{d | content(T~)} d^(k-1) H(k-1, D/d^2) for m = 2 and
+    4 prod_{p | D} F_p(T~, p^(k-4)) for m = 3, each times
+    prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k); Z(n, k) for T = 0."""
     if not any(map(any, t.doubled)):
         return z_const(n, k)
     tilde, det2 = nondeg_part(t)
     m = tilde.n
-    value = Fraction(2) ** ((m + 1) // 2)
-    for p in prime_divisors(det2):
-        value *= local_F(p, tilde, budget).evaluate(p ** (k - m - 1))
+    if m == 1:
+        value = Fraction(2 * divisor_power_sum(det2 // 2, k - 1))
+    elif m == 2:
+        ds = divisors(tilde.content())
+        value = 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in ds)
+    else:
+        value = Fraction(4)
+        for p in prime_divisors(det2):
+            value *= local_F(p, tilde, budget).evaluate(p ** (k - 4))
     for i in range(m // 2 + 1, n // 2 + 1):
         value *= zeta_neg(2 * k - 2 * i)
-    if m % 2 == 0:
-        value *= l_value_neg(k - m // 2, quadratic_character(m, det2))
     return value
 
 

@@ -253,7 +253,8 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     3 <= r <= k - 1, even k and prec >= 0.  P(t/2, m) is
     sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer), so each
     coefficient is the sum of h * sum C_ij t^i (4m)^j over t with one
-    division by den at the end.
+    division by den at the end.  P is isobaric with i + 2j = k - r - 1 even,
+    so the terms at t and -t agree: t runs over t >= 0, weighted 2 if t > 0.
     """
     if k % 2 or not (3 <= r <= k - 1) or r % 2 == 0:
         raise ValueError("need even k and odd r with 3 <= r <= k-1")
@@ -262,12 +263,12 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     terms, den = _integer_coeffs(2 * r + 2, k - r - 1)
     out = []
     for m in range(prec + 1):
-        tmax = isqrt(4 * m)
         total = 0
-        for t in range(-tmax, tmax + 1):
+        for t in range(isqrt(4 * m) + 1):
             h = cohen_h(r, 4 * m - t * t)
             if h:
-                total += h * sum(c * t**i * (4 * m) ** j for i, j, c in terms)
+                term = sum(c * t**i * (4 * m) ** j for i, j, c in terms)
+                total += h * (2 * term if t else term)
         out.append(Fraction(total, den))
     return QExpansion(k, prec, tuple(out))
 
@@ -307,14 +308,19 @@ def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
     return ratio
 
 
+def _check_l_pair(k: int, nu: int) -> None:
+    """ValueError naming k and nu unless k >= 6 and nu >= 2 are both even."""
+    if k % 2 or nu % 2 or k < 6 or nu < 2:
+        raise ValueError(f"need even k >= 6 and even nu >= 2, got k = {k}, nu = {nu}")
+
+
 def std_l_value(k: int, nu: int, f: QExpansion) -> Fraction:
     """Normalized standard L-value at k - 1 of an eigenform f of weight k + nu.
 
     Equals -(nu! (k-2)! / (k+nu-2)!) 2^(k+nu-3) times the Petersson ratio of
     f against the weight-(k+nu) Cohen-type series with parameter r = k - 1.
     """
-    if k % 2 or nu % 2 or k < 6 or nu < 2:
-        raise ValueError("need even k >= 6 and even nu >= 2")
+    _check_l_pair(k, nu)
     if f.weight != k + nu:
         raise ValueError("f must have weight k + nu")
     series = cohen_series(k + nu, k - 1, f.prec)

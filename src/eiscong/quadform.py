@@ -8,8 +8,8 @@ one definiteness test on the computation path: a single pass gives the rank
 m, the nondegenerate block T~ and det(2 T~), and rejects T that are not
 positive semidefinite.  One integer row echelon form with its unimodular
 transform is the only elimination, run only when det(2T) = 0.  The module
-also provides the quadratic character attached to an even-rank T and the
-lattice-point enumeration that gives the pullback sum its finite support.
+also provides the lattice-point enumeration that gives the pullback sum its
+finite support.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
-
-from .arith import DiscriminantChar, fundamental_decomposition
 
 __all__ = [
     "HalfIntegralMatrix",
@@ -215,19 +213,6 @@ def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
     if not tilde.is_pd():
         raise ValueError("matrix must be positive semidefinite")
     return tilde, det2
-
-
-def quadratic_character(m: int, det2: int) -> DiscriminantChar:
-    """The character of Q(sqrt((-1)^(m/2) det T~)) from m and det(2 T~).
-
-    det T~ and det(2T~) differ by the square 2^m for even m.  The only even
-    rank <= 3 is m = 2, where -det(2T~) = b^2 - 4ac is 0 or 1 mod 4, so it
-    has a fundamental decomposition whose discriminant gives the character.
-    """
-    if m % 2:
-        raise ValueError("the quadratic character needs even rank")
-    sign = -1 if (m // 2) % 2 else 1
-    return fundamental_decomposition(sign * det2)[0]
 
 
 def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:

@@ -183,13 +183,13 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
     """Sign of f_(d-i) = sign p^(2d-4i) f_i for nondegenerate ternary B
     (Katsurada 1999): h_p(B) (-1, -1)_p (-1, det B)_p, where the Hasse
     invariant h_p(B) is prod_{i<j} (a_i, a_j)_p over any rational
-    diagonalization diag(a_1, a_2, a_3) of B itself (not 2B).
-
-    Fraction-free (Bareiss) elimination on 2B: the i-th pivot M_i is a
-    principal minor of 2B (M_0 = 1), so a_i = M_i / (2 M_(i-1)) lies in the
-    square class of the integer 2 M_i M_(i-1).  B may be indefinite: each
-    step pivots on the first nonzero diagonal entry, after e_0 -> e_0 + e_j
-    if there is none.
+    diagonalization diag(a_1, a_2, a_3) of B.  2B gives the same sign: doubling
+    every a_i scales the Hasse product by (2, 2)_p^3 (each (2, a_i)_p occurs
+    twice) and (-1, det B)_p by (-1, 8)_p, both 1 at every p.  So the a_i
+    come from fraction-free (Bareiss) elimination on 2B: the i-th pivot M_i
+    is a principal minor of 2B (M_0 = 1), and M_i / M_(i-1) lies in the square
+    class of M_i M_(i-1).  B may be indefinite: each step pivots on the first
+    nonzero diagonal entry, after e_0 -> e_0 + e_j if there is none.
     """
     m = [list(row) for row in b.doubled]
     a, m_prev = [], 1
@@ -201,7 +201,7 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
                 row[0] += row[j]
         k = next(i for i in range(len(m)) if m[i][i])
         pivot, m_k = m[k], m[k][k]
-        a.append(2 * m_k * m_prev)
+        a.append(m_k * m_prev)
         m = [
             [(m_k * x - row[k] * pivot[c]) // m_prev for c, x in enumerate(row) if c != k]
             for i, row in enumerate(m)

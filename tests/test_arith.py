@@ -15,6 +15,8 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from eiscong import arith
@@ -227,6 +229,37 @@ class TestGenBernoulli:
             chi = DiscriminantChar(d)
             for r in range(3, 21, 2):
                 assert gen_bernoulli(r, chi) == 0, (d, r)
+
+
+def gen_bernoulli_fraction(r: int, chi: DiscriminantChar) -> Fraction:
+    """sum_i C(r, i) B_i m^(i-1) S_(r-i) in Fractions, with each power sum
+    S_j = sum_a chi(a) a^j taken on its own."""
+    m = chi.conductor
+    values = [chi(a) for a in range(1, m + 1)]
+    return sum(
+        (
+            comb(r, i)
+            * bernoulli(i)
+            * Fraction(m) ** (i - 1)
+            * sum(v * a ** (r - i) for a, v in enumerate(values, 1) if v)
+            for i in range(r + 1)
+        ),
+        Fraction(0),
+    )
+
+
+FUNDAMENTAL_400 = [d for d in range(-400, 401) if d and is_fundamental_discriminant(d)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from(FUNDAMENTAL_400), st.integers(1, 25))
+@example(1, 1)
+@example(1, 25)
+@example(-4, 1)
+@example(-399, 25)
+def test_gen_bernoulli_matches_the_fraction_sum(d, r):
+    chi = DiscriminantChar(d)
+    assert gen_bernoulli(r, chi) == gen_bernoulli_fraction(r, chi), (d, r)
 
 
 class TestCohenH:

@@ -284,6 +284,13 @@ class TestBadInput:
         assert code == 0
         assert json.loads(out)["forms"] == []
 
+    @pytest.mark.parametrize("k, nu", [("-2", "16"), ("3", "11"), ("12", "0"), ("4", "2")])
+    def test_lvalue_names_an_out_of_scope_pair(self, capsys, k, nu):
+        # checked before the cusp space is built, so a zero space cannot hide it
+        code, out, err = run(capsys, "lvalue", "--k", k, "--nu", nu)
+        assert code == 3 and out == ""
+        assert f"need even k >= 6 and even nu >= 2, got k = {k}, nu = {nu}" in err
+
     def test_negative_precision_flag(self, capsys):
         code, out, err = run(
             capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "-1"

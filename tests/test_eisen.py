@@ -3,24 +3,27 @@
 Cross-checks: the classical divisor-sum identity in degree 1, theta-series
 values of the E8 lattice in degrees 2 and 3 (the weight-4 series equals the
 E8 theta because both spaces are one-dimensional with constant term 1), the
-compatibility between degrees under zero-padding, and unimodular invariance.
+compatibility between degrees under zero-padding, unimodular invariance, and
+the product of local factors as the oracle for the rank <= 2 closed forms.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eiscong import eisen, quadform
-from eiscong.arith import divisor_power_sum, zeta_neg
+from eiscong.arith import divisor_power_sum, l_value_neg, prime_divisors, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
 from eiscong.qexp import eisenstein_qexp
-from eiscong.quadform import HalfIntegralMatrix, build_T
-from test_quadform import random_unimodular
+from eiscong.quadform import HalfIntegralMatrix, build_T, nondeg_part
+from eiscong.siegelseries import local_F
+from test_quadform import quadratic_character, random_unimodular
 
 I2 = HalfIntegralMatrix.identity(2)
 I3 = HalfIntegralMatrix.identity(3)
@@ -227,3 +230,51 @@ class TestOneReduction:
         assert eisen._coefficient.cache_info().misses == misses + 1
         assert value != 0
         assert calls["echelon"] <= 1 and calls["is_psd"] == 0, calls
+
+
+def product_route(n: int, k: int, t: HalfIntegralMatrix) -> Fraction:
+    """a(T) for a nonzero PSD T as the product of local factors:
+    2^[(m+1)/2] prod_p F_p(T~, p^(k-m-1)) times the zeta tail and, for even
+    m, L(1+m/2-k, chi).  Every rank goes through `local_F` here."""
+    tilde, det2 = nondeg_part(t)
+    m = tilde.n
+    value = Fraction(2) ** ((m + 1) // 2)
+    for p in prime_divisors(det2):
+        value *= local_F(p, tilde).evaluate(p ** (k - m - 1))
+    for i in range(m // 2 + 1, n // 2 + 1):
+        value *= zeta_neg(2 * k - 2 * i)
+    if m % 2 == 0:
+        value *= l_value_neg(k - m // 2, quadratic_character(m, det2))
+    return value
+
+
+@st.composite
+def low_rank(draw) -> tuple[int, HalfIntegralMatrix]:
+    """(degree, T) with rank T <= 2: c (ux + vy)^2 for rank 1, g times a
+    primitive positive definite binary form for rank 2 (content g <= 3),
+    zero-padded and moved by a random unimodular U in degree 3."""
+    n = draw(st.integers(1, 3))
+    if n == 1:
+        return 1, HalfIntegralMatrix.diagonal(draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 30))
+        u, v = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        assume(gcd(u, v) == 1)
+        rows = [[2 * c * u * u, 2 * c * u * v], [2 * c * u * v, 2 * c * v * v]]
+    else:
+        a, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        b = draw(st.integers(-12, 12))
+        assume(4 * a * c > b * b and gcd(a, b, c) == 1)
+        g = draw(st.integers(1, 3))
+        rows = [[2 * g * a, g * b], [g * b, 2 * g * c]]
+    if n == 2:
+        return 2, HalfIntegralMatrix.from_doubled(rows)
+    padded = HalfIntegralMatrix.from_doubled([row + [0] for row in rows] + [[0, 0, 0]])
+    return 3, padded.transform(random_unimodular(random.Random(draw(st.integers(0, 2**32)))))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(low_rank(), st.sampled_from(range(4, 25, 2)))
+def test_rank_at_most_two_matches_the_product_of_local_factors(case, k):
+    n, t = case
+    assert EisensteinContext(n, k).coefficient(t) == product_route(n, k, t), (n, k, t)

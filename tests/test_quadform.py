@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from eiscong.arith import DiscriminantChar, fundamental_decomposition
 from eiscong.quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -15,7 +16,6 @@ from eiscong.quadform import (
     format_half_integral,
     nondeg_part,
     parse_half_integral,
-    quadratic_character,
 )
 
 I2 = HalfIntegralMatrix.identity(2)
@@ -109,6 +109,19 @@ class TestNondegPart:
                 tilde_u, det2_u = nondeg_part(conj)
                 assert det2_u == det2
                 assert tilde_u.n == t.rank()
+
+
+def quadratic_character(m: int, det2: int) -> DiscriminantChar:
+    """The character of Q(sqrt((-1)^(m/2) det T~)) from m and det(2 T~).
+
+    det T~ and det(2T~) differ by the square 2^m for even m.  The only even
+    rank <= 3 is m = 2, where -det(2T~) = b^2 - 4ac is 0 or 1 mod 4, so it
+    has a fundamental decomposition whose discriminant gives the character.
+    """
+    if m % 2:
+        raise ValueError("the quadratic character needs even rank")
+    sign = -1 if (m // 2) % 2 else 1
+    return fundamental_decomposition(sign * det2)[0]
 
 
 def chi_star(t: HalfIntegralMatrix):
