@@ -3,7 +3,7 @@
 Everything returns plain ints or `fractions.Fraction`: Bernoulli numbers,
 Kronecker symbols, quadratic characters of fundamental discriminants,
 generalized Bernoulli numbers, Dirichlet L-values at non-positive integers,
-and Cohen's function H(r, N).  No floating point anywhere.
+and Cohen's function H(r, N), all in integer and rational arithmetic.
 """
 
 from __future__ import annotations

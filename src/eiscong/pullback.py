@@ -59,8 +59,6 @@ CERT_SCHEMA = "eiscong-cert-v1"
 def _check_kv(k: int, nu: int) -> None:
     if k % 2 or nu % 2 or k <= 0 or nu <= 0:
         raise ValueError("k and nu must be positive even integers")
-    if nu < 2:
-        raise ValueError("nu = 0 (scalar weight) is out of scope")
 
 
 def gamma1(k: int, nu: int) -> Fraction:

@@ -214,7 +214,6 @@ class EigenBasis:
     forms: tuple[QExpansion, ...]
 
 
-@lru_cache(maxsize=None)
 def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
     """The normalized eigenform of a cusp space of dimension <= 1.
 

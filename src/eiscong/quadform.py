@@ -167,7 +167,7 @@ class HalfIntegralMatrix:
         for i in range(self.n):
             vals.append(self.doubled[i][i] // 2)
             vals.extend(self.doubled[i][i + 1 :])
-        return gcd(*vals) if len(vals) > 1 else abs(vals[0])
+        return gcd(*vals)
 
 
 def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIntegralMatrix:

@@ -9,12 +9,15 @@ Two independent routes are implemented:
 
 * closed forms for sizes 1 and 2 (geometric sum, and the classical
   content/square-part formula behind the degree-2 Eisenstein coefficients);
-* the character sum itself, evaluated exactly by enumerating representatives
-  with entries in p^-j Z / Z, computing levels from elementary divisors, and
-  collapsing root-of-unity histograms in the cyclotomic field.  One kernel
-  serves every size: the k-th elementary divisor exponent is the valuation
-  of the gcd of the k x k minors less that of the (k-1) x (k-1) minors.
-  numpy is imported on the first enumeration, not with the package.
+* the character sum itself, evaluated exactly in integers by enumerating
+  representatives R = S / p^j with S mod p^j.  One kernel serves every size
+  and every p: h_k, the gcd of the k x k minors of S and p^(kj), is
+  p^min(v_k, kj), and the product of gcd(h_k / h_(k-1), p^j) is
+  p^(sum_k min(e_k, j)) over the elementary divisor exponents e_k of S, which
+  gives the level.  Each level's histogram of tr(BR) mod p^j depends only on
+  gcd(tr, p^j), so its root-of-unity sum is a Ramanujan sum: the count at 0
+  less the count at p^(j-1).  numpy is imported on the first enumeration,
+  not with the package.
 
 Size 3 combines the second route with Katsurada's functional equation
 (An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
@@ -167,13 +171,14 @@ def _check_budget(budget: int) -> None:
 
 
 def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
-    """Degree of F_p(B, X): ord_p(det(2B)) less ord_p(2) for odd sizes, and
-    twice the p-valuation of the square part of (-1)^(n/2) det(2B) for even."""
+    """Degree of F_p(B, X): ord_p(det(2B) / 2) for odd sizes (det(2B) is then
+    even), and twice the p-valuation of the square part of (-1)^(n/2) det(2B)
+    for even."""
     det2 = b.det_doubled()
     if det2 == 0:
         raise ValueError("B must be nondegenerate")
     if b.n % 2:
-        return ord_p(p, det2 // 2) if p == 2 else ord_p(p, det2)
+        return ord_p(p, det2 // 2)
     sign = -1 if (b.n // 2) % 2 else 1
     _, f = fundamental_decomposition(sign * det2)
     return 2 * ord_p(p, f)
@@ -218,55 +223,19 @@ def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:
 # Exact character-sum evaluation
 
 
-def _valuations(arr: np.ndarray, p: int, inf: int) -> np.ndarray:
-    """Elementwise p-adic valuation of |arr|, with zeros mapped to `inf`."""
-    import numpy as np
-
-    a = np.abs(arr)
-    zero = a == 0
-    if p == 2:
-        # trailing-zero count via the lowest set bit; exact for |x| < 2^52
-        low = a & (-a)
-        v = np.zeros_like(a)
-        nz = ~zero
-        v[nz] = np.log2(low[nz].astype(np.float64)).astype(np.int64)
-    else:
-        v = np.zeros_like(a)
-        work = a.copy()
-        while True:
-            mask = (~zero) & (work % p == 0)
-            if not mask.any():
-                break
-            work[mask] //= p
-            v[mask] += 1
-    v[zero] = inf
-    return v
-
-
 def _collapse_histogram(counts: list[int], p: int, j_max: int) -> int:
     """Exact value of sum_t counts[t] zeta^t, zeta a primitive p^j_max-th root.
 
-    The coefficient vector is reduced modulo the cyclotomic polynomial
-    Phi_{p^j}(x) = sum_{i<p} x^(i p^(j-1)); since {1, zeta, ...} up to the
-    totient is a Q-basis, the value is an integer exactly when the remainder
-    is constant, which is asserted (it follows from unit-scaling invariance
-    of the histogram).
+    With q = p^j_max: R -> uR for a unit u keeps the level and multiplies
+    tr(BR) by u, so counts[t] depends only on gcd(t, q), which is asserted.
+    The sum of zeta^t over gcd(t, q) = g is the Ramanujan sum mu(q/g): 1 for
+    g = q (t = 0), -1 for g = q/p and 0 otherwise.
     """
     q = p**j_max
-    if q == 1:
-        return counts[0]
-    coeffs = list(counts)
-    tot = q - q // p
-    step = q // p
-    for e in range(q - 1, tot - 1, -1):
-        c = coeffs[e]
-        if c:
-            coeffs[e] = 0
-            base = e - tot
-            for i in range(p - 1):
-                coeffs[base + i * step] -= c
-    assert all(c == 0 for c in coeffs[1:tot]), "histogram not Galois-invariant"
-    return coeffs[0]
+    assert all(c == counts[gcd(t, q) % q] for t, c in enumerate(counts)), (
+        "histogram not unit-invariant"
+    )
+    return counts[0] - counts[q // p] if q > 1 else counts[0]
 
 
 def _character_sum_series(
@@ -276,8 +245,8 @@ def _character_sum_series(
 
     Enumerates all symmetric R with entries in p^-j_max Z / Z (these contain
     every coset of level <= p^j_max), computes the level from the gcds of
-    k x k minors, and accumulates a histogram of the trace numerator per
-    level before collapsing it exactly.
+    k x k minors capped at p^(k j_max), and accumulates a histogram of the
+    trace numerator per level before collapsing it exactly.
     """
     n = b.n
     dim = n * (n + 1) // 2
@@ -298,8 +267,8 @@ def _character_sum_series(
     tr_mult = [g[i][j] // 2 if i == j else g[i][j] for i, j in pos]
     pairs = list(combinations(range(n), 2))
     minor_keys = list(combinations_with_replacement(pairs, 2))
-    inf = 10**6
     max_level = n * j_max
+    powers = p ** np.arange(max_level + 1, dtype=np.int64)
     hist = np.zeros((max_level + 1, q), dtype=np.int64)
     chunk = 1 << 20
     for start in range(0, points, chunk):
@@ -323,17 +292,18 @@ def _character_sum_series(
             # column c has rows (1, 2) and columns pairs[2 - c]
             det = sum((-1) ** c * r[0, c] * m2[pairs[2 - c], (1, 2)] for c in range(3))
             minors.append([det])
-        # v_k is the valuation of the gcd of the k x k minors, e_k = v_k -
-        # v_(k-1) the k-th elementary divisor exponent (infinite once the
-        # minors vanish), and the level adds max(0, j - e_k)
-        level = np.zeros_like(idx)
-        v_prev = 0
-        for k_minors in minors:
-            gk = reduce(np.gcd, k_minors)
-            vk = _valuations(gk, p, inf)
-            ek = np.where(gk == 0, inf, vk - v_prev)
-            level += np.maximum(0, j_max - ek)
-            v_prev = vk
+        # h_k = gcd(k x k minors, q^k) = p^min(v_k, k j_max), v_k the valuation
+        # of the minors' gcd (h_k = q^k once they vanish).  The elementary
+        # divisor exponents e_k = v_k - v_(k-1) increase, so
+        # gcd(h_k / h_(k-1), q) = p^min(e_k, j_max), and the level exponent
+        # is the sum of j_max - min(e_k, j_max).
+        found = np.ones_like(idx)
+        h_prev = 1
+        for k, k_minors in enumerate(minors, 1):
+            h = np.gcd(reduce(np.gcd, k_minors), q**k)
+            found *= np.gcd(h // h_prev, q)
+            h_prev = h
+        level = max_level - np.searchsorted(powers, found)
         trace = np.zeros_like(idx)
         for mult, digit in zip(tr_mult, digits):
             if mult:
@@ -344,7 +314,7 @@ def _character_sum_series(
             max_level + 1, q
         )
     return [
-        _collapse_histogram([int(x) for x in hist[j]], p, j_max)
+        _collapse_histogram(hist[j].tolist(), p, j_max)
         for j in range(j_max + 1)
     ]
 
@@ -356,6 +326,8 @@ def oracle_bp(
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
     _check_budget(budget)
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     return PolyX.from_list(_character_sum_series(p, b, j_max, budget))

@@ -3,11 +3,14 @@
 perfbench/tracer.py wraps every function named in a module's `__all__` plus a
 few named extras, and perfbench/workloads.py calls into the package directly;
 a deleted or renamed name there breaks the benchmark, not the other tests.
+The last test pins the README's promise that no floating point is used.
 """
 
 from __future__ import annotations
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +94,25 @@ def test_benchmark_caches_report(module_name, name):
 )
 def test_traced_layers_stay_public(module_name, name):
     assert name in import_module(f"eiscong.{module_name}").__all__
+
+
+def test_no_floating_point_in_the_package():
+    """No float literal, float() call, or float64 / log / log2 attribute."""
+    package = Path(import_module("eiscong").__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                )
+                or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in {"float64", "log", "log2"}
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

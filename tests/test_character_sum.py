@@ -1,0 +1,160 @@
+"""The integer character-sum kernel against the valuation-and-cyclotomic kernel
+it replaced.
+
+`reference_series` is the earlier `_character_sum_series`: levels from
+elementwise p-adic valuations of the minors' gcds (e_k = v_k - v_(k-1),
+infinite once the minors vanish) and each level's histogram reduced modulo
+the cyclotomic polynomial Phi_{p^j}.  The kernel in `siegelseries` reads the
+level off gcds capped at p^(kj) and collapses the histogram by Ramanujan
+sums; both must give the same c_j on every B, indefinite and zero-diagonal
+ones included.
+"""
+
+from __future__ import annotations
+
+import warnings
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from eiscong.quadform import HalfIntegralMatrix
+from eiscong.siegelseries import _character_sum_series, _collapse_histogram
+
+POINTS = 2**15
+PRIMES = (2, 3, 5, 7, 13)
+
+
+def reference_valuations(arr: np.ndarray, p: int, inf: int) -> np.ndarray:
+    """Elementwise p-adic valuation of |arr|, with zeros mapped to `inf`."""
+    a = np.abs(arr)
+    zero = a == 0
+    v = np.zeros_like(a)
+    if p == 2:
+        # trailing-zero count via the lowest set bit; exact for |x| < 2^52
+        low = a & (-a)
+        v[~zero] = np.log2(low[~zero].astype(np.float64)).astype(np.int64)
+    else:
+        work = a.copy()
+        while True:
+            mask = (~zero) & (work % p == 0)
+            if not mask.any():
+                break
+            work[mask] //= p
+            v[mask] += 1
+    v[zero] = inf
+    return v
+
+
+def reference_collapse(counts: list[int], p: int, j_max: int) -> int:
+    """sum_t counts[t] zeta^t reduced modulo Phi_{p^j}; the remainder must be
+    constant."""
+    q = p**j_max
+    if q == 1:
+        return counts[0]
+    coeffs = list(counts)
+    tot, step = q - q // p, q // p
+    for e in range(q - 1, tot - 1, -1):
+        c = coeffs[e]
+        if c:
+            coeffs[e] = 0
+            for i in range(p - 1):
+                coeffs[e - tot + i * step] -= c
+    assert all(c == 0 for c in coeffs[1:tot]), "histogram not Galois-invariant"
+    return coeffs[0]
+
+
+def reference_series(p: int, b: HalfIntegralMatrix, j_max: int) -> list[int]:
+    """c_0..c_j_max over all symmetric R with entries in p^-j_max Z / Z."""
+    n, g = b.n, b.doubled
+    dim, q = n * (n + 1) // 2, p**j_max
+    pos = [(i, j) for i in range(n) for j in range(i, n)]
+    tr_mult = [g[i][j] // 2 if i == j else g[i][j] for i, j in pos]
+    pairs = list(combinations(range(n), 2))
+    idx = np.arange(q**dim, dtype=np.int64)
+    digits = [idx // q**i % q for i in range(dim)]
+    r = {}
+    for (i, j), digit in zip(pos, digits):
+        r[i, j] = r[j, i] = digit
+    m2 = {
+        (s, t): r[s[0], t[0]] * r[s[1], t[1]] - r[s[0], t[1]] * r[s[1], t[0]]
+        for s, t in combinations_with_replacement(pairs, 2)
+    }
+    minors = [digits, list(m2.values())][:n]
+    if n == 3:
+        det = sum((-1) ** c * r[0, c] * m2[pairs[2 - c], (1, 2)] for c in range(3))
+        minors.append([det])
+    inf = 10**6
+    level = np.zeros_like(idx)
+    v_prev = 0
+    for k_minors in minors:
+        gk = reduce(np.gcd, k_minors)
+        vk = reference_valuations(gk, p, inf)
+        ek = np.where(gk == 0, inf, vk - v_prev)
+        level += np.maximum(0, j_max - ek)
+        v_prev = vk
+    trace = sum(mult * digit for mult, digit in zip(tr_mult, digits)) % q
+    hist = np.bincount(level * q + trace, minlength=(n * j_max + 1) * q)
+    hist = hist.reshape(n * j_max + 1, q)
+    return [reference_collapse(hist[j].tolist(), p, j_max) for j in range(j_max + 1)]
+
+
+def kernel_series(p: int, b: HalfIntegralMatrix, j_max: int) -> list[int]:
+    """The package kernel, with numpy warnings (a division by zero) as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _character_sum_series(p, b, j_max, 2**18)
+
+
+@st.composite
+def kernel_inputs(draw) -> tuple[int, HalfIntegralMatrix, int]:
+    """(p, B, j) with B nondegenerate of size 1-3, possibly indefinite or with
+    zero diagonal entries, and at most POINTS representatives."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 3))
+    dim = n * (n + 1) // 2
+    j_top = 0
+    while p ** ((j_top + 1) * dim) <= POINTS:
+        j_top += 1
+    j = draw(st.integers(0, j_top))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for k in range(i + 1, n):
+            g[i][k] = g[k][i] = draw(st.integers(-6, 6))
+    b = HalfIntegralMatrix.from_doubled(g)
+    assume(b.det_doubled() != 0)
+    return p, b, j
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_inputs())
+def test_kernel_matches_reference(case):
+    p, b, j = case
+    assert kernel_series(p, b, j) == reference_series(p, b, j)
+
+
+@pytest.mark.parametrize(
+    "doubled",
+    [
+        [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [[2, 1, 0], [1, 4, 1], [0, 1, 6]],
+        [[0, 1, 1], [1, 0, 3], [1, 3, 0]],
+        [[2, 0, 0], [0, 0, 1], [0, 1, -10]],
+    ],
+    ids=["identity", "pd", "zero-diagonal", "indefinite"],
+)
+def test_kernel_matches_reference_p2_j3(doubled):
+    b = HalfIntegralMatrix.from_doubled(doubled)
+    assert kernel_series(2, b, 3) == reference_series(2, b, 3)
+
+
+def test_collapse_rejects_a_histogram_that_is_not_unit_invariant():
+    # sum_t counts[t] zeta_9^t = 1 is rational, yet counts[1] != counts[2]
+    counts = [1, 2, 3, 0, 2, 3, 0, 2, 3]
+    assert reference_collapse(counts, 3, 2) == 1
+    with pytest.raises(AssertionError):
+        _collapse_histogram(counts, 3, 2)

@@ -209,6 +209,11 @@ class TestInvariants:
         with pytest.raises(BudgetExceeded):
             oracle_bp(2, HalfIntegralMatrix.identity(3), 5, budget=2**24)
 
+    def test_negative_j_max(self, monkeypatch):
+        monkeypatch.setattr(siegelseries, "_character_sum_series", None)
+        with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
+            oracle_bp(3, HalfIntegralMatrix.identity(3), -1)
+
 
 def local_F_star(p, t, x):
     """F_p of the nondegenerate part of a PSD matrix, evaluated at x."""
