@@ -9,6 +9,7 @@ and Cohen's function H(r, N), all in integer and rational arithmetic.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,11 +80,23 @@ def zeta_neg(k: int) -> Fraction:
     return -bernoulli(k) / k
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals over their least common denominator, and it."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def pochhammer(x: int | Fraction, n: int) -> Fraction:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); the empty product is 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); the empty product is 1.
+
+    For x = a/b this is prod (a + i b) / b^n, an integer product and one
+    division.
+    """
     if n < 0:
         raise ValueError("pochhammer length must be >= 0")
-    return prod((Fraction(x) + i for i in range(n)), start=Fraction(1))
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return Fraction(prod(a + i * b for i in range(n)), b**n)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +345,8 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
             for j in range(r + 1):
                 sums[j] += power
                 power *= a
-    b = [bernoulli(i) for i in range(r + 1)]
-    den = lcm(*(x.denominator for x in b))
-    num = sum(
-        comb(r, i) * (x.numerator * den // x.denominator) * m**i * sums[r - i]
-        for i, x in enumerate(b)
-    )
+    b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
+    num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
     return Fraction(num, den * m)
 
 

@@ -13,17 +13,20 @@ evaluated in integers, sum C_ij u^i w^j, and divided once by
 den = 2^nu * lcm(coefficient denominators) (`_integer_coeffs`); Fraction
 normalizes the quotient, so the result is the same rational as the
 term-by-term rational evaluation.  For even d the coefficients are
-integers and den = 2^nu.
+integers and den = 2^nu.  Sums of specializations over groups of rows stay
+in integers as well (`_specialization_sums`); `eval_binary` is the
+one-row case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial
 
-from .arith import pochhammer
+from .arith import _over_common_denominator, pochhammer
 from .quadform import HalfIntegralMatrix
 
 __all__ = [
@@ -117,21 +120,64 @@ def _integer_coeffs(d: int, nu: int) -> tuple[tuple[tuple[int, int, int], ...], 
     2^nu times the lcm of the coefficient denominators (1 for even d).
     """
     terms = gegenbauer_poly(d, nu).coeffs
-    scale = lcm(*(c.denominator for _, c in terms))
-    return (
-        tuple((i, j, c.numerator * (scale // c.denominator)) for (i, j), c in terms),
-        scale << nu,
-    )
+    nums, scale = _over_common_denominator([c for _, c in terms])
+    return tuple((i, j, c) for ((i, j), _), c in zip(terms, nums)), scale << nu
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Product of two dense coefficient lists of binary forms."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _convolve(a: list[int], b: list[int], size: int | None = None) -> list[int]:
+    """Product of two dense integer coefficient lists, cut to `size` terms if given."""
+    if size is None:
+        size = len(a) + len(b) - 1
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(b[: size - i]):
                 out[i + j] += x * y
     return out
+
+
+def _specialization_sums(
+    d: int,
+    nu: int,
+    n: int,
+    quad: HalfIntegralMatrix,
+    groups: Iterable[Iterable[tuple[int, int]]],
+) -> tuple[list[list[int]], int]:
+    """Per group of rows R, the integer form sum_R sum C_ij u^i w^j; and den.
+
+    u = r1 x + r2 y and w = 4m = 2n (g00 x^2 + 2 g01 x y + g11 y^2), with g
+    the doubled Q, so each summand is den times the specialization of
+    P_{d,nu} at row R.  w does not depend on R: C_ij w^j is built once.
+    The coefficients of u^i are C(i, l) r1^(i-l) r2^l, so a group only sums
+    the monomials r1^(i-l) r2^l over its rows, and each term costs one
+    convolution per group.
+    """
+    if quad.n != 2:
+        raise ValueError("quadratic form must be 2x2")
+    g = quad.doubled
+    terms, den = _integer_coeffs(d, nu)
+    w = [2 * n * g[0][0], 4 * n * g[0][1], 2 * n * g[1][1]]
+    w_pows = [[1]]
+    for _ in range(nu // 2):
+        w_pows.append(_convolve(w_pows[-1], w))
+    # isobaric: i + 2j = nu, so the u-degrees i are distinct
+    degrees = [i for i, _, _ in terms]
+    weighted = [[c * v for v in w_pows[j]] for _, j, c in terms]
+    sums = []
+    for rows in groups:
+        monomials = [[0] * (i + 1) for i in degrees]
+        for r1, r2 in rows:
+            p1 = [r1**e for e in range(nu + 1)]
+            p2 = [r2**e for e in range(nu + 1)]
+            for t, i in enumerate(degrees):
+                monomials[t] = [s + x * y for s, x, y in zip(monomials[t], p1[i::-1], p2)]
+        total = [0] * (nu + 1)
+        for i, mono, cw in zip(degrees, monomials, weighted):
+            u_sum = [comb(i, l) * m for l, m in enumerate(mono)]
+            for idx, val in enumerate(_convolve(u_sum, cw)):
+                total[idx] += val
+        sums.append(total)
+    return sums, den
 
 
 def eval_binary(
@@ -144,26 +190,8 @@ def eval_binary(
     """Specialize P_{d,nu} at s = (r1 x + r2 y)/2 and m = n * (x y) Q (x y)^t.
 
     `quad` is the 2x2 half-integral matrix of the quadratic form; the result
-    is a homogeneous binary form of degree nu.  With g the doubled Q, this
-    is sum C_ij u^i w^j / den for the integral forms u = r1 x + r2 y and
-    w = 4m = 2n (g00 x^2 + 2 g01 x y + g11 y^2): their powers are built
-    incrementally and convolved in integers, and each of the nu + 1
-    coefficients is divided by den once.
+    is a homogeneous binary form of degree nu: the one-row group of
+    `_specialization_sums`, each of its nu + 1 coefficients divided by den.
     """
-    if quad.n != 2:
-        raise ValueError("quadratic form must be 2x2")
-    g = quad.doubled
-    terms, den = _integer_coeffs(d, nu)
-    u = list(r_pair)
-    w = [2 * n * g[0][0], 4 * n * g[0][1], 2 * n * g[1][1]]
-    u_pows, w_pows = [[1]], [[1]]
-    for _ in range(nu):
-        u_pows.append(_convolve(u_pows[-1], u))
-    for _ in range(nu // 2):
-        w_pows.append(_convolve(w_pows[-1], w))
-    total = [0] * (nu + 1)
-    for i, j, c in terms:
-        # isobaric: i + 2j = nu
-        for idx, val in enumerate(_convolve(u_pows[i], w_pows[j])):
-            total[idx] += c * val
+    (total,), den = _specialization_sums(d, nu, n, quad, [[r_pair]])
     return BinaryForm(nu, tuple(Fraction(c, den) for c in total))

@@ -22,10 +22,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import _is_probable_prime, factorize, ord_p, pochhammer, zeta_neg
+from .arith import (
+    _is_probable_prime,
+    _over_common_denominator,
+    factorize,
+    ord_p,
+    pochhammer,
+    zeta_neg,
+)
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
-from .gegenbauer import BinaryForm, eval_binary
+from .gegenbauer import BinaryForm, _specialization_sums
 from .qexp import QExpansion, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
@@ -99,7 +106,10 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
 
     Sums a(T_(n,N,R)) * P_{2k,nu}((r1 x + r2 y)/2, n (x y) N (x y)^t) over
     exactly the rows R that keep T_(n,N,R) positive semidefinite; every
-    other row would contribute a vanishing Eisenstein coefficient.
+    other row would contribute a vanishing Eisenstein coefficient.  Rows
+    are grouped by a(T); each group's specializations are summed in
+    integers (`_specialization_sums`), weighted by the numerators of a(T)
+    over their common denominator, and each coefficient is divided once.
     """
     _check_kv(k, nu)
     if k < 6:
@@ -107,12 +117,18 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     if n < 1:
         raise ValueError("need n >= 1")
     ctx = EisensteinContext(3, k)
-    total = BinaryForm.zero(nu)
+    groups: dict[Fraction, list[tuple[int, int]]] = {}
     for r_pair in enumerate_R(n, quad):
         coeff = ctx.coefficient(build_T(n, quad, r_pair))
         if coeff:
-            total = total + coeff * eval_binary(2 * k, nu, r_pair, n, quad)
-    return total
+            groups.setdefault(coeff, []).append(r_pair)
+    sums, den = _specialization_sums(2 * k, nu, n, quad, groups.values())
+    weights, scale = _over_common_denominator(list(groups))
+    total = [0] * (nu + 1)
+    for weight, group_sum in zip(weights, sums):
+        for idx, val in enumerate(group_sum):
+            total[idx] += weight * val
+    return BinaryForm(nu, tuple(Fraction(c, scale * den) for c in total))
 
 
 def epsilon_hecke(
@@ -382,7 +398,8 @@ def certify(
     zeta3 = zeta_neg(2 * k - 2)
     if p >= 2 * k:
         # von Staudt-Clausen: no prime >= 2k - 1 divides the denominator
-        assert ord_p(p, zeta3) >= 0
+        if ord_p(p, zeta3) < 0:
+            raise AssertionError(f"p = {p} divides the denominator of zeta(3 - 2k)")
     lhs = cond2_determinant(k, nu, a_matrix, m_list, slot)
     g1 = gamma1(k, nu)
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .arith import bernoulli, cohen_h, divisor_power_sum
+from .arith import _over_common_denominator, bernoulli, cohen_h, divisor_power_sum
 from .errors import SingularSystem, UnsupportedHeckeField
-from .gegenbauer import _integer_coeffs
+from .gegenbauer import _convolve, _integer_coeffs
 
 __all__ = [
     "EigenBasis",
@@ -65,7 +65,8 @@ class QExpansion:
 
     Addition requires equal weights, multiplication adds them, and both
     truncate to the smaller precision; no coefficient beyond `prec` is ever
-    read.
+    read.  A product convolves the integer numerators of both operands over
+    their common denominators and divides each coefficient once.
     """
 
     weight: int
@@ -97,15 +98,14 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             p = min(self.prec, other.prec)
-            out = [Fraction(0)] * (p + 1)
-            for i, a in enumerate(self.coeffs[: p + 1]):
-                if a == 0:
-                    continue
-                for j in range(p + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QExpansion(self.weight + other.weight, p, tuple(out))
+            a, a_den = _over_common_denominator(self.coeffs[: p + 1])
+            b, b_den = _over_common_denominator(other.coeffs[: p + 1])
+            den = a_den * b_den
+            return QExpansion(
+                self.weight + other.weight,
+                p,
+                tuple(Fraction(c, den) for c in _convolve(a, b, p + 1)),
+            )
         scalar = Fraction(other)
         return QExpansion(
             self.weight, self.prec, tuple(scalar * c for c in self.coeffs)
@@ -251,9 +251,10 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     Lands in M_k, and in S_k when r < k - 1.  Requires odd r with
     3 <= r <= k - 1, even k and prec >= 0.  P(t/2, m) is
     sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer), so each
-    coefficient is the sum of h * sum C_ij t^i (4m)^j over t with one
-    division by den at the end.  P is isobaric with i + 2j = k - r - 1 even,
-    so the terms at t and -t agree: t runs over t >= 0, weighted 2 if t > 0.
+    coefficient is the sum of h * sum C_ij t^i (4m)^j over t, taken in
+    integers over the common denominator of the h and divided once.
+    P is isobaric with i + 2j = k - r - 1 even, so the terms at t and -t
+    agree: t runs over t >= 0, weighted 2 if t > 0.
     """
     if k % 2 or not (3 <= r <= k - 1) or r % 2 == 0:
         raise ValueError("need even k and odd r with 3 <= r <= k-1")
@@ -262,13 +263,17 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     terms, den = _integer_coeffs(2 * r + 2, k - r - 1)
     out = []
     for m in range(prec + 1):
-        total = 0
+        # the polynomial in t at this m: C_ij (4m)^j t^i
+        poly_t = [(i, c * (4 * m) ** j) for i, j, c in terms]
+        hs, weights = [], []
         for t in range(isqrt(4 * m) + 1):
             h = cohen_h(r, 4 * m - t * t)
             if h:
-                term = sum(c * t**i * (4 * m) ** j for i, j, c in terms)
-                total += h * (2 * term if t else term)
-        out.append(Fraction(total, den))
+                term = sum(c * t**i for i, c in poly_t)
+                hs.append(h)
+                weights.append(2 * term if t else term)
+        nums, scale = _over_common_denominator(hs)
+        out.append(Fraction(sum(a * b for a, b in zip(nums, weights)), scale * den))
     return QExpansion(k, prec, tuple(out))
 
 

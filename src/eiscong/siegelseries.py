@@ -232,9 +232,8 @@ def _collapse_histogram(counts: list[int], p: int, j_max: int) -> int:
     g = q (t = 0), -1 for g = q/p and 0 otherwise.
     """
     q = p**j_max
-    assert all(c == counts[gcd(t, q) % q] for t, c in enumerate(counts)), (
-        "histogram not unit-invariant"
-    )
+    if any(c != counts[gcd(t, q) % q] for t, c in enumerate(counts)):
+        raise AssertionError("histogram not unit-invariant")
     return counts[0] - counts[q // p] if q > 1 else counts[0]
 
 
@@ -386,7 +385,8 @@ def local_F(
         chi, f = fundamental_decomposition(-det2)
         e = ord_p(p, f)
         xi = chi(p)
-        assert cv <= e, "content valuation exceeds the square-part valuation"
+        if cv > e:
+            raise AssertionError("content valuation exceeds the square-part valuation")
         coeffs = [0] * (2 * e + 1)
         for a in range(cv + 1):
             for i in range(e - a + 1):

@@ -3,16 +3,22 @@
 perfbench/tracer.py wraps every function named in a module's `__all__` plus a
 few named extras, and perfbench/workloads.py calls into the package directly;
 a deleted or renamed name there breaks the benchmark, not the other tests.
-The last test pins the README's promise that no floating point is used.
+The last tests pin the README's promise that no floating point is used.
 """
 
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from eiscong.arith import pochhammer
+from eiscong.pullback import epsilon, gamma1, gamma2
+from eiscong.qexp import default_precision, eigen_basis, miller_basis, std_l_value
+from eiscong.quadform import parse_half_integral
 
 MODULES = (
     "eiscong",
@@ -116,3 +122,23 @@ def test_no_floating_point_in_the_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_certificate_path_returns_fractions():
+    """The AST check above cannot see an int / int true division, which
+    gives a float; the certificate path's values must all be Fractions."""
+    for x in (0, 7, -3, Fraction(5, 2)):
+        for n in (0, 1, 4):
+            assert type(pochhammer(x, n)) is Fraction, (x, n)
+    forms = [parse_half_integral(text) for text in ("1,0,1", "1,1,1")]
+    for weight in (12, 16, 18, 20, 22, 26):
+        full, _ = miller_basis(weight, default_precision(weight))
+        assert all(type(c) is Fraction for row in full for c in row.coeffs), weight
+        eigenform = eigen_basis(weight).forms[0]
+        for k in range(6, weight - 1, 2):
+            nu = weight - k
+            assert type(gamma1(k, nu)) is Fraction, (k, nu)
+            assert type(gamma2(k, nu)) is Fraction, (k, nu)
+            assert type(std_l_value(k, nu, eigenform)) is Fraction, (k, nu)
+            for quad in forms:
+                assert all(type(c) is Fraction for c in epsilon(k, nu, 1, quad).coeffs)

@@ -289,6 +289,41 @@ class TestCohenH:
         assert cohen_h(r, 16) == expected
 
 
+def pochhammer_fraction(x: int | Fraction, n: int) -> Fraction:
+    """The earlier pochhammer: a running product of n Fractions."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= Fraction(x) + i
+    return out
+
+
+class TestPochhammerOracle:
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, 2, 13, -1, -3, -8]
+        + [Fraction(a, 2) for a in (1, -1, 3, -5, 13, -13, 27)]
+        + [Fraction(2, 3), Fraction(-7, 12)],
+    )
+    def test_matches_fraction_product(self, x):
+        # n = 0 is the empty product; negative integers reach 0 at n = 1 - x
+        for n in range(13):
+            value = pochhammer(x, n)
+            assert type(value) is Fraction
+            assert value == pochhammer_fraction(x, n), n
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        x=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        n=st.integers(0, 20),
+    )
+    def test_matches_fraction_product_on_rationals(self, x, n):
+        assert pochhammer(x, n) == pochhammer_fraction(x, n)
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            pochhammer(3, -1)
+
+
 class TestSmallUtilities:
     def test_pochhammer(self):
         assert pochhammer(Fraction(3, 2), 0) == 1

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from eiscong.quadform import HalfIntegralMatrix
 from eiscong.siegelseries import _character_sum_series, _collapse_histogram
+from test_cli import run_python
 
 POINTS = 2**15
 PRIMES = (2, 3, 5, 7, 13)
@@ -158,3 +159,18 @@ def test_collapse_rejects_a_histogram_that_is_not_unit_invariant():
     assert reference_collapse(counts, 3, 2) == 1
     with pytest.raises(AssertionError):
         _collapse_histogram(counts, 3, 2)
+
+
+def test_collapse_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must not be one
+    proc = run_python(
+        "-O",
+        "-c",
+        "from eiscong.siegelseries import _collapse_histogram\n"
+        "try:\n"
+        "    _collapse_histogram([1, 2, 3, 0, 2, 3, 0, 2, 3], 3, 2)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

@@ -2,14 +2,16 @@
 
 The integer route behind `eval_binary` and `cohen_series` is checked against
 test-local copies of the rational routes it replaced: dense Fraction powers
-of the specialized forms, and term-by-term `BivariatePoly.evaluate`.
+of the specialized forms, and term-by-term `BivariatePoly.evaluate`.  The
+per-row integer route that the grouped sums in `pullback.epsilon` replaced
+is kept here as well, checked against the rational one.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,6 +62,36 @@ def eval_binary_fraction(d, nu, r_pair, n, quad) -> tuple[Fraction, ...]:
         for idx, val in enumerate(part):
             total[idx] += c * val
     return tuple(total)
+
+
+def _convolve_int(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def eval_binary_per_row(d, nu, r_pair, n, quad) -> BinaryForm:
+    """The earlier integer `eval_binary`: the powers of u and w of one row
+    convolved term by term, each coefficient divided by den once."""
+    g = quad.doubled
+    terms = gegenbauer_poly(d, nu).coeffs
+    scale = lcm(*(c.denominator for _, c in terms))
+    den = scale << nu
+    u = list(r_pair)
+    w = [2 * n * g[0][0], 4 * n * g[0][1], 2 * n * g[1][1]]
+    u_pows, w_pows = [[1]], [[1]]
+    for _ in range(nu):
+        u_pows.append(_convolve_int(u_pows[-1], u))
+    for _ in range(nu // 2):
+        w_pows.append(_convolve_int(w_pows[-1], w))
+    total = [0] * (nu + 1)
+    for (i, j), c in terms:
+        num = c.numerator * (scale // c.denominator)
+        for idx, val in enumerate(_convolve_int(u_pows[i], w_pows[j])):
+            total[idx] += num * val
+    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))
 
 
 def cohen_series_fraction(k: int, r: int, prec: int) -> tuple[Fraction, ...]:
@@ -222,6 +254,8 @@ class TestIntegerRoute:
         quad = HalfIntegralMatrix.from_doubled([[2 * g[0], g[1]], [g[1], 2 * g[2]]])
         form = eval_binary(d, nu, r_pair, n, quad)
         assert form.coeffs == eval_binary_fraction(d, nu, r_pair, n, quad)
+        # the per-row route is the oracle for the grouped sums in epsilon
+        assert eval_binary_per_row(d, nu, r_pair, n, quad) == form
 
     @pytest.mark.parametrize("weight", SWEEP_WEIGHTS)
     def test_cohen_series_matches_fraction_route(self, weight):
@@ -229,6 +263,14 @@ class TestIntegerRoute:
         for k in range(6, weight - 1, 2):
             series = cohen_series(weight, k - 1, prec)
             assert series.coeffs == cohen_series_fraction(weight, k - 1, prec), k
+
+    @pytest.mark.parametrize("k", range(4, 31, 2))
+    def test_cohen_series_every_r_matches_fraction_route(self, k):
+        # every odd r with 3 <= r <= k - 1: cusp forms and, at r = k - 1,
+        # the Eisenstein part too
+        prec = default_precision(k)
+        for r in range(3, k, 2):
+            assert cohen_series(k, r, prec).coeffs == cohen_series_fraction(k, r, prec), r
 
 
 class TestBinaryForm:

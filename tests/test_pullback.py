@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from eiscong.arith import ord_p, pochhammer, zeta_neg
+from eiscong.eisen import EisensteinContext
 from eiscong.errors import UnsupportedHeckeField
+from eiscong.gegenbauer import BinaryForm
 from eiscong.pullback import (
     CongruenceCertificate,
     Strictness,
@@ -24,7 +26,8 @@ from eiscong.pullback import (
     pick_slot,
 )
 from eiscong.qexp import eigen_basis
-from eiscong.quadform import HalfIntegralMatrix, parse_half_integral
+from eiscong.quadform import HalfIntegralMatrix, build_T, enumerate_R, parse_half_integral
+from test_gegenbauer import eval_binary_per_row
 from test_qexp import tm_eigenvalue
 
 I2 = HalfIntegralMatrix.identity(2)
@@ -35,6 +38,22 @@ I2 = HalfIntegralMatrix.identity(2)
 # (see the acceptance suite and the reviewer notes).
 EPS_14_2 = 2418024960
 EPS_8_8 = -46666368
+
+
+# the (k, nu) of the certify sweep: even k >= 6, even nu >= 2, one-dimensional S_(k+nu)
+SWEEP_PAIRS = [(k, w - k) for w in (12, 16, 18, 20, 22, 26) for k in range(6, w - 1, 2)]
+
+
+def epsilon_binary_sums(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
+    """The earlier epsilon: a BinaryForm sum of a(T) times the per-row
+    specialization, row by row."""
+    ctx = EisensteinContext(3, k)
+    total = BinaryForm.zero(nu)
+    for r_pair in enumerate_R(n, quad):
+        coeff = ctx.coefficient(build_T(n, quad, r_pair))
+        if coeff:
+            total = total + coeff * eval_binary_per_row(2 * k, nu, r_pair, n, quad)
+    return total
 
 
 def c_kv1(k: int, nu: int) -> tuple[Fraction, int]:
@@ -117,6 +136,16 @@ class TestEpsilon:
             epsilon(14, 2, 0, I2)
         with pytest.raises(ValueError):
             epsilon(4, 2, 1, I2)
+
+
+class TestEpsilonOracle:
+    @pytest.mark.parametrize("k, nu", SWEEP_PAIRS)
+    def test_grouped_sums_match_binary_form_sums(self, k, nu):
+        for text in ("1,0,1", "1,1,1", "2,1,3"):
+            quad = parse_half_integral(text)
+            for n in (1, 2, 3):
+                expected = epsilon_binary_sums(k, nu, n, quad)
+                assert epsilon(k, nu, n, quad) == expected, (text, n)
 
 
 class TestEpsilonHecke:

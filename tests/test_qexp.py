@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eiscong.arith import factorize, ord_p, zeta_neg
 from eiscong.errors import SingularSystem, UnsupportedHeckeField
@@ -41,6 +43,34 @@ def hecke_tm(m: int, f: QExpansion) -> QExpansion:
         for _ in range(e):
             f = hecke_t(p, f)
     return f
+
+
+def product_fraction(f: QExpansion, g: QExpansion) -> tuple[Fraction, ...]:
+    """The earlier QExpansion product: a convolution of Fractions, term by
+    term, cut to the smaller precision."""
+    p = min(f.prec, g.prec)
+    out = [Fraction(0)] * (p + 1)
+    for i, a in enumerate(f.coeffs[: p + 1]):
+        if a == 0:
+            continue
+        for j in range(p + 1 - i):
+            b = g.coeffs[j]
+            if b:
+                out[i + j] += a * b
+    return tuple(out)
+
+
+@st.composite
+def rational_series(draw) -> QExpansion:
+    prec = draw(st.integers(0, 14))
+    coeffs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-400, 400), st.integers(1, 90)),
+            min_size=prec + 1,
+            max_size=prec + 1,
+        )
+    )
+    return QExpansion(2 * draw(st.integers(0, 8)), prec, tuple(coeffs))
 
 
 def eta_power_24(prec: int) -> list[int]:
@@ -90,6 +120,20 @@ class TestArithmetic:
     def test_no_read_past_precision(self):
         with pytest.raises(IndexError):
             eisenstein_qexp(4, 5).coefficient(6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(
+        f=QExpansion(4, 3, (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 6))),
+        g=QExpansion(6, 5, (Fraction(3, 4),) + (Fraction(-7, 10),) * 5),
+    )
+    @given(f=rational_series(), g=rational_series())
+    def test_product_matches_fraction_convolution(self, f, g):
+        assume(f.prec != g.prec)
+        assume(any(c.denominator > 1 for c in f.coeffs + g.coeffs))
+        prod = f * g
+        assert (prod.weight, prod.prec) == (f.weight + g.weight, min(f.prec, g.prec))
+        assert prod.coeffs == product_fraction(f, g)
+        assert all(type(c) is Fraction for c in prod.coeffs)
 
 
 class TestMillerBasis:
