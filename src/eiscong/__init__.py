@@ -9,9 +9,11 @@ Klingen-Eisenstein lifts and other degree-2 Siegel eigenforms.
 
 All values are immutable after construction and all operations are pure
 (modulo internal memo caches with idempotent insertion), so the library is
-safe for concurrent readers.  Each Eisenstein coefficient a(T) is reduced
-once, by `nondeg_part`, and kept in one cache that every
-`EisensteinContext` and every pullback sum share.
+safe for concurrent readers.  No Eisenstein coefficient a(T) reduces T:
+its rank and det(2 T~) come from the principal minors of 2T
+(`nondeg_invariants`), and one cache, keyed on that genus data for rank
+<= 2 and on T for rank 3, serves every `EisensteinContext` and every
+pullback sum.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .quadform import (
     HalfIntegralMatrix,
     build_T,
     enumerate_R,
+    nondeg_invariants,
     nondeg_part,
 )
 from .siegelseries import (
@@ -108,6 +111,7 @@ __all__ = [
     "l_value_neg",
     "local_F",
     "miller_basis",
+    "nondeg_invariants",
     "nondeg_part",
     "oracle_bp",
     "ord_p",

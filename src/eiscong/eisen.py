@@ -2,15 +2,20 @@
 
 The normalization constant Z(n, k) = zeta(1-k) prod_{j<=[n/2]} zeta(1+2j-2k)
 multiplies the classical series so that every Fourier coefficient becomes an
-exact rational, read off by the rank m of T (see `_coefficient`).  Rank 3 is
+exact rational, read off by the rank m of T (see `_untailed`).  Rank 3 is
 a product of local factors F_p.  For m <= 2 the product (with L(1+m/2-k, chi)
 for m = 2) collapses to the degree-1 divisor sum and to the Maass
 formula in Cohen's function H (Cohen, Math. Ann. 217, 1975; Eichler-Zagier,
 The Theory of Jacobi Forms, 1985, section 6).
 
-One `nondeg_part` pass gives m, T~ and det(2 T~) and rejects T that are not
-positive semidefinite.  Coefficients live in one process-wide cache keyed on
-(degree, weight, budget, T), shared by every context and every pullback sum.
+`quadform.nondeg_invariants` reads m and det(2 T~) off the principal minors
+of 2T and rejects T that are not positive semidefinite; no T is reduced.
+For m <= 2, content(T) = content(T~) (2T = V^t (2 T~) V with V primitive),
+so a(T) without its zeta tail depends on (k, m, det(2 T~), content) alone:
+one process-wide cache holds those values under that key and rank-3 values
+under (k, budget, T), shared by every context and every pullback sum.  The
+tail is applied outside the cache, so a binary T and its ternary image
+U diag(T, 0) U^t share one entry.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import cohen_h, divisor_power_sum, divisors, prime_divisors, zeta_neg
-from .quadform import HalfIntegralMatrix, nondeg_part
+from .quadform import HalfIntegralMatrix, nondeg_invariants
 from .siegelseries import DEFAULT_BUDGET, _check_budget, local_F
 
 __all__ = ["EisensteinContext", "z_const"]
@@ -36,24 +41,39 @@ def z_const(n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _untailed(
+    k: int,
+    m: int,
+    det2: int,
+    content: int | None,
+    budget: int | None,
+    t: HalfIntegralMatrix | None,
+) -> Fraction:
+    """a(T) without its zeta tail, for rank m and D = det(2 T~):
+    2 sigma_(k-1)(D/2) for m = 1 and 2 sum_{d | content} d^(k-1) H(k-1, D/d^2)
+    for m = 2, where budget and t are None so that one entry serves every T
+    of the key; 4 prod_{p | D} F_p(T, p^(k-4)) for m = 3, where T~ is T
+    itself and content is None."""
+    if m == 1:
+        return Fraction(2 * divisor_power_sum(det2 // 2, k - 1))
+    if m == 2:
+        return 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in divisors(content))
+    value = Fraction(4)
+    for p in prime_divisors(det2):
+        value *= local_F(p, t, budget).evaluate(p ** (k - 4))
+    return value
+
+
 def _coefficient(n: int, k: int, budget: int, t: HalfIntegralMatrix) -> Fraction:
-    """a(T), m = rank T, D = det(2 T~): 2 sigma_(k-1)(D/2) for m = 1,
-    2 sum_{d | content(T~)} d^(k-1) H(k-1, D/d^2) for m = 2 and
-    4 prod_{p | D} F_p(T~, p^(k-4)) for m = 3, each times
-    prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k); Z(n, k) for T = 0."""
+    """a(T): `_untailed` times prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k), one
+    factor for m = 1 in degrees 2 and 3 and none otherwise; Z(n, k) for T = 0."""
     if not any(map(any, t.doubled)):
         return z_const(n, k)
-    tilde, det2 = nondeg_part(t)
-    m = tilde.n
-    if m == 1:
-        value = Fraction(2 * divisor_power_sum(det2 // 2, k - 1))
-    elif m == 2:
-        ds = divisors(tilde.content())
-        value = 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in ds)
+    m, det2 = nondeg_invariants(t)
+    if m == 3:
+        value = _untailed(k, m, det2, None, budget, t)
     else:
-        value = Fraction(4)
-        for p in prime_divisors(det2):
-            value *= local_F(p, tilde, budget).evaluate(p ** (k - 4))
+        value = _untailed(k, m, det2, t.content(), None, None)
     for i in range(m // 2 + 1, n // 2 + 1):
         value *= zeta_neg(2 * k - 2 * i)
     return value

@@ -301,8 +301,10 @@ class CongruenceCertificate:
             "epsilon": {
                 "degree": self.epsilon_form.degree,
                 "coeffs": [encode_rat(c) for c in self.epsilon_form.coeffs],
-                "at_1_0": encode_rat(self.epsilon_form.evaluate(1, 0)),
-                "at_1_1": encode_rat(self.epsilon_form.evaluate(1, 1)),
+                # coeffs[i] multiplies x^(nu-i) y^i: the value at (1, 0) is
+                # coeffs[0] and at (1, 1) the sum of the coefficients
+                "at_1_0": encode_rat(self.epsilon_form.coeffs[0]),
+                "at_1_1": encode_rat(sum(self.epsilon_form.coeffs)),
             },
             "epsilon_witness": {
                 "lhs_invariant": encode_rat(self.lhs_invariant),

@@ -3,12 +3,13 @@
 A half-integral matrix T (integer diagonal, half-integer off-diagonal) is
 stored through its doubled form 2T, an integer symmetric matrix with even
 diagonal; every query (determinant, rank, minors, definiteness) is decided
-exactly on the doubled matrix.  `nondeg_part` is the one reduction and the
-one definiteness test on the computation path: a single pass gives the rank
-m, the nondegenerate block T~ and det(2 T~), and rejects T that are not
-positive semidefinite.  One integer row echelon form with its unimodular
-transform is the only elimination, run only when det(2T) = 0.  The module
-also provides the lattice-point enumeration that gives the pullback sum its
+exactly on the doubled matrix.  `nondeg_invariants` is the one
+definiteness test on the computation path: it reads the rank m and
+det(2 T~) of the nondegenerate block T~ off the principal minors of 2T and
+rejects T that are not positive semidefinite, with no elimination.
+`nondeg_part` builds T~ itself on top of it, by one integer row echelon form
+with its unimodular transform, run only when det(2T) = 0.  The module also
+provides the lattice-point enumeration that gives the pullback sum its
 finite support.
 """
 
@@ -23,6 +24,7 @@ __all__ = [
     "build_T",
     "enumerate_R",
     "format_half_integral",
+    "nondeg_invariants",
     "nondeg_part",
     "parse_half_integral",
 ]
@@ -130,7 +132,7 @@ class HalfIntegralMatrix:
     def is_psd(self) -> bool:
         """All principal minors nonnegative (not just the leading ones;
         boundary lattice points produce zero leading minors).  The test
-        oracle for `nondeg_part`, which decides definiteness by inertia."""
+        oracle for `nondeg_invariants`, which reads only the minors it needs."""
         g = self.doubled
         return all(
             _det_int(tuple(tuple(g[i][j] for j in idx) for i in idx)) >= 0
@@ -185,33 +187,59 @@ def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIn
     )
 
 
+def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int]:
+    """(m, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
+
+    m is the rank of T and T~ its nondegenerate part (see `nondeg_part`),
+    both read off the principal minors of 2T without an elimination.  If
+    det(2T) != 0, m = n and T is PSD exactly when it is positive definite
+    (Sylvester).  Otherwise T is PSD exactly when its diagonal and its
+    diagonal cofactors are >= 0, and 2T = V^t (2 T~) V for a primitive
+    m x n matrix V, so by Cauchy-Binet every m x m principal minor of 2T is
+    det(2 T~) det(V_I)^2; the det(V_I) are the maximal minors of V, coprime,
+    so det(2 T~) is the gcd of the m x m principal minors.  For a ternary T
+    of rank 2 those are the cofactors d f - e^2, a f - c^2, a d - b^2 of
+    2T = [[a, b, c], [b, d, e], [c, e, f]], and for rank 1 the diagonal.
+    """
+    det2 = t.det_doubled()
+    if det2:
+        if not t.is_pd():
+            raise ValueError("matrix must be positive semidefinite")
+        return t.n, det2
+    g = t.doubled
+    diagonal = [g[i][i] for i in range(t.n)]
+    cofactors = [g[i][i] * g[j][j] - g[i][j] ** 2 for i, j in combinations(range(t.n), 2)]
+    if min(diagonal + cofactors) < 0:
+        raise ValueError("matrix must be positive semidefinite")
+    # a 2 x 2 T has det(2T) as its one cofactor, zero here: its rank is <= 1
+    for m, minors in ((2, cofactors), (1, diagonal)):
+        det_tilde = gcd(*minors)
+        if det_tilde:
+            return m, det_tilde
+    raise ValueError("rank 0 has no nondegenerate part")
+
+
 def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
     """(T~, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
 
-    If det(2T) != 0, T~ is T itself.  Otherwise U (2T) U^t = diag(2 T~, 0)
-    for the unimodular U of the integer echelon form U (2T) = H: the rows of
-    U beside the zero rows of H are a basis of ker(2T) meet Z^n, and as 2T
-    is symmetric they clear both the rows and the columns of U (2T) U^t
-    outside its leading m x m block, which is 2 T~.  By Sylvester's law of
-    inertia T is positive semidefinite exactly when T~ is positive definite,
-    so the leading minors of T~ are the PSD test.  T~ depends on the
-    elimination order, but its GL_m(Z) class and det(2 T~) do not.
+    m, det(2 T~) and the PSD test come from `nondeg_invariants`.  If m = n,
+    T~ is T itself.  Otherwise U (2T) U^t = diag(2 T~, 0) for the unimodular
+    U of the integer echelon form U (2T) = H: the rows of U beside the zero
+    rows of H are a basis of ker(2T) meet Z^n, and as 2T is symmetric they
+    clear both the rows and the columns of U (2T) U^t outside its leading
+    m x m block, which is 2 T~.  T~ depends on the elimination order, but
+    its GL_m(Z) class and det(2 T~) do not.
     """
-    det2 = t.det_doubled()
-    tilde = t
-    if det2 == 0:
-        u, h = _echelon(t.doubled)
-        m = sum(1 for row in h if any(row))
-        if m == 0:
-            raise ValueError("rank 0 has no nondegenerate part")
-        transformed = t.transform(u).doubled
-        n = t.n
-        if any(transformed[i][j] for i in range(n) for j in range(n) if max(i, j) >= m):
-            raise AssertionError("kernel block failed to vanish")
-        tilde = HalfIntegralMatrix(tuple(row[:m] for row in transformed[:m]))
-        det2 = tilde.det_doubled()
-    if not tilde.is_pd():
-        raise ValueError("matrix must be positive semidefinite")
+    m, det2 = nondeg_invariants(t)
+    if m == t.n:
+        return t, det2
+    transformed = t.transform(_echelon(t.doubled)[0]).doubled
+    n = t.n
+    tilde = HalfIntegralMatrix(tuple(row[:m] for row in transformed[:m]))
+    if tilde.det_doubled() != det2 or any(
+        transformed[i][j] for i in range(n) for j in range(n) if max(i, j) >= m
+    ):
+        raise AssertionError("echelon block disagrees with the minors of 2T")
     return tilde, det2
 
 

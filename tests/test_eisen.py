@@ -21,7 +21,7 @@ from eiscong import eisen, quadform
 from eiscong.arith import divisor_power_sum, l_value_neg, prime_divisors, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
 from eiscong.qexp import eisenstein_qexp
-from eiscong.quadform import HalfIntegralMatrix, build_T, nondeg_part
+from eiscong.quadform import HalfIntegralMatrix, build_T, nondeg_part, parse_half_integral
 from eiscong.siegelseries import local_F
 from test_quadform import quadratic_character, random_unimodular
 
@@ -201,17 +201,21 @@ class TestStructureProperties:
         ).coefficient(t2)
 
 
-class TestOneReduction:
-    @pytest.mark.parametrize(
-        "t",
-        [
-            HalfIntegralMatrix.from_doubled([[6, 6, 0], [6, 6, 0], [0, 0, 0]]),
-            build_T(4, I2, (0, 4)),
-            build_T(3, I2, (1, 2)),
-        ],
-        ids=["rank1", "rank2", "rank3"],
+def padded_image(t: HalfIntegralMatrix, seed: int) -> HalfIntegralMatrix:
+    """U diag(T, 0) U^t for a binary T and a seeded random unimodular U."""
+    padded = HalfIntegralMatrix.from_doubled(
+        [list(row) + [0] for row in t.doubled] + [[0, 0, 0]]
     )
-    def test_cache_miss_reduces_once(self, t, monkeypatch):
+    return padded.transform(random_unimodular(random.Random(seed)))
+
+
+class TestOneReduction:
+    """No a(T) reduces T: rank and det(2 T~) come from the minors of 2T, and
+    a rank <= 2 value is cached once per (k, m, det(2 T~), content).  Each
+    test clears the cache first, so its hit and miss counts are its own."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, int]:
         calls = {"echelon": 0, "is_psd": 0}
         echelon, is_psd = quadform._echelon, HalfIntegralMatrix.is_psd
 
@@ -225,11 +229,43 @@ class TestOneReduction:
 
         monkeypatch.setattr(quadform, "_echelon", counting_echelon)
         monkeypatch.setattr(HalfIntegralMatrix, "is_psd", counting_is_psd)
-        misses = eisen._coefficient.cache_info().misses
+        eisen._untailed.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            HalfIntegralMatrix.from_doubled([[6, 6, 0], [6, 6, 0], [0, 0, 0]]),
+            build_T(4, I2, (0, 4)),
+            build_T(3, I2, (1, 2)),
+        ],
+        ids=["rank1", "rank2", "rank3"],
+    )
+    def test_cache_miss_reduces_once(self, t, calls):
         value = EisensteinContext(3, 38).coefficient(t)
-        assert eisen._coefficient.cache_info().misses == misses + 1
-        assert value != 0
-        assert calls["echelon"] <= 1 and calls["is_psd"] == 0, calls
+        info = eisen._untailed.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        assert calls == {"echelon": 0, "is_psd": 0}
+        # the oracle reduces T, so it runs after the count
+        assert value == product_route(3, 38, t) != 0
+
+    @pytest.mark.parametrize("text", ["3,0,0", "3,1,5"], ids=["rank1", "rank2"])
+    def test_binary_form_and_its_ternary_image_share_one_entry(self, text, calls):
+        t = parse_half_integral(text)
+        value = EisensteinContext(2, 36).coefficient(t)
+        assert EisensteinContext(3, 36).coefficient(padded_image(t, 7)) == value
+        info = eisen._untailed.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert calls == {"echelon": 0, "is_psd": 0}
+
+    def test_equal_det_different_content_are_separate_entries(self, calls):
+        # det(2T) = 16 for both, contents 1 and 2
+        forms = [parse_half_integral(text) for text in ("1,0,4", "2,0,2")]
+        values = [EisensteinContext(2, 36).coefficient(t) for t in forms]
+        info = eisen._untailed.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        assert values == [product_route(2, 36, t) for t in forms]
+        assert values[0] != values[1]
 
 
 def product_route(n: int, k: int, t: HalfIntegralMatrix) -> Fraction:

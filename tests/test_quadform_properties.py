@@ -1,18 +1,19 @@
 """Property tests for the integer echelon form behind rank and nondeg_part,
-for the definiteness decisions of nondeg_part and enumerate_R, and for the
-signed-permutation cache key.
+for the minors behind nondeg_invariants, for the definiteness decisions of
+nondeg_invariants and enumerate_R, and for the signed-permutation cache key.
 
 sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
-reduction is checked on matrices built as U diag(T0, 0) U^t, whose
-nondegenerate part is known up to GL_m(Z) equivalence.  `is_psd`, which
-reads every principal minor, is the oracle for the PSD test that
-nondeg_part makes by inertia and for the single determinant that
-enumerate_R keeps.  The cache key is checked against the direct
+reduction and the invariants are checked on matrices built as
+U diag(T0, 0) U^t, whose nondegenerate part is known up to GL_m(Z)
+equivalence.  `is_psd`, which reads every principal minor, is the oracle for
+the PSD test that nondeg_invariants makes and for the single determinant
+that enumerate_R keeps.  The cache key is checked against the direct
 construction: every signed permutation matrix applied through `transform`.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 from math import isqrt
 
@@ -27,10 +28,11 @@ from eiscong.quadform import (
     build_T,
     canonical_signed_perm,
     enumerate_R,
+    nondeg_invariants,
     nondeg_part,
 )
 from eiscong.siegelseries import local_F
-from test_quadform import chi_star
+from test_quadform import chi_star, random_unimodular
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -124,6 +126,70 @@ def test_nondeg_part_rejects_exactly_the_non_psd(t):
     assert tilde.is_pd()
     assert tilde.n == t.rank()
     assert det2 == tilde.det_doubled()
+
+
+@st.composite
+def low_rank_image(draw) -> tuple[HalfIntegralMatrix, HalfIntegralMatrix]:
+    """(T0, U diag(T0, 0) U^t): T0 positive definite of rank 1 or 2, size
+    rank T0 to 3 (unpadded when equal), U from `random_unimodular`."""
+    t0 = draw(positive_definite())
+    n = draw(st.integers(t0.n, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(t0.n):
+        g[i][: t0.n] = t0.doubled[i]
+    u = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+    return t0, HalfIntegralMatrix.from_doubled(g).transform(u)
+
+
+@st.composite
+def indefinite(draw) -> HalfIntegralMatrix:
+    """U diag(d_1, ..., d_n) U^t of size 2 or 3 with entries of both signs
+    among the d_i (one may be 0), so T is indefinite however U mixes them."""
+    n = draw(st.integers(2, 3))
+    d = [draw(st.integers(1, 4)), -draw(st.integers(1, 4))]
+    d += [draw(st.integers(-4, 4)) for _ in range(n - 2)]
+    u = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+    g = [[2 * d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return HalfIntegralMatrix.from_doubled(g).transform(u)
+
+
+@st.composite
+def zero_diagonal(draw) -> HalfIntegralMatrix:
+    """A doubled matrix of size 1 to 3 with zero diagonal: PSD only if zero."""
+    n = draw(st.integers(1, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    return HalfIntegralMatrix.from_doubled(g)
+
+
+INVARIANT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@INVARIANT_SETTINGS
+@given(low_rank_image())
+def test_nondeg_invariants_read_the_padded_block(case):
+    t0, t = case
+    tilde, _ = nondeg_part(t)
+    assert nondeg_invariants(t) == (t0.n, t0.det_doubled()) == (tilde.n, tilde.det_doubled())
+    assert t.content() == tilde.content() == t0.content()
+
+
+@INVARIANT_SETTINGS
+@given(st.one_of(symmetric(), indefinite(), zero_diagonal()))
+def test_nondeg_invariants_reject_exactly_the_non_psd(t):
+    if not t.is_psd():
+        with pytest.raises(ValueError) as info:
+            nondeg_invariants(t)
+        assert str(info.value) == "matrix must be positive semidefinite"
+    elif not any(map(any, t.doubled)):
+        with pytest.raises(ValueError) as info:
+            nondeg_invariants(t)
+        assert str(info.value) == "rank 0 has no nondegenerate part"
+    else:
+        m, det2 = nondeg_invariants(t)
+        assert m == t.rank() and det2 > 0
 
 
 @PROPERTY_SETTINGS
