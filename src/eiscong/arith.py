@@ -160,23 +160,11 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
-            continue
-        if m < 10**10:
-            p = 17
-            while p * p <= m:
-                if m % p == 0:
-                    stack.extend([p, m // p])
-                    break
-                p += 2
-            else:
-                out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
+        else:
+            d = _pollard_rho(m)
+            stack.extend([d, m // d])
     return dict(sorted(out.items()))
 
 

@@ -3,10 +3,9 @@
 Subcommands: lvalue, epsilon, certify, siegel-series, eisenstein-coeff,
 cohen-series.  All numeric input is exact; output is deterministic JSON
 (stable key order, rationals as {"num": ..., "den": ...} decimal strings),
-CSV for the scalar lvalue table, or a human-readable pretty format.  The
-default q-expansion precision can be overridden with --precision or the
-EISCONG_PRECISION environment variable; --budget caps the character-sum
-enumeration.
+CSV for the scalar lvalue table, or a human-readable pretty format.
+--precision overrides the default q-expansion precision; --budget caps the
+character-sum enumeration.
 
 Exit codes: 0 success (for certify: verdict established), 1 certify ran but
 the verdict is NotEstablished, 2 usage errors, 3 typed computation errors.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import _is_probable_prime, ord_p
@@ -52,12 +50,7 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _precision(args: argparse.Namespace, weight: int) -> int:
-    if getattr(args, "precision", None) is not None:
-        return args.precision
-    env = os.environ.get("EISCONG_PRECISION")
-    if env:
-        return int(env)
-    return default_precision(weight)
+    return default_precision(weight) if args.precision is None else args.precision
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,12 @@ def _character_sum_series(
     import numpy as np
 
     # R's entries in upper-triangular row-major order, and the 2 x 2 minors
-    # of the symmetric R over row/column pairs with rows <= cols
+    # of the symmetric R over row/column pairs with rows <= cols; only
+    # tr(BR) mod q enters the sum, so B's multipliers are taken mod q
+    # before they meet the int64 digits
     g = b.doubled
     pos = [(i, j) for i in range(n) for j in range(i, n)]
-    tr_mult = [g[i][j] // 2 if i == j else g[i][j] for i, j in pos]
+    tr_mult = [(g[i][j] // 2 if i == j else g[i][j]) % q for i, j in pos]
     pairs = list(combinations(range(n), 2))
     minor_keys = list(combinations_with_replacement(pairs, 2))
     max_level = n * j_max

@@ -370,8 +370,21 @@ class TestSympyOracles:
             assert factorize(n) == sympy.factorint(n), n
             assert factorize(-n) == factorize(n)
 
-    @pytest.mark.parametrize("n", [1000003**2, 1000003 * 1000033, 999983**3])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1000003**2,
+            1000003 * 1000033,
+            999983**3,
+            17**2,
+            17**3,
+            17 * 19,
+            99991 * 99989,
+            99991**2,
+        ],
+    )
     def test_factorize_through_pollard_rho(self, monkeypatch, n):
+        # every composite cofactor left by the 2..13 sieve is split by rho
         calls = []
 
         def spy(m: int) -> int:
@@ -381,7 +394,7 @@ class TestSympyOracles:
         pollard_rho = arith._pollard_rho
         monkeypatch.setattr(arith, "_pollard_rho", spy)
         assert factorize(n) == sympy.factorint(n)
-        assert calls and all(m > 10**10 for m in calls)
+        assert calls and not any(_is_probable_prime(m) for m in calls)
 
     def test_kronecker(self):
         for a in range(-40, 41):

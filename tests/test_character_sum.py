@@ -138,6 +138,30 @@ def test_kernel_matches_reference(case):
     assert kernel_series(p, b, j) == reference_series(p, b, j)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_inputs(), st.data())
+def test_kernel_reads_b_modulo_q(case, data):
+    # only tr(BR) mod q enters the sum, R in p^-j Z / Z: shifting the doubled
+    # off-diagonal entries of B by multiples of q and the doubled diagonal by
+    # multiples of 2q, each shift at least 2^64, changes no c_j
+    p, b, j = case
+    q = p**j
+
+    def shift(unit: int) -> int:
+        least = -(-(2**64) // unit)
+        m = data.draw(st.integers(least, least + 2**64))
+        return data.draw(st.sampled_from((1, -1))) * m * unit
+
+    g = [list(row) for row in b.doubled]
+    for i in range(b.n):
+        g[i][i] += shift(2 * q)
+        for k in range(i + 1, b.n):
+            g[i][k] += shift(q)
+            g[k][i] = g[i][k]
+    far = HalfIntegralMatrix.from_doubled(g)
+    assert kernel_series(p, far, j) == kernel_series(p, b, j)
+
+
 @pytest.mark.parametrize(
     "doubled",
     [

@@ -147,6 +147,13 @@ class TestSmallCommands:
         _, out, _ = run(capsys, "siegel-series", "--p", "3", "--T", "9")
         assert json.loads(out)["coeffs"] == ["1", "3", "9"]
 
+    @pytest.mark.parametrize("t33", [2**62 + 5, 3**41 + 9], ids=["2^62+5", "3^41+9"])
+    def test_siegel_series_entry_beyond_int64(self, capsys, t33):
+        # ord_3(t33) = 2: T reaches the size-3 character sum, with F_3 as at t33 = 9
+        code, out, _ = run(capsys, "siegel-series", "--p", "3", "--T", f"1,0,0,1,0,{t33}")
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "-9", "81"]
+
     def test_siegel_series_indefinite_zero_diagonal(self, capsys):
         # its first leading principal minor is 0; the coefficient of X is
         # c_1 + 1 with c_1 = 8 from the full character sum at p = 3
@@ -212,10 +219,11 @@ class TestInterfaceContracts:
         assert code == 0
         assert f"l_value: {2**20 * 3**4 * 373}/7" in out
 
-    def test_precision_env_override(self, capsys, monkeypatch):
+    def test_precision_ignores_the_environment(self, capsys, monkeypatch):
+        # --precision is the one override; no environment variable sets it
         monkeypatch.setenv("EISCONG_PRECISION", "24")
         _, out, _ = run(capsys, "lvalue", "--k", "14", "--nu", "2")
-        assert json.loads(out)["precision"] == 24
+        assert json.loads(out)["precision"] == 20
 
     def test_numpy_loads_only_for_an_enumeration(self):
         # importing the CLI and a whole lvalue command never enumerate
@@ -295,12 +303,6 @@ class TestBadInput:
         code, out, err = run(
             capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "-1"
         )
-        assert code == 3 and out == ""
-        assert "precision must be >= 0" in err
-
-    def test_negative_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EISCONG_PRECISION", "-3")
-        code, out, err = run(capsys, "cohen-series", "--k", "16", "--r", "13")
         assert code == 3 and out == ""
         assert "precision must be >= 0" in err
 

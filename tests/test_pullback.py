@@ -190,6 +190,12 @@ class TestCond2Determinant:
         with pytest.raises(ValueError):
             cond2_determinant(14, 2, I2, (1, 2), 0)
 
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_slot_out_of_range(self, slot):
+        # eps_{14,2} has the nu + 1 = 3 slots 0, 1, 2
+        with pytest.raises(ValueError, match="slot out of range"):
+            cond2_determinant(14, 2, I2, (1,), slot)
+
 
 class TestCertify:
     def test_proven_mod_p(self):

@@ -143,6 +143,7 @@ class TestMillerBasis:
         assert (dim_modular(12), dim_cusp(12)) == (2, 1)
         assert dim_cusp(24) == 2
         assert dim_modular(0) == 1 and dim_cusp(0) == 0
+        assert miller_basis(2, 10) == ((), ())
 
     def test_weight_12_cusp_generator(self):
         _, cusp = miller_basis(12, 10)
@@ -157,6 +158,10 @@ class TestMillerBasis:
             for i in range(d):
                 assert row.coefficient(i) == (1 if i == j else 0)
         assert len(cusp) == d - 1
+
+    def test_precision_below_dimension(self):
+        with pytest.raises(ValueError, match="precision 2 below dimension 3"):
+            miller_basis(24, 2)
 
     def test_integrality(self):
         full, _ = miller_basis(20, 12)
@@ -228,6 +233,11 @@ class TestEigenBasis:
     def test_weight24_unsupported(self):
         with pytest.raises(UnsupportedHeckeField, match="dimension 2"):
             eigen_basis(24)
+
+    @pytest.mark.parametrize("prec", [0, 1])
+    def test_precision_below_two(self, prec):
+        with pytest.raises(ValueError, match=r"precision too low to express T\(2\)"):
+            eigen_basis(16, prec)
 
     def test_normalization_and_multiplicativity(self):
         for k in (12, 16, 18, 20, 22):
@@ -303,6 +313,28 @@ class TestPetersson:
         with pytest.raises(SingularSystem):
             low = QExpansion(f.weight, 1, f.coeffs[:2])
             petersson_ratio(low, 5 * low)
+
+    def test_cusp_shaped_series_off_the_eigenline(self):
+        # a(0) = 0 and a(1) = 1 like f, but a(5) is not f's
+        f = eigen_basis(16).forms[0]
+        g = QExpansion(16, f.prec, f.coeffs[:5] + (f.coeffs[5] + 1,) + f.coeffs[6:])
+        with pytest.raises(ValueError, match="does not lie in the cusp eigenspace"):
+            petersson_ratio(f, g)
+
+    @pytest.mark.parametrize("change", ["coefficient", "scale"])
+    def test_f_must_be_the_normalized_eigenform(self, change):
+        f = eigen_basis(16).forms[0]
+        if change == "scale":
+            other = 2 * f
+        else:
+            other = QExpansion(16, f.prec, f.coeffs[:3] + (f.coeffs[3] + 1,) + f.coeffs[4:])
+        with pytest.raises(ValueError, match="f is not the normalized eigenform"):
+            petersson_ratio(other, 5 * f)
+
+    def test_weight_mismatch(self):
+        f = eigen_basis(16).forms[0]
+        with pytest.raises(ValueError, match="weights must match"):
+            petersson_ratio(f, eigen_basis(18).forms[0])
 
 
 class TestStdLValue:
