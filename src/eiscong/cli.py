@@ -7,6 +7,13 @@ CSV for the scalar lvalue table, or a human-readable pretty format.
 --precision overrides the default q-expansion precision; --budget caps the
 character-sum enumeration.
 
+The parser is built on the first main call, not on import, and later calls
+in the process reuse it: parse_args reads sys.argv and writes to
+sys.stdout/sys.stderr at call time and does not mutate the parser, so a
+sweep of many main calls pays for argparse once, as a one-shot invocation
+does.  Two threads racing on the first call each build an equal parser and
+one of them is kept, which is harmless.
+
 Exit codes: 0 success (for certify: verdict established), 1 certify ran but
 the verdict is NotEstablished, 2 usage errors, 3 typed computation errors.
 """
@@ -268,9 +275,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built by the first main call and shared by later ones.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         doc, code = args.handler(args)
         _emit(doc, args.format, sys.stdout)

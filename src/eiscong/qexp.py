@@ -215,16 +215,16 @@ class EigenBasis:
 
 
 def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
-    """The normalized eigenform of a cusp space of dimension <= 1.
+    """The normalized eigenform of a cusp space of dimension <= 1, for even k >= 4.
 
     A one-dimensional S_k is spanned by its Miller row, which already has
-    a(1) = 1 and so is the normalized eigenform; S_k = 0 gives an empty
-    basis.  Larger level-1 cusp spaces have irrational Hecke eigenvalues
-    (checked for every k <= 60, and for all k if Maeda's conjecture holds),
-    so they raise UnsupportedHeckeField.
+    a(1) = 1 and so is the normalized eigenform; S_k = 0 (k = 4, ..., 10
+    and 14) gives an empty basis.  Larger level-1 cusp spaces have
+    irrational Hecke eigenvalues (checked for every k <= 60, and for all k
+    if Maeda's conjecture holds), so they raise UnsupportedHeckeField.
     """
-    if k < 12 or k % 2:
-        raise ValueError("need even k >= 12")
+    if k < 4 or k % 2:
+        raise ValueError("need even k >= 4")
     if prec is None:
         prec = default_precision(k)
     d = dim_cusp(k)

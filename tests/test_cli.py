@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eiscong import cli
 from eiscong.cli import main
 from eiscong.pullback import CongruenceCertificate
 
@@ -240,6 +241,87 @@ class TestInterfaceContracts:
         assert json.loads(proc.stdout)["forms"][0]["l_value"]["den"] == "7"
 
 
+README_EXAMPLES = (
+    ("lvalue", "--k", "14", "--nu", "2", "--ords", "373,7"),
+    ("--format", "csv", "lvalue", "--k", "8", "--nu", "8"),
+    ("epsilon", "--k", "8", "--nu", "8", "--n", "1", "--N", "1,0,1", "--at", "1,1"),
+    ("certify", "--k", "14", "--nu", "2", "--p", "373", "--A", "1,0,1"),
+    ("certify", "--k", "8", "--nu", "8", "--p", "23", "--A", "1,0,1", "--relaxed"),
+    ("siegel-series", "--p", "3", "--T", "1,0,0,1,0,1"),
+    ("eisenstein-coeff", "--degree", "3", "--k", "14", "--T", "1,0,0,1,0,1"),
+    ("cohen-series", "--k", "16", "--r", "13", "--precision", "12"),
+)
+
+# Each pair after the README examples sets something in its first call that
+# a parser keeping state would carry into the second.
+EPSILON_8_8 = ("epsilon", "--k", "8", "--nu", "8", "--n", "1", "--N", "1,0,1")
+LVALUE_14_2 = ("lvalue", "--k", "14", "--nu", "2")
+BACK_TO_BACK = (
+    *README_EXAMPLES,
+    (*EPSILON_8_8, "--at", "1,1", "--at", "1,0"),
+    EPSILON_8_8,
+    ("--format", "csv", *LVALUE_14_2, "--ords", "373"),
+    (*LVALUE_14_2, "--ords", "373"),
+    ("epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "1,x,1"),
+    ("siegel-series", "--p", "3", "--T", "9"),
+    (*LVALUE_14_2, "--precision", "24"),
+    LVALUE_14_2,
+)
+
+
+def run_back_to_back(capsys) -> list[tuple[int, str]]:
+    """(exit code, stdout) of each BACK_TO_BACK argv, all in this process."""
+    results = []
+    for argv in BACK_TO_BACK:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, capsys.readouterr().out))
+    return results
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_match_fresh_processes(self, capsys):
+        results = run_back_to_back(capsys)
+        assert [code for code, _ in results].count(2) == 1
+        for argv, (code, out) in zip(BACK_TO_BACK, results):
+            proc = run_python("-m", "eiscong.cli", *argv)
+            assert (code, out) == (proc.returncode, proc.stdout), argv
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        builds = []
+        build = cli._build_parser
+
+        def spy():
+            builds.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        run_back_to_back(capsys)
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "from eiscong import cli\n"
+            "assert not built and cli._parser is None, 'import built a parser'\n"
+            "cli.main(['siegel-series', '--p', '3', '--T', '9'])\n"
+            "first = len(built)\n"
+            "cli.main(['siegel-series', '--p', '3', '--T', '1'])\n"
+            "assert first and len(built) == first, 'the second call built again'\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+
 CERTIFY_14_2 = ("certify", "--k", "14", "--nu", "2", "--A", "1,0,1", "--p")
 
 
@@ -264,12 +346,14 @@ class TestBadInput:
         assert "is not a prime" in err
 
     def test_zero_cusp_space_certify(self, capsys):
-        # dim S_14 = 0: no eigenform, so no certificate and no verdict
-        code, out, err = run(
-            capsys, "certify", "--k", "12", "--nu", "2", "--p", "373", "--A", "1,0,1"
-        )
-        assert code == 3 and out == ""
-        assert "cusp space is zero" in err
+        # dim S_k+nu = 0 for weights 8, 10 and 14: no eigenform, so no
+        # certificate and no verdict
+        for k, nu in (("12", "2"), ("6", "2"), ("6", "4"), ("8", "2")):
+            code, out, err = run(
+                capsys, "certify", "--k", k, "--nu", nu, "--p", "373", "--A", "1,0,1"
+            )
+            assert code == 3 and out == "", (k, nu)
+            assert f"the weight-{int(k) + int(nu)} cusp space is zero" in err, (k, nu)
 
     @pytest.mark.parametrize("a_text", ["1,0,-1", "1,2,1", "5"])
     def test_certify_names_a_matrix_that_is_not_pd(self, capsys, a_text):
@@ -288,9 +372,11 @@ class TestBadInput:
         assert "N must be a positive definite 2x2 matrix" in err
 
     def test_zero_cusp_space_lvalue(self, capsys):
-        code, out, _ = run(capsys, "lvalue", "--k", "12", "--nu", "2")
-        assert code == 0
-        assert json.loads(out)["forms"] == []
+        for k, nu in (("12", "2"), ("6", "2"), ("6", "4"), ("8", "2")):
+            code, out, err = run(capsys, "lvalue", "--k", k, "--nu", nu)
+            assert code == 0, err
+            doc = json.loads(out)
+            assert doc["weight"] == int(k) + int(nu) and doc["forms"] == []
 
     @pytest.mark.parametrize("k, nu", [("-2", "16"), ("3", "11"), ("12", "0"), ("4", "2")])
     def test_lvalue_names_an_out_of_scope_pair(self, capsys, k, nu):

@@ -230,6 +230,10 @@ class TestEigenBasis:
         delta = delta_qexp(basis.forms[0].prec)
         assert basis.forms[0] == delta
 
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 14])
+    def test_zero_cusp_space_is_empty(self, k):
+        assert eigen_basis(k).forms == ()
+
     def test_weight24_unsupported(self):
         with pytest.raises(UnsupportedHeckeField, match="dimension 2"):
             eigen_basis(24)
