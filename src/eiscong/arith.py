@@ -13,7 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
+from operator import mul
 
 __all__ = [
     "DiscriminantChar",
@@ -27,7 +28,6 @@ __all__ = [
     "is_fundamental_discriminant",
     "kronecker",
     "l_value_neg",
-    "moebius",
     "ord_p",
     "pochhammer",
     "zeta_neg",
@@ -172,15 +172,6 @@ def prime_divisors(n: int) -> list[int]:
     return list(factorize(n))
 
 
-def moebius(n: int) -> int:
-    if n <= 0:
-        raise ValueError("moebius needs n >= 1")
-    f = factorize(n) if n > 1 else {}
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
 def divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factorize(n).items():
@@ -312,27 +303,59 @@ def fundamental_decomposition(m: int) -> tuple[DiscriminantChar, int]:
 # L-values at non-positive integers
 
 
+def _character_values(chi: DiscriminantChar, h: int) -> list[int]:
+    """[chi(0), chi(1), ..., chi(h)] for h >= 1, with Kronecker symbols only at primes.
+
+    A smallest-prime-factor sieve splits each a = p * (a / p), and chi is
+    completely multiplicative, so chi(a) = chi(p) chi(a / p) from values
+    already built.
+    """
+    spf = list(range(h + 1))
+    for p in range(isqrt(h), 1, -1):  # descending, so the smallest factor is written last
+        spf[p * p :: p] = [p] * len(range(p * p, h + 1, p))
+    values = [0, 1] + [0] * (h - 1)
+    for a in range(2, h + 1):
+        p = spf[a]
+        values[a] = chi(a) if p == a else values[p] * values[a // p]
+    return values
+
+
+def _power_sums(xs: list[int], r: int) -> list[int]:
+    """[sum of x^j over xs for j = 0..r]."""
+    sums, powers = [len(xs)], [1] * len(xs)
+    for _ in range(r):
+        powers = list(map(mul, powers, xs))
+        sums.append(sum(powers))
+    return sums
+
+
 @lru_cache(maxsize=None)
 def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
-    """Generalized Bernoulli number B_{r,chi} = m^(r-1) sum_a chi(a) B_r(a/m).
+    """Generalized Bernoulli number B_{r,chi} = m^(r-1) sum_{a<=m} chi(a) B_r(a/m).
 
     m is the conductor; for the trivial character this degenerates to B_r(1),
     which differs from B_r only at r = 1 (it is +1/2 there, making
-    L(0) = -1/2 = zeta(0) come out right).  Expanding B_r and swapping the
-    sums gives sum_i C(r, i) B_i m^(i-1) S_(r-i), S_j = sum_{a<=m} chi(a) a^j,
-    every S_j built in one pass over a.  Over the lcm den of the Bernoulli
-    denominators the sum is an integer num, and one Fraction(num, den m) ends.
+    L(0) = -1/2 = zeta(0) come out right).  For m > 1 the number is 0 unless
+    chi(-1) = (-1)^r.  When it is, B_r(1 - x) = (-1)^r B_r(x) makes the
+    terms at a and m - a equal, and chi(m/2) = 0, so the sum is twice the
+    one over the half range a < m/2; chi there comes from Kronecker symbols
+    at primes only.  Expanding B_r and swapping the sums gives
+    sum_i C(r, i) B_i m^(i-1) S_(r-i) with integer power sums
+    S_j = sum_a chi(a) a^j.  Over the lcm den of the Bernoulli denominators
+    the sum is an integer num, and one Fraction(num, den m) ends.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     m = chi.conductor
-    sums = [0] * (r + 1)
-    for a in range(1, m + 1):
-        power = chi(a)
-        if power:
-            for j in range(r + 1):
-                sums[j] += power
-                power *= a
+    if m == 1:
+        sums = [1] * (r + 1)
+    elif (chi.d < 0) != (r % 2 == 1):  # chi(-1) = sign(d) is not (-1)^r
+        return Fraction(0)
+    else:
+        values = _character_values(chi, (m - 1) // 2)
+        plus = _power_sums([a for a, v in enumerate(values) if v == 1], r)
+        minus = _power_sums([a for a, v in enumerate(values) if v == -1], r)
+        sums = [2 * (s - t) for s, t in zip(plus, minus)]
     b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
     num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
     return Fraction(num, den * m)
@@ -353,7 +376,10 @@ def cohen_h(r: int, n: int) -> Fraction:
     -N = d f^2 with d fundamental and return
         L(1 - r, chi_d) * sum_{e | f} mu(e) chi_d(e) e^(r-1) sigma_{2r-1}(f/e).
     The divisor-sum correction is what makes the associated weight k = r + 1/2
-    Eisenstein coefficients modular for non-fundamental -N.
+    Eisenstein coefficients modular for non-fundamental -N.  It is the
+    Dirichlet convolution of two multiplicative functions, so it is the
+    product over p^a || f of sigma_{2r-1}(p^a) - chi_d(p) p^(r-1)
+    sigma_{2r-1}(p^(a-1)), read off one factorization of f.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and N >= 0")
@@ -362,8 +388,11 @@ def cohen_h(r: int, n: int) -> Fraction:
     if n % 4 in (1, 2):
         return Fraction(0)
     chi, f = fundamental_decomposition(-n)
-    tail = sum(
-        moebius(e) * chi(e) * e ** (r - 1) * divisor_power_sum(f // e, 2 * r - 1)
-        for e in divisors(f)
-    )
+    tail = 1
+    if f > 1:
+        for p, a in factorize(f).items():
+            q = p ** (2 * r - 1)
+            sigma = (q ** (a + 1) - 1) // (q - 1)  # sigma_{2r-1}(p^a)
+            # sigma - q^a is sigma_{2r-1}(p^(a-1))
+            tail *= sigma - chi(p) * p ** (r - 1) * (sigma - q**a)
     return l_value_neg(r, chi) * tail

@@ -2,8 +2,9 @@
 
 Derived expected values are produced by independent oracles implemented in
 this file (binomial recurrence for Bernoulli numbers, Euler-criterion
-Legendre symbols, direct finite character sums) and frozen as literals;
-sympy is the oracle for Bernoulli numbers, factorization, Kronecker symbols
+Legendre symbols, direct finite character sums) and frozen as literals, or
+compared live (reduced binary forms for Hurwitz class numbers, Cohen's
+divisor sum term by term); sympy is the oracle for Bernoulli numbers, factorization, Kronecker symbols
 and primality.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 import sympy
@@ -28,13 +29,13 @@ from eiscong.arith import (
     bernoulli_poly,
     cohen_h,
     divisor_power_sum,
+    divisors,
     factorize,
     fundamental_decomposition,
     gen_bernoulli,
     is_fundamental_discriminant,
     kronecker,
     l_value_neg,
-    moebius,
     ord_p,
     pochhammer,
     zeta_neg,
@@ -227,7 +228,7 @@ class TestGenBernoulli:
                 assert gen_bernoulli(r, chi) == 0, (d, r)
         for d in (5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40):
             chi = DiscriminantChar(d)
-            for r in range(3, 21, 2):
+            for r in range(1, 21, 2):
                 assert gen_bernoulli(r, chi) == 0, (d, r)
 
 
@@ -257,9 +258,61 @@ FUNDAMENTAL_400 = [d for d in range(-400, 401) if d and is_fundamental_discrimin
 @example(1, 25)
 @example(-4, 1)
 @example(-399, 25)
+# half ranges a < m/2 of length 1, 1 and 3
+@example(-3, 1)
+@example(-3, 25)
+@example(-4, 3)
+@example(-8, 1)
+@example(-8, 5)
+# even characters at even r
+@example(5, 2)
+@example(8, 4)
+@example(12, 6)
+# conductors far beyond the sample: the fold, then the parity zero
+@example(-3999, 25)
+@example(4001, 25)
 def test_gen_bernoulli_matches_the_fraction_sum(d, r):
     chi = DiscriminantChar(d)
     assert gen_bernoulli(r, chi) == gen_bernoulli_fraction(r, chi), (d, r)
+
+
+def moebius(n: int) -> int:
+    if n <= 0:
+        raise ValueError("moebius needs n >= 1")
+    f = factorize(n) if n > 1 else {}
+    if any(e > 1 for e in f.values()):
+        return 0
+    return -1 if len(f) % 2 else 1
+
+
+def cohen_tail_divisor_sum(r: int, chi: DiscriminantChar, f: int) -> int:
+    """sum_{e | f} mu(e) chi(e) e^(r-1) sigma_{2r-1}(f/e), term by term over
+    the divisors of f (the library takes the Euler product)."""
+    return sum(
+        moebius(e) * chi(e) * e ** (r - 1) * divisor_power_sum(f // e, 2 * r - 1)
+        for e in divisors(f)
+    )
+
+
+def hurwitz_class_numbers(n_max: int) -> list[Fraction]:
+    """H(N) for 0 < N <= n_max by counting reduced forms (a, b, c) of
+    discriminant b^2 - 4ac = -N: |b| <= a <= c, with b >= 0 when |b| = a or
+    a = c.  a(x^2 + y^2) counts 1/2 and a(x^2 + xy + y^2) counts 1/3."""
+    sixths = [0] * (n_max + 1)
+    for a in range(1, isqrt(n_max // 3) + 1):
+        for b in range(-a, a + 1):
+            c = a
+            while (n := 4 * a * c - b * b) <= n_max:
+                if b >= 0 or (-b != a and a != c):
+                    sixths[n] += 3 if b == 0 and a == c else 2 if b == a == c else 6
+                c += 1
+    return [Fraction(x, 6) for x in sixths]
+
+
+# N <= 5000 with N = 0, 3 mod 4 and -N = d f^2 for some f > 1
+NON_FUNDAMENTAL_5000 = [
+    n for n in range(3, 5001) if n % 4 in (0, 3) and fundamental_decomposition(-n)[1] > 1
+]
 
 
 class TestCohenH:
@@ -287,6 +340,22 @@ class TestCohenH:
             divisor_power_sum(2, 2 * r - 1) - chi(2) * 2 ** (r - 1)
         )
         assert cohen_h(r, 16) == expected
+
+    def test_class_number_oracle(self):
+        # H(1, N) is the Hurwitz class number
+        hurwitz = hurwitz_class_numbers(3000)
+        assert [n for n in range(1, 3001) if cohen_h(1, n) != hurwitz[n]] == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(NON_FUNDAMENTAL_5000), st.integers(1, 25))
+    # f = 2^3, 3^2, 5 * 7 and 3 * 5 * 7
+    @example(3 * 2**6, 25)
+    @example(4 * 3**4, 24)
+    @example(3 * 5**2 * 7**2, 13)
+    @example(4 * 3**2 * 5**2 * 7**2, 25)
+    def test_tail_matches_the_divisor_sum(self, n, r):
+        chi, f = fundamental_decomposition(-n)
+        assert cohen_h(r, n) == l_value_neg(r, chi) * cohen_tail_divisor_sum(r, chi, f)
 
 
 def pochhammer_fraction(x: int | Fraction, n: int) -> Fraction:
