@@ -4,11 +4,13 @@ certificates.
 eps_{k,nu}(n, N) is the finite sum over integer rows R of
 a(T_(n,N,R)) * P_{2k,nu}(R v / 2, n v^t N v) with T_(n,N,R) the bordered
 3x3 matrix and a(.) the degree-3 normalized Eisenstein coefficient; it is a
-binary form of degree nu.  Acting on the q-series n -> eps(n, N) with the
-degree-1 Hecke operators in weight k + nu and reading one coefficient slot
-(the cusp space being one-dimensional) yields an exact rational whose
-p-order certifies the congruence conditions; `certify` assembles the full
-structured verdict.  A certificate is determined by its inputs: its JSON
+binary form of degree nu.  a(T) is evaluated once per orbit of rows
+under the signed permutations that fix N, and since nu is even only the
+rows R >= 0 are summed, R != 0 twice (see `epsilon`).  Acting on the
+q-series n -> eps(n, N) with the degree-1 Hecke operators in weight k + nu
+and reading one coefficient slot (the cusp space being one-dimensional)
+yields an exact rational whose p-order certifies the congruence
+conditions; `certify` assembles the full structured verdict.  A certificate is determined by its inputs: its JSON
 document is read back by rebuilding it with `certify` and accepting the
 document only when it is exactly the rebuilt one's.
 """
@@ -106,20 +108,45 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
 
     Sums a(T_(n,N,R)) * P_{2k,nu}((r1 x + r2 y)/2, n (x y) N (x y)^t) over
     exactly the rows R that keep T_(n,N,R) positive semidefinite; every
-    other row would contribute a vanishing Eisenstein coefficient.  Rows
-    are grouped by a(T); each group's specializations are summed in
-    integers (`_specialization_sums`), weighted by the numerators of a(T)
-    over their common denominator, and each coefficient is divided once.
+    other row would contribute a vanishing Eisenstein coefficient.
+
+    a(T) is evaluated once per orbit of rows under H, the signed 2x2
+    permutations h with h N h^t = N: T(R h^t) = diag(1, h) T(R) diag(1, h)^t
+    is GL_3(Z)-equivalent to T(R), so both have one coefficient, which is
+    looked up under the orbit's least row.  H contains -1 and nu is even,
+    so R and -R contribute alike: only the rows R >= (0, 0) (in
+    lexicographic order) are summed, every R != 0 with weight 2.  Rows are
+    grouped by their weighted a(T); each group's specializations are summed
+    in integers (`_specialization_sums`), weighted by the numerators of the
+    group keys over their common denominator, and each coefficient is
+    divided once.
     """
     _check_kv(k, nu)
     if k < 6:
         raise ValueError("need k >= 6")
     if n < 1:
         raise ValueError("need n >= 1")
+    # enumerate_R rejects an N that is not a positive definite 2x2 matrix
+    # before H is built
+    rows = enumerate_R(n, quad)
+    stabilizer = [
+        h
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+        for h in (((s1, 0), (0, s2)), ((0, s1), (s2, 0)))
+        if quad.transform(h) == quad
+    ]
     ctx = EisensteinContext(3, k)
+    orbit_values: dict[tuple[int, int], Fraction] = {}
     groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for r_pair in enumerate_R(n, quad):
-        coeff = ctx.coefficient(build_T(n, quad, r_pair))
+    for r_pair in rows:
+        if r_pair < (0, 0):
+            continue
+        r1, r2 = r_pair
+        rep = min((a * r1 + b * r2, c * r1 + d * r2) for (a, b), (c, d) in stabilizer)
+        if rep not in orbit_values:
+            orbit_values[rep] = ctx.coefficient(build_T(n, quad, rep))
+        coeff = orbit_values[rep] if r_pair == (0, 0) else 2 * orbit_values[rep]
         if coeff:
             groups.setdefault(coeff, []).append(r_pair)
     sums, den = _specialization_sums(2 * k, nu, n, quad, groups.values())

@@ -364,9 +364,12 @@ class TestBadInput:
         assert f"A = {a_text} is not a positive definite 2x2 matrix" in err
         assert "N must" not in err
 
-    def test_epsilon_rejects_a_1x1_N(self, capsys):
+    @pytest.mark.parametrize("n_text", ["5", "1,2,1", "1,0,-1", "-1,0,-1"])
+    def test_epsilon_rejects_a_1x1_N(self, capsys, n_text):
+        # "--N=..." so that argparse does not read "-1,0,-1" as an option;
+        # the 1x1 N must fail before the stabilizer of N is built
         code, out, err = run(
-            capsys, "epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "5"
+            capsys, "epsilon", "--k", "14", "--nu", "2", "--n", "1", f"--N={n_text}"
         )
         assert code == 3 and out == ""
         assert "N must be a positive definite 2x2 matrix" in err

@@ -6,6 +6,7 @@ import copy
 import json
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -138,14 +139,73 @@ class TestEpsilon:
             epsilon(4, 2, 1, I2)
 
 
+# N with 8, 4, 4 and 2 signed permutations h such that h N h^t = N
+ORACLE_FORMS = ("1,0,1", "1,1,1", "1,0,2", "2,1,3")
+
+
+def row_orbits(n: int, quad: HalfIntegralMatrix) -> list[set[tuple[int, int]]]:
+    """The orbits of enumerate_R(n, N) under the signed permutations that
+    fix N, each grown by applying every such h until it is closed."""
+    fixing = []
+    for perm in permutations(range(2)):
+        for signs in product((1, -1), repeat=2):
+            h = tuple(tuple(signs[i] * (j == perm[i]) for j in range(2)) for i in range(2))
+            if quad.transform(h) == quad:
+                fixing.append(h)
+    rows = set(enumerate_R(n, quad))
+    orbits: list[set[tuple[int, int]]] = []
+    while rows:
+        orbit = {rows.pop()}
+        frontier = set(orbit)
+        while frontier:
+            images = {
+                tuple(sum(h[i][j] * r[j] for j in range(2)) for i in range(2))
+                for r in frontier
+                for h in fixing
+            }
+            frontier = images - orbit
+            orbit |= frontier
+        rows -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 class TestEpsilonOracle:
     @pytest.mark.parametrize("k, nu", SWEEP_PAIRS)
     def test_grouped_sums_match_binary_form_sums(self, k, nu):
-        for text in ("1,0,1", "1,1,1", "2,1,3"):
+        for text in ORACLE_FORMS:
             quad = parse_half_integral(text)
             for n in (1, 2, 3):
                 expected = epsilon_binary_sums(k, nu, n, quad)
                 assert epsilon(k, nu, n, quad) == expected, (text, n)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("k, nu", [(14, 2), (8, 8)])
+    def test_larger_n_match_binary_form_sums(self, k, nu, n):
+        # more rows per orbit, and rows on the boundary det(2T) = 0 (rank-2 T)
+        for text in ORACLE_FORMS:
+            quad = parse_half_integral(text)
+            expected = epsilon_binary_sums(k, nu, n, quad)
+            assert epsilon(k, nu, n, quad) == expected, text
+
+    @pytest.mark.parametrize("text", ORACLE_FORMS)
+    def test_one_coefficient_per_orbit(self, monkeypatch, text):
+        quad = parse_half_integral(text)
+        calls = []
+        coefficient = EisensteinContext.coefficient
+
+        def spy(ctx, t):
+            calls.append(t)
+            return coefficient(ctx, t)
+
+        monkeypatch.setattr(EisensteinContext, "coefficient", spy)
+        for n in (1, 2, 3):
+            calls.clear()
+            epsilon.__wrapped__(14, 2, n, quad)
+            orbits = row_orbits(n, quad)
+            assert sorted(calls, key=lambda t: t.doubled) == sorted(
+                (build_T(n, quad, min(orbit)) for orbit in orbits), key=lambda t: t.doubled
+            ), n
 
 
 class TestEpsilonHecke:
