@@ -5,7 +5,7 @@ cohen-series.  All numeric input is exact; output is deterministic JSON
 (stable key order, rationals as {"num": ..., "den": ...} decimal strings),
 CSV for the scalar lvalue table, or a human-readable pretty format.
 --precision overrides the default q-expansion precision; --budget caps the
-character-sum enumeration.
+character-sum enumeration.  A value may start with '-': `--N -1,0,-1`.
 
 The parser is built on the first main call, not on import, and later calls
 in the process reuse it: parse_args reads sys.argv and writes to
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .arith import _is_probable_prime, ord_p
@@ -54,6 +55,19 @@ def _pair(text: str) -> tuple[int, int]:
     if len(vals) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated integers")
     return vals  # type: ignore[return-value]
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """`--N -1,0,-1` as `--N=-1,0,-1`: argparse reads a separate value that
+    starts with '-' as an option unless it is a plain number, and no option
+    here starts with '-' and a digit."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _precision(args: argparse.Namespace, weight: int) -> int:
@@ -283,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         doc, code = args.handler(args)
         _emit(doc, args.format, sys.stdout)

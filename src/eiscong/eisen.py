@@ -2,19 +2,20 @@
 
 The normalization constant Z(n, k) = zeta(1-k) prod_{j<=[n/2]} zeta(1+2j-2k)
 multiplies the classical series so that every Fourier coefficient becomes an
-exact rational, read off by the rank m of T (see `_untailed`).  Rank 3 is
-a product of local factors F_p.  For m <= 2 the product (with L(1+m/2-k, chi)
+exact rational, read off by the rank m of T.  Rank 3 is 4 prod_p F_p(T, p^(k-4))
+over the primes p | det(2T).  For m <= 2 the product (with L(1+m/2-k, chi)
 for m = 2) collapses to the degree-1 divisor sum and to the Maass
 formula in Cohen's function H (Cohen, Math. Ann. 217, 1975; Eichler-Zagier,
 The Theory of Jacobi Forms, 1985, section 6).
 
 `quadform.nondeg_invariants` reads m and det(2 T~) off the principal minors
 of 2T and rejects T that are not positive semidefinite; no T is reduced.
-For m <= 2, content(T) = content(T~) (2T = V^t (2 T~) V with V primitive),
-so a(T) without its zeta tail depends on (k, m, det(2 T~), content) alone:
-one process-wide cache holds those values under that key and rank-3 values
-under (k, budget, T), shared by every context and every pullback sum.  The
-tail is applied outside the cache, so a binary T and its ternary image
+Two process-wide caches serve every context and every pullback sum.
+Rank 3 keeps the polynomials F_p(T, X) under (T, budget), not their values
+at p^(k-4), so one entry serves every weight.  For m <= 2, content(T) = content(T~)
+(2T = V^t (2 T~) V with V primitive), so a(T) without its zeta tail depends
+on (k, m, det(2 T~), content) alone and is cached under that key; the tail
+is applied outside the cache, so a binary T and its ternary image
 U diag(T, 0) U^t share one entry.
 """
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 from .arith import cohen_h, divisor_power_sum, divisors, prime_divisors, zeta_neg
 from .quadform import HalfIntegralMatrix, nondeg_invariants
-from .siegelseries import DEFAULT_BUDGET, _check_budget, local_F
+from .siegelseries import DEFAULT_BUDGET, SiegelSeriesPolynomial, _check_budget, local_F
 
 __all__ = ["EisensteinContext", "z_const"]
 
@@ -41,42 +42,21 @@ def z_const(n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _untailed(
-    k: int,
-    m: int,
-    det2: int,
-    content: int | None,
-    budget: int | None,
-    t: HalfIntegralMatrix | None,
-) -> Fraction:
-    """a(T) without its zeta tail, for rank m and D = det(2 T~):
+def _untailed(k: int, m: int, det2: int, content: int) -> Fraction:
+    """a(T) of rank m <= 2 without its zeta tail, for D = det(2 T~):
     2 sigma_(k-1)(D/2) for m = 1 and 2 sum_{d | content} d^(k-1) H(k-1, D/d^2)
-    for m = 2, where budget and t are None so that one entry serves every T
-    of the key; 4 prod_{p | D} F_p(T, p^(k-4)) for m = 3, where T~ is T
-    itself and content is None."""
+    for m = 2."""
     if m == 1:
         return Fraction(2 * divisor_power_sum(det2 // 2, k - 1))
-    if m == 2:
-        return 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in divisors(content))
-    value = Fraction(4)
-    for p in prime_divisors(det2):
-        value *= local_F(p, t, budget).evaluate(p ** (k - 4))
-    return value
+    return 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in divisors(content))
 
 
-def _coefficient(n: int, k: int, budget: int, t: HalfIntegralMatrix) -> Fraction:
-    """a(T): `_untailed` times prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k), one
-    factor for m = 1 in degrees 2 and 3 and none otherwise; Z(n, k) for T = 0."""
-    if not any(map(any, t.doubled)):
-        return z_const(n, k)
-    m, det2 = nondeg_invariants(t)
-    if m == 3:
-        value = _untailed(k, m, det2, None, budget, t)
-    else:
-        value = _untailed(k, m, det2, t.content(), None, None)
-    for i in range(m // 2 + 1, n // 2 + 1):
-        value *= zeta_neg(2 * k - 2 * i)
-    return value
+@lru_cache(maxsize=None)
+def _local_factors(
+    t: HalfIntegralMatrix, budget: int
+) -> tuple[tuple[int, SiegelSeriesPolynomial], ...]:
+    """(p, F_p(T, X)) for the primes p dividing det(2T), T of rank 3."""
+    return tuple((p, local_F(p, t, budget)) for p in prime_divisors(t.det_doubled()))
 
 
 class EisensteinContext:
@@ -99,7 +79,21 @@ class EisensteinContext:
         self.budget = budget
 
     def coefficient(self, t: HalfIntegralMatrix) -> Fraction:
-        """a(T); ValueError unless T is a PSD matrix of size n."""
+        """a(T); ValueError unless T is a PSD matrix of size n.  Rank m <= 2
+        takes prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k) outside the cache, one
+        factor for m = 1 in degrees 2 and 3 and none otherwise."""
         if t.n != self.n:
             raise ValueError(f"matrix size {t.n} does not match degree {self.n}")
-        return _coefficient(self.n, self.k, self.budget, t)
+        n, k = self.n, self.k
+        if not any(map(any, t.doubled)):
+            return z_const(n, k)
+        m, det2 = nondeg_invariants(t)
+        if m == 3:
+            value = Fraction(4)
+            for p, f in _local_factors(t, self.budget):
+                value *= f.evaluate(p ** (k - 4))
+            return value
+        value = _untailed(k, m, det2, t.content())
+        for i in range(m // 2 + 1, n // 2 + 1):
+            value *= zeta_neg(2 * k - 2 * i)
+        return value

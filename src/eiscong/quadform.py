@@ -270,7 +270,7 @@ def canonical_signed_perm(t: HalfIntegralMatrix) -> HalfIntegralMatrix:
     """Lexicographically smallest signed-permutation image of the matrix.
 
     Signed permutations are unimodular, so the result is GL_n(Z)-equivalent
-    to the input; used as a sound (if coarse) cache key for local invariants.
+    to the input; the tests use it as a sound (if coarse) class key.
     The image of the doubled form under the permutation pi and signs s has
     entries s_i s_j g[pi(i)][pi(j)]; a global sign flip leaves it unchanged,
     so s_0 = 1 is fixed.

@@ -25,23 +25,23 @@ ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
 F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
 sum are enumerated (p^(6 (d//2)) points instead of p^(6d)) and divided by
-gamma_p; the upper half follows from the equation.  Only d >= 2 is
-memoized, keyed on a signed-permutation canonical form of B; the closed
-forms and d <= 1 are cheaper than the key.  The full-length sum stays
-available as `oracle_bp`, the test oracle for every fast route.
+gamma_p; the upper half follows from the equation.  Nothing here is
+cached: `eisen` keeps the F_p of each rank-3 T it evaluates, for every
+weight.  The full-length sum stays available as `oracle_bp`, the test
+oracle for every fast route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
 from .errors import BudgetExceeded
-from .quadform import HalfIntegralMatrix, canonical_signed_perm, format_half_integral
+from .quadform import HalfIntegralMatrix, format_half_integral
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -338,32 +338,12 @@ def oracle_bp(
 # The polynomial factor F_p
 
 
-@lru_cache(maxsize=None)
-def _local_f_cached(p: int, b: HalfIntegralMatrix, budget: int) -> SiegelSeriesPolynomial:
-    """Size 3: divide the character sum through X^(d//2) by gamma_p =
-    (1 - X)(1 - p^2 X^2); the functional equation supplies the rest."""
-    deg = expected_degree(p, b)
-    series = _character_sum_series(p, b, deg // 2, budget)
-    gamma = [1, -1, -(p**2), p**2]
-    f_coeffs = [0] * (deg + 1)
-    for j, c in enumerate(series):
-        f_coeffs[j] = c - sum(
-            gamma[i] * f_coeffs[j - i] for i in range(1, min(j, 3) + 1)
-        )
-    sign = _functional_equation_sign(p, b)
-    if deg % 2 == 0 and sign == -1 and f_coeffs[deg // 2] != 0:
-        raise AssertionError("middle coefficient must vanish for sign -1")
-    for i in range((deg + 1) // 2):
-        f_coeffs[deg - i] = sign * p ** (2 * deg - 4 * i) * f_coeffs[i]
-    return SiegelSeriesPolynomial(tuple(f_coeffs))
-
-
 def local_F(
     p: int, b: HalfIntegralMatrix, budget: int = DEFAULT_BUDGET
 ) -> SiegelSeriesPolynomial:
     """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
-    Sizes 1 and 2 return closed forms, uncached: a geometric sum, and the
+    Sizes 1 and 2 return closed forms: a geometric sum, and the
     content/square-part formula behind the classical divisor-sum expression
     for degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) =
     eps p^(2d-4i) f_i, d = `expected_degree` (read off det(2B)) and
@@ -372,9 +352,7 @@ def local_F(
     by gamma_p and f_(d-i) filled in for i < ceil(d/2); for even d and
     eps = -1 the middle coefficient must vanish, which is asserted.
     `budget` (at least 1 on every route) caps the enumeration's points.
-    Only d >= 2 is memoized, under a signed-permutation canonical form of B,
-    sound because the series is a GL(Z_p) invariant; B, its sign flips and
-    its permutations share one enumeration.
+    Nothing is cached here: `eisen` keeps the size-3 F_p of each T it meets.
     """
     if not _is_probable_prime(p):
         raise ValueError(f"p = {p} is not a prime")
@@ -401,6 +379,17 @@ def local_F(
         return SiegelSeriesPolynomial(tuple(p**i for i in range(deg + 1)))
     if deg == 0:
         return SiegelSeriesPolynomial((1,))
+    sign = _functional_equation_sign(p, b)
     if deg == 1:
-        return SiegelSeriesPolynomial((1, _functional_equation_sign(p, b) * p**2))
-    return _local_f_cached(p, canonical_signed_perm(b), budget)
+        return SiegelSeriesPolynomial((1, sign * p**2))
+    # gamma_p = (1 - X)(1 - p^2 X^2); divide it out of c_0..c_(d//2)
+    series = _character_sum_series(p, b, deg // 2, budget)
+    gamma = [1, -1, -(p**2), p**2]
+    f_coeffs = [0] * (deg + 1)
+    for j, c in enumerate(series):
+        f_coeffs[j] = c - sum(gamma[i] * f_coeffs[j - i] for i in range(1, min(j, 3) + 1))
+    if deg % 2 == 0 and sign == -1 and f_coeffs[deg // 2] != 0:
+        raise AssertionError("middle coefficient must vanish for sign -1")
+    for i in range((deg + 1) // 2):
+        f_coeffs[deg - i] = sign * p ** (2 * deg - 4 * i) * f_coeffs[i]
+    return SiegelSeriesPolynomial(tuple(f_coeffs))

@@ -2,13 +2,16 @@
 
 perfbench/tracer.py wraps every function named in a module's `__all__` plus a
 few named extras, and perfbench/workloads.py calls into the package directly;
-a deleted or renamed name there breaks the benchmark, not the other tests.
-The last tests pin the README's promise that no floating point is used.
+a deleted or renamed name there would break only the benchmark, so these
+tests pin the names and run perfbench/selftest.py.  The last tests pin the
+README's promise that no floating point is used.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -72,6 +75,21 @@ def test_benchmark_bindings_exist(module_name, path):
 def test_benchmark_caches_report(module_name, name):
     info = getattr(import_module(f"eiscong.{module_name}"), name).cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs every workload at tiny sizes against its
+    goldens and once under the tracer, so a renamed binding or a changed
+    output fails here and not only when the benchmark runs."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest ok"
 
 
 # The layers the tracer reports one by one; it only wraps names in __all__.

@@ -366,13 +366,60 @@ class TestBadInput:
 
     @pytest.mark.parametrize("n_text", ["5", "1,2,1", "1,0,-1", "-1,0,-1"])
     def test_epsilon_rejects_a_1x1_N(self, capsys, n_text):
-        # "--N=..." so that argparse does not read "-1,0,-1" as an option;
-        # the 1x1 N must fail before the stabilizer of N is built
+        # the attached form; test_value_led_by_a_minus_reaches_its_check
+        # gives "-1,0,-1" as a separate argument.  The 1x1 N must fail
+        # before the stabilizer of N is built
         code, out, err = run(
             capsys, "epsilon", "--k", "14", "--nu", "2", "--n", "1", f"--N={n_text}"
         )
         assert code == 3 and out == ""
         assert "N must be a positive definite 2x2 matrix" in err
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ("epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "-1,0,-1"),
+                3,
+                "N must be a positive definite 2x2 matrix",
+            ),
+            (
+                ("certify", "--k", "14", "--nu", "2", "--p", "373", "--A", "-1,0,-1"),
+                3,
+                "A = -1,0,-1 is not a positive definite 2x2 matrix",
+            ),
+            (("siegel-series", "--p", "3", "--T", "-1,0,0,0,0,0"), 3, "B must be nondegenerate"),
+            (
+                ("eisenstein-coeff", "--degree", "2", "--k", "10", "--T", "-1,0,-1"),
+                3,
+                "matrix must be positive semidefinite",
+            ),
+            (("lvalue", "--k", "14", "--nu", "2", "--ords", "-3,5"), 3, "p = -3 is not a prime"),
+            (
+                (*CERTIFY_14_2, "373", "--m-list", "-1,2"),
+                3,
+                "m_list must have length dim S = 1",
+            ),
+            (
+                ("epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "1,0,1", "--at", "-1,2"),
+                0,
+                "",
+            ),
+        ],
+        ids=["N", "A", "T-siegel-series", "T-eisenstein-coeff", "ords", "m-list", "at"],
+    )
+    def test_value_led_by_a_minus_reaches_its_check(self, capsys, argv, code, message):
+        # a separate value behaves as the attached "--opt=value"
+        attached = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+        results = [run(capsys, *args) for args in (argv, attached)]
+        assert results[0] == results[1]
+        got, out, err = results[0]
+        assert got == code, err
+        assert message in err
+        if code:
+            assert out == ""
+        else:
+            assert json.loads(out)["evaluations"][0]["at"] == [-1, 2]
 
     def test_zero_cusp_space_lvalue(self, capsys):
         for k, nu in (("12", "2"), ("6", "2"), ("6", "4"), ("8", "2")):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from eiscong import eisen, quadform
 from eiscong.arith import divisor_power_sum, l_value_neg, prime_divisors, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
+from eiscong.errors import BudgetExceeded
 from eiscong.qexp import eisenstein_qexp
 from eiscong.quadform import HalfIntegralMatrix, build_T, nondeg_part, parse_half_integral
 from eiscong.siegelseries import local_F
@@ -210,9 +211,10 @@ def padded_image(t: HalfIntegralMatrix, seed: int) -> HalfIntegralMatrix:
 
 
 class TestOneReduction:
-    """No a(T) reduces T: rank and det(2 T~) come from the minors of 2T, and
-    a rank <= 2 value is cached once per (k, m, det(2 T~), content).  Each
-    test clears the cache first, so its hit and miss counts are its own."""
+    """No a(T) reduces T: rank and det(2 T~) come from the minors of 2T, a
+    rank <= 2 value is cached once per (k, m, det(2 T~), content) and the
+    local factors of a rank-3 T once per (T, budget).  Each test clears both
+    caches first, so its hit and miss counts are its own."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> dict[str, int]:
@@ -230,21 +232,23 @@ class TestOneReduction:
         monkeypatch.setattr(quadform, "_echelon", counting_echelon)
         monkeypatch.setattr(HalfIntegralMatrix, "is_psd", counting_is_psd)
         eisen._untailed.cache_clear()
+        eisen._local_factors.cache_clear()
         return calls
 
     @pytest.mark.parametrize(
-        "t",
+        "t, cache",
         [
-            HalfIntegralMatrix.from_doubled([[6, 6, 0], [6, 6, 0], [0, 0, 0]]),
-            build_T(4, I2, (0, 4)),
-            build_T(3, I2, (1, 2)),
+            (HalfIntegralMatrix.from_doubled([[6, 6, 0], [6, 6, 0], [0, 0, 0]]), "_untailed"),
+            (build_T(4, I2, (0, 4)), "_untailed"),
+            (build_T(3, I2, (1, 2)), "_local_factors"),
         ],
         ids=["rank1", "rank2", "rank3"],
     )
-    def test_cache_miss_reduces_once(self, t, calls):
+    def test_cache_miss_reduces_once(self, t, cache, calls):
         value = EisensteinContext(3, 38).coefficient(t)
-        info = eisen._untailed.cache_info()
-        assert (info.hits, info.misses) == (0, 1)
+        for name in ("_untailed", "_local_factors"):
+            info = getattr(eisen, name).cache_info()
+            assert (info.hits, info.misses) == ((0, 1) if name == cache else (0, 0)), name
         assert calls == {"echelon": 0, "is_psd": 0}
         # the oracle reduces T, so it runs after the count
         assert value == product_route(3, 38, t) != 0
@@ -266,6 +270,33 @@ class TestOneReduction:
         assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
         assert values == [product_route(2, 36, t) for t in forms]
         assert values[0] != values[1]
+
+    def test_rank3_factors_serve_every_weight(self, calls, monkeypatch):
+        # det(2T) = 2^3 3 5: F_2 (degree 2), F_3 and F_5, each computed once
+        t = HalfIntegralMatrix.diagonal(1, 3, 5)
+        factors = []
+        monkeypatch.setattr(
+            eisen, "local_F", lambda p, b, budget: factors.append(p) or local_F(p, b, budget)
+        )
+        values = [EisensteinContext(3, k).coefficient(t) for k in (12, 20)]
+        info = eisen._local_factors.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert eisen._untailed.cache_info().currsize == 0
+        assert factors == [2, 3, 5]
+        assert values == [product_route(3, k, t) for k in (12, 20)]
+
+    def test_rank3_cache_is_keyed_on_the_budget(self, calls):
+        # I3 at p = 2 has degree 2: c_0, c_1 take 2^6 = 64 points
+        assert EisensteinContext(3, 14).coefficient(I3) == product_route(3, 14, I3)
+        before = eisen._local_factors.cache_info()
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                EisensteinContext(3, 16, budget=63).coefficient(I3)
+        after = eisen._local_factors.cache_info()
+        # both calls miss, and neither leaves an entry behind
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert after.currsize == before.currsize == 1
+        assert EisensteinContext(3, 16, budget=64).coefficient(I3) == product_route(3, 16, I3)
 
 
 def product_route(n: int, k: int, t: HalfIntegralMatrix) -> Fraction:

@@ -230,6 +230,23 @@ class TestEpsilonHecke:
             assert epsilon_hecke(14, 2, m, 1, I2) == lam * base, m
 
 
+@pytest.mark.parametrize("k, nu", [(14, 2), (8, 8), (12, 6)])
+def test_eigenform_identity_at_every_n(k, nu):
+    """eps(k, nu, n, N) = a_f(n) eps(k, nu, 1, N) for the normalized eigenform
+    f of the one-dimensional S_(k+nu): n -> eps(n, N) lies in its eigenspace
+    (Garrett's pullback formula).  n <= 48 reaches rows that no oracle_bp
+    call can enumerate, such as T = diag(32, 1, 1), where F_2 has degree 7:
+    the full sum through X^7 would take 2^42 points, local_F enumerates
+    through X^3 and takes the rest from the functional equation."""
+    f = eigen_basis(k + nu, 60).forms[0]
+    cases = [(I2, 48)] + [(parse_half_integral(t), 12) for t in ("1,0,2", "1,1,1", "2,1,3")]
+    for quad, n_max in cases:
+        base = epsilon(k, nu, 1, quad)
+        assert not base.is_zero()
+        for n in range(2, n_max + 1):
+            assert epsilon(k, nu, n, quad) == f.coefficient(n) * base, (quad, n)
+
+
 class TestCond2Determinant:
     def test_dim_one_reduction(self):
         slot = 0

@@ -11,7 +11,7 @@ import pytest
 from eiscong.arith import divisor_power_sum, factorize
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix, nondeg_part
-from eiscong import siegelseries
+from eiscong import quadform, siegelseries
 from eiscong.siegelseries import (
     DEFAULT_BUDGET,
     PolyX,
@@ -221,32 +221,63 @@ def local_F_star(p, t, x):
 
 
 class TestMemo:
-    """Only the size-3 route with degree >= 2 is memoized, keyed on
-    canonical_signed_perm; degree <= 1 is read off det(2B) and the sign."""
+    """local_F caches nothing and never canonicalizes B: every size-3 call
+    with degree >= 2 enumerates, degree <= 1 is read off det(2B) and the sign,
+    and B, its sign flips and its permutations agree because the series is a
+    GL(Z_p) invariant.  The cache of rank-3 factors lives in eisen."""
 
-    def test_closed_forms_skip_the_key(self, monkeypatch):
+    @pytest.fixture
+    def key_calls(self, monkeypatch) -> list:
         calls = []
-        key = siegelseries.canonical_signed_perm
-        monkeypatch.setattr(
-            siegelseries, "canonical_signed_perm", lambda b: calls.append(b) or key(b)
-        )
-        for b in (HalfIntegralMatrix.diagonal(12), HalfIntegralMatrix.from_doubled([[4, 1], [1, 6]])):
+        key = quadform.canonical_signed_perm
+
+        def spy(b):
+            calls.append(b)
+            return key(b)
+
+        monkeypatch.setattr(quadform, "canonical_signed_perm", spy)
+        monkeypatch.setattr(siegelseries, "canonical_signed_perm", spy, raising=False)
+        return calls
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch) -> list:
+        calls = []
+        series = siegelseries._character_sum_series
+
+        def spy(p, b, j_max, budget):
+            calls.append((p, b, j_max))
+            return series(p, b, j_max, budget)
+
+        monkeypatch.setattr(siegelseries, "_character_sum_series", spy)
+        return calls
+
+    def test_closed_forms_skip_the_key(self, key_calls):
+        # sizes 1 and 2, then size 3 at degrees 0, 1, 2 and 4
+        for b in (
+            HalfIntegralMatrix.diagonal(12),
+            HalfIntegralMatrix.from_doubled([[4, 1], [1, 6]]),
+            HalfIntegralMatrix.identity(3),
+            HalfIntegralMatrix.diagonal(1, 1, 4),
+        ):
             for p in (2, 3, 23):
                 local_F(p, b)
-        assert calls == []
-        local_F(2, HalfIntegralMatrix.identity(3))
-        assert len(calls) == 1
+        assert key_calls == []
+        assert [expected_degree(p, HalfIntegralMatrix.diagonal(1, 1, 4)) for p in (2, 3)] == [4, 0]
 
-    def test_sign_flip_shares_one_entry(self):
+    def test_sign_flip_shares_one_entry(self, key_calls, enumerations):
         # det(2B) = 18: degree 2 at p = 3
         b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
         flipped = b.transform(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        assert flipped != b and expected_degree(3, b) == 2
-        budget = DEFAULT_BUDGET - 1  # a cache key that no other test uses
-        before = siegelseries._local_f_cached.cache_info()
-        assert local_F(3, b, budget) == local_F(3, flipped, budget)
-        after = siegelseries._local_f_cached.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        swapped = b.transform(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        assert len({b, flipped, swapped}) == 3 and expected_degree(3, b) == 2
+        values = [local_F(3, m) for m in (b, flipped, swapped, b)]
+        assert values[1:] == values[:1] * 3
+        # no memo: each call enumerates c_0, c_1 once
+        assert [(p, j) for p, _, j in enumerations] == [(3, 1)] * 4
+        assert key_calls == []
+        assert not [
+            name for name, fn in vars(siegelseries).items() if hasattr(fn, "cache_info")
+        ]
 
     @pytest.mark.parametrize(
         "p, doubled, coeffs",
@@ -258,18 +289,13 @@ class TestMemo:
         ],
         ids=["d0", "d1", "d1-indefinite", "d1-zero-diagonal"],
     )
-    def test_degree_at_most_one_skips_key_and_memo(self, monkeypatch, p, doubled, coeffs):
-        calls = []
-        key = siegelseries.canonical_signed_perm
-        monkeypatch.setattr(
-            siegelseries, "canonical_signed_perm", lambda b: calls.append(b) or key(b)
-        )
+    def test_degree_at_most_one_skips_key_and_memo(
+        self, key_calls, enumerations, p, doubled, coeffs
+    ):
         b = HalfIntegralMatrix.from_doubled(doubled)
         assert expected_degree(p, b) == len(coeffs) - 1
-        before = siegelseries._local_f_cached.cache_info()
-        assert local_F(p, b, DEFAULT_BUDGET - 2).coeffs == coeffs
-        assert calls == []
-        assert siegelseries._local_f_cached.cache_info() == before
+        assert local_F(p, b).coeffs == coeffs
+        assert key_calls == [] and enumerations == []
 
 
 class TestBudgetValidation:
