@@ -13,8 +13,8 @@ evaluated in integers, sum C_ij u^i w^j, and divided once by
 den = 2^nu * lcm(coefficient denominators) (`_integer_coeffs`); Fraction
 normalizes the quotient, so the result is the same rational as the
 term-by-term rational evaluation.  For even d the coefficients are
-integers and den = 2^nu.  Sums of specializations over groups of rows stay
-in integers as well (`_specialization_sums`); `eval_binary` is the
+integers and den = 2^nu.  Integer-weighted sums of specializations over
+rows stay in integers as well (`_specialization_sum`); `eval_binary` is the
 one-row case.
 """
 
@@ -136,21 +136,21 @@ def _convolve(a: list[int], b: list[int], size: int | None = None) -> list[int]:
     return out
 
 
-def _specialization_sums(
+def _specialization_sum(
     d: int,
     nu: int,
     n: int,
     quad: HalfIntegralMatrix,
-    groups: Iterable[Iterable[tuple[int, int]]],
-) -> tuple[list[list[int]], int]:
-    """Per group of rows R, the integer form sum_R sum C_ij u^i w^j; and den.
+    rows: Iterable[tuple[int, tuple[int, int]]],
+) -> tuple[list[int], int]:
+    """The integer form sum c sum C_ij u^i w^j over the pairs (c, R); and den.
 
     u = r1 x + r2 y and w = 4m = 2n (g00 x^2 + 2 g01 x y + g11 y^2), with g
-    the doubled Q, so each summand is den times the specialization of
-    P_{d,nu} at row R.  w does not depend on R: C_ij w^j is built once.
-    The coefficients of u^i are C(i, l) r1^(i-l) r2^l, so a group only sums
-    the monomials r1^(i-l) r2^l over its rows, and each term costs one
-    convolution per group.
+    the doubled Q, so each summand is c * den times the specialization of
+    P_{d,nu} at row R.  w does not depend on R: w^j is built once.  The
+    coefficients of u^i are C(i, l) r1^(i-l) r2^l, so the weighted monomials
+    c r1^(i-l) r2^l are summed over the rows first, and each term costs one
+    convolution.
     """
     if quad.n != 2:
         raise ValueError("quadratic form must be 2x2")
@@ -160,24 +160,18 @@ def _specialization_sums(
     w_pows = [[1]]
     for _ in range(nu // 2):
         w_pows.append(_convolve(w_pows[-1], w))
-    # isobaric: i + 2j = nu, so the u-degrees i are distinct
-    degrees = [i for i, _, _ in terms]
-    weighted = [[c * v for v in w_pows[j]] for _, j, c in terms]
-    sums = []
-    for rows in groups:
-        monomials = [[0] * (i + 1) for i in degrees]
-        for r1, r2 in rows:
-            p1 = [r1**e for e in range(nu + 1)]
-            p2 = [r2**e for e in range(nu + 1)]
-            for t, i in enumerate(degrees):
-                monomials[t] = [s + x * y for s, x, y in zip(monomials[t], p1[i::-1], p2)]
-        total = [0] * (nu + 1)
-        for i, mono, cw in zip(degrees, monomials, weighted):
-            u_sum = [comb(i, l) * m for l, m in enumerate(mono)]
-            for idx, val in enumerate(_convolve(u_sum, cw)):
-                total[idx] += val
-        sums.append(total)
-    return sums, den
+    monomials = [[0] * (i + 1) for i, _, _ in terms]
+    for c, (r1, r2) in rows:
+        p1 = [c * r1**e for e in range(nu + 1)]
+        p2 = [r2**e for e in range(nu + 1)]
+        for mono, (i, _, _) in zip(monomials, terms):
+            mono[:] = [s + x * y for s, x, y in zip(mono, p1[i::-1], p2)]
+    total = [0] * (nu + 1)
+    for mono, (i, j, c) in zip(monomials, terms):
+        u_sum = [c * comb(i, l) * m for l, m in enumerate(mono)]
+        for idx, val in enumerate(_convolve(u_sum, w_pows[j])):
+            total[idx] += val
+    return total, den
 
 
 def eval_binary(
@@ -190,8 +184,8 @@ def eval_binary(
     """Specialize P_{d,nu} at s = (r1 x + r2 y)/2 and m = n * (x y) Q (x y)^t.
 
     `quad` is the 2x2 half-integral matrix of the quadratic form; the result
-    is a homogeneous binary form of degree nu: the one-row group of
-    `_specialization_sums`, each of its nu + 1 coefficients divided by den.
+    is a homogeneous binary form of degree nu: the one-row, weight-1 case of
+    `_specialization_sum`, each of its nu + 1 coefficients divided by den.
     """
-    (total,), den = _specialization_sums(d, nu, n, quad, [[r_pair]])
+    total, den = _specialization_sum(d, nu, n, quad, [(1, r_pair)])
     return BinaryForm(nu, tuple(Fraction(c, den) for c in total))

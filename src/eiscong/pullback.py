@@ -34,7 +34,7 @@ from .arith import (
 )
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
-from .gegenbauer import BinaryForm, _specialization_sums
+from .gegenbauer import BinaryForm, _specialization_sum
 from .qexp import QExpansion, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
@@ -115,11 +115,10 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     is GL_3(Z)-equivalent to T(R), so both have one coefficient, which is
     looked up under the orbit's least row.  H contains -1 and nu is even,
     so R and -R contribute alike: only the rows R >= (0, 0) (in
-    lexicographic order) are summed, every R != 0 with weight 2.  Rows are
-    grouped by their weighted a(T); each group's specializations are summed
-    in integers (`_specialization_sums`), weighted by the numerators of the
-    group keys over their common denominator, and each coefficient is
-    divided once.
+    lexicographic order) are summed, every R != 0 with weight 2.  The
+    weighted a(T) of the rows are put over their common denominator, the
+    specializations are summed in integers weighted by the numerators
+    (`_specialization_sum`), and each coefficient is divided once.
     """
     _check_kv(k, nu)
     if k < 6:
@@ -138,7 +137,8 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     ]
     ctx = EisensteinContext(3, k)
     orbit_values: dict[tuple[int, int], Fraction] = {}
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
+    weights: list[Fraction] = []
+    summed: list[tuple[int, int]] = []
     for r_pair in rows:
         if r_pair < (0, 0):
             continue
@@ -148,13 +148,10 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
             orbit_values[rep] = ctx.coefficient(build_T(n, quad, rep))
         coeff = orbit_values[rep] if r_pair == (0, 0) else 2 * orbit_values[rep]
         if coeff:
-            groups.setdefault(coeff, []).append(r_pair)
-    sums, den = _specialization_sums(2 * k, nu, n, quad, groups.values())
-    weights, scale = _over_common_denominator(list(groups))
-    total = [0] * (nu + 1)
-    for weight, group_sum in zip(weights, sums):
-        for idx, val in enumerate(group_sum):
-            total[idx] += weight * val
+            weights.append(coeff)
+            summed.append(r_pair)
+    nums, scale = _over_common_denominator(weights)
+    total, den = _specialization_sum(2 * k, nu, n, quad, zip(nums, summed))
     return BinaryForm(nu, tuple(Fraction(c, scale * den) for c in total))
 
 
@@ -169,6 +166,8 @@ def epsilon_hecke(
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     ops: list[int] = []
     if m > 1:
         for p, e in factorize(m).items():
@@ -176,8 +175,6 @@ def epsilon_hecke(
     weight_power = k + nu - 1
 
     def value(remaining: tuple[int, ...], idx: int) -> BinaryForm:
-        if idx < 1:
-            return BinaryForm.zero(nu)
         if not remaining:
             return epsilon(k, nu, idx, quad)
         p, rest = remaining[0], remaining[1:]

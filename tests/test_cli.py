@@ -220,6 +220,32 @@ class TestInterfaceContracts:
         assert code == 0
         assert f"l_value: {2**20 * 3**4 * 373}/7" in out
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ("certify", "--k", "14", "--nu", "2", "--p", "373", "--A", "1,0,1"),
+                (
+                    "m_list: [1]",
+                    "epsilon:",
+                    "  coeffs: [2418024960, 0, 2418024960]",
+                    "  at_1_0: 2418024960",
+                ),
+            ),
+            (
+                ("epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "1,0,1", "--at", "1,0"),
+                ("coeffs: [2418024960, 0, 2418024960]", "  at: [1, 0]"),
+            ),
+        ],
+        ids=["certify", "epsilon"],
+    )
+    def test_pretty_format_nested_documents(self, capsys, argv, lines):
+        # nested dicts, lists of rationals, of scalars and of dicts
+        code, out, _ = run(capsys, "--format", "pretty", *argv)
+        assert code == 0
+        for line in lines:
+            assert line in out.splitlines(), line
+
     def test_precision_ignores_the_environment(self, capsys, monkeypatch):
         # --precision is the one override; no environment variable sets it
         monkeypatch.setenv("EISCONG_PRECISION", "24")
@@ -420,6 +446,32 @@ class TestBadInput:
             assert out == ""
         else:
             assert json.loads(out)["evaluations"][0]["at"] == [-1, 2]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("lvalue", "--k", "14", "--nu", "2", "--ords", "3,x"),
+                "argument --ords: '3,x' is not a comma-separated integer list",
+            ),
+            (
+                (*CERTIFY_14_2, "373", "--m-list", "1,,2"),
+                "argument --m-list: '1,,2' is not a comma-separated integer list",
+            ),
+            (
+                ("epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "1,0,1", "--at", "1"),
+                "argument --at: expected two comma-separated integers",
+            ),
+        ],
+        ids=["ords", "m-list", "at"],
+    )
+    def test_malformed_list_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_zero_cusp_space_lvalue(self, capsys):
         for k, nu in (("12", "2"), ("6", "2"), ("6", "4"), ("8", "2")):

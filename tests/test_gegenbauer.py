@@ -3,8 +3,9 @@
 The integer route behind `eval_binary` and `cohen_series` is checked against
 test-local copies of the rational routes it replaced: dense Fraction powers
 of the specialized forms, and term-by-term `BivariatePoly.evaluate`.  The
-per-row integer route that the grouped sums in `pullback.epsilon` replaced
-is kept here as well, checked against the rational one.
+per-row integer route that the weighted row sum in `pullback.epsilon`
+replaced is kept here as well, checked against the rational one, and is the
+oracle for that weighted sum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import cohen_h
-from eiscong.gegenbauer import BinaryForm, eval_binary, gegenbauer_poly
+from eiscong.gegenbauer import BinaryForm, _specialization_sum, eval_binary, gegenbauer_poly
 from eiscong.qexp import cohen_series, default_precision
 from eiscong.quadform import HalfIntegralMatrix
 
@@ -254,8 +255,38 @@ class TestIntegerRoute:
         quad = HalfIntegralMatrix.from_doubled([[2 * g[0], g[1]], [g[1], 2 * g[2]]])
         form = eval_binary(d, nu, r_pair, n, quad)
         assert form.coeffs == eval_binary_fraction(d, nu, r_pair, n, quad)
-        # the per-row route is the oracle for the grouped sums in epsilon
+        # the per-row route is the oracle for the weighted sum in epsilon
         assert eval_binary_per_row(d, nu, r_pair, n, quad) == form
+
+    @ORACLE
+    @example(d=28, nu=2, rows=[(0, (0, 0)), (-(10**30), (1, 0)), (10**30, (0, 1))], n=1, g=(1, 0, 1))
+    @example(d=3, nu=9, rows=[(7, (0, 0)), (0, (3, -2)), (-(10**30), (3, -2))], n=5, g=(2, 1, 3))
+    @given(
+        d=st.integers(3, 40),
+        nu=st.integers(0, 16),
+        rows=st.lists(
+            st.tuples(
+                st.integers(-(10**30), 10**30),
+                st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+            ),
+            max_size=8,
+        ),
+        n=st.integers(1, 12),
+        g=st.tuples(st.integers(-4, 4), st.integers(-6, 6), st.integers(-4, 4)),
+    )
+    def test_weighted_sum_matches_per_row_sum(self, d, nu, rows, n, g):
+        # odd d scales den by the lcm of the coefficient denominators
+        quad = HalfIntegralMatrix.from_doubled([[2 * g[0], g[1]], [g[1], 2 * g[2]]])
+        total, den = _specialization_sum(d, nu, n, quad, rows)
+        expected = BinaryForm.zero(nu)
+        for weight, r_pair in rows:
+            expected = expected + weight * eval_binary_per_row(d, nu, r_pair, n, quad)
+        assert BinaryForm(nu, tuple(Fraction(c, den) for c in total)) == expected
+
+    @pytest.mark.parametrize("d", [3, 28])
+    def test_weighted_sum_of_no_rows_is_zero(self, d):
+        total, den = _specialization_sum(d, 4, 1, I2, [])
+        assert total == [0] * 5 and den > 0
 
     @pytest.mark.parametrize("weight", SWEEP_WEIGHTS)
     def test_cohen_series_matches_fraction_route(self, weight):

@@ -220,6 +220,12 @@ class TestEpsilonHecke:
         expect = epsilon(14, 2, 4, I2) + 2**15 * epsilon(14, 2, 1, I2)
         assert epsilon_hecke(14, 2, 2, 2, I2) == expect
 
+    @pytest.mark.parametrize("m, n", [(1, 0), (2, -3)])
+    def test_rejects_n_below_one(self, m, n):
+        # as epsilon does, rather than returning the zero form
+        with pytest.raises(ValueError, match="need n >= 1"):
+            epsilon_hecke(14, 2, m, n, I2)
+
     def test_eigenvalue_identity(self):
         # the series n -> eps(n, N) lies in the weight-16 eigenspace, so the
         # composite Hecke operators act by the eigenvalue table
@@ -262,6 +268,15 @@ class TestCond2Determinant:
     def test_pick_slot(self):
         assert pick_slot(14, 2, I2, 373) == 0
         assert epsilon(8, 8, 1, I2).coeffs[pick_slot(8, 8, I2, 23)] != 0
+
+    def test_pick_slot_falls_back_to_a_nonzero_slot(self):
+        # every coefficient of eps_{14,2}(1, I) is even, so no slot is a
+        # unit mod 2 and the first nonzero slot is taken
+        assert epsilon(14, 2, 1, I2).coeffs == (EPS_14_2, 0, EPS_14_2)
+        assert pick_slot(14, 2, I2, 2) == 0
+        cert = certify(14, 2, 2, I2)
+        assert cert.slot == 0
+        assert cert.verdict is Verdict.NOT_ESTABLISHED
 
     def test_m_list_length_guard(self):
         with pytest.raises(ValueError):
