@@ -104,18 +104,23 @@ def pochhammer(x: int | Fraction, n: int) -> Fraction:
 # Hecke indices)
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
 def _is_probable_prime(n: int) -> bool:
+    """Strong-probable-prime test to the bases 2..43, exact below
+    psi_13 = 3317044064679887385961981.  Trial division by the same primes
+    comes first, since a base divisible by n proves nothing."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # deterministic witness set for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -320,15 +325,6 @@ def _character_values(chi: DiscriminantChar, h: int) -> list[int]:
     return values
 
 
-def _power_sums(xs: list[int], r: int) -> list[int]:
-    """[sum of x^j over xs for j = 0..r]."""
-    sums, powers = [len(xs)], [1] * len(xs)
-    for _ in range(r):
-        powers = list(map(mul, powers, xs))
-        sums.append(sum(powers))
-    return sums
-
-
 @lru_cache(maxsize=None)
 def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     """Generalized Bernoulli number B_{r,chi} = m^(r-1) sum_{a<=m} chi(a) B_r(a/m).
@@ -353,9 +349,12 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
         return Fraction(0)
     else:
         values = _character_values(chi, (m - 1) // 2)
-        plus = _power_sums([a for a, v in enumerate(values) if v == 1], r)
-        minus = _power_sums([a for a, v in enumerate(values) if v == -1], r)
-        sums = [2 * (s - t) for s, t in zip(plus, minus)]
+        xs = [a for a, v in enumerate(values) if v]
+        terms = [values[a] for a in xs]  # the signed terms chi(a) a^j, from j = 0
+        sums = [2 * sum(terms)]
+        for _ in range(r):
+            terms = list(map(mul, terms, xs))
+            sums.append(2 * sum(terms))
     b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
     num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
     return Fraction(num, den * m)

@@ -60,10 +60,6 @@ class BinaryForm:
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count must be degree + 1")
 
-    @classmethod
-    def zero(cls, degree: int) -> BinaryForm:
-        return cls(degree, (Fraction(0),) * (degree + 1))
-
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         n = self.degree
@@ -83,9 +79,6 @@ class BinaryForm:
         return BinaryForm(self.degree, tuple(c * scalar for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 @lru_cache(maxsize=None)

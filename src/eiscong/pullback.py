@@ -70,32 +70,27 @@ def _check_kv(k: int, nu: int) -> None:
         raise ValueError("k and nu must be positive even integers")
 
 
-def gamma1(k: int, nu: int) -> Fraction:
-    """(-1)^((k+nu)/2+1) 2^3 nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-2)_(nu-1)."""
+def _gamma(k: int, nu: int, sign_exp: int, two_exp: int, shift: int) -> Fraction:
+    """(-1)^sign_exp 2^two_exp nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-shift)_(nu-1)."""
     _check_kv(k, nu)
-    sign = -1 if ((k + nu) // 2 + 1) % 2 else 1
     return (
-        sign
-        * 2**3
+        (-1) ** sign_exp
+        * 2**two_exp
         * factorial(nu)
         * pochhammer(k - 1, nu + 1)
         * pochhammer(2 * k - 1, nu - 2)
-        / pochhammer(2 * k + nu - 2, nu - 1)
+        / pochhammer(2 * k + nu - shift, nu - 1)
     )
+
+
+def gamma1(k: int, nu: int) -> Fraction:
+    """(-1)^((k+nu)/2+1) 2^3 nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-2)_(nu-1)."""
+    return _gamma(k, nu, (k + nu) // 2 + 1, 3, 2)
 
 
 def gamma2(k: int, nu: int) -> Fraction:
     """(-1)^(nu/2+1) 2^5 nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-4)_(nu-1)."""
-    _check_kv(k, nu)
-    sign = -1 if (nu // 2 + 1) % 2 else 1
-    return (
-        sign
-        * 2**5
-        * factorial(nu)
-        * pochhammer(k - 1, nu + 1)
-        * pochhammer(2 * k - 1, nu - 2)
-        / pochhammer(2 * k + nu - 4, nu - 1)
-    )
+    return _gamma(k, nu, nu // 2 + 1, 5, 4)
 
 
 # ---------------------------------------------------------------------------

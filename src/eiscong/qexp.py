@@ -113,21 +113,6 @@ class QExpansion:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> QExpansion:
-        if e < 0:
-            raise ValueError("negative powers unsupported")
-        result = QExpansion(
-            0, self.prec, (Fraction(1),) + (Fraction(0),) * self.prec
-        )
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -168,17 +153,14 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
     if prec < d:
         raise ValueError(f"precision {prec} below dimension {d}")
     one = QExpansion(0, prec, (Fraction(1),) + (Fraction(0),) * prec)
+    e4, e6, delta = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec), delta_qexp(prec)
     rows = []
     for j in range(d):
         w = k - 12 * j
         a, b = (w // 4, 0) if w % 4 == 0 else ((w - 6) // 4, 1)
         form = one
-        if a:
-            form = form * eisenstein_qexp(4, prec) ** a
-        if b:
-            form = form * eisenstein_qexp(6, prec)
-        if j:
-            form = form * delta_qexp(prec) ** j
+        for factor in [e4] * a + [e6] * b + [delta] * j:
+            form = form * factor
         rows.append(QExpansion(k, prec, form.coeffs))
     # clear above-diagonal entries; rows[j] starts as q^j + higher
     for j in range(1, d):

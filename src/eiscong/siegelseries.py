@@ -25,10 +25,11 @@ ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
 F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
 sum are enumerated (p^(6 (d//2)) points instead of p^(6d)) and divided by
-gamma_p; the upper half follows from the equation.  Nothing here is
-cached: `eisen` keeps the F_p of each rank-3 T it evaluates, for every
-weight.  The full-length sum stays available as `oracle_bp`, the test
-oracle for every fast route.
+the integer numerator of gamma_p that `gamma_p` itself is built from; the
+upper half follows from the equation.  Nothing here is cached: `eisen`
+keeps the F_p of each rank-3 T it evaluates, for every weight.  The
+full-length sum stays available as `oracle_bp`, the test oracle for every
+fast route.
 """
 
 from __future__ import annotations
@@ -155,9 +156,7 @@ def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[PolyX, PolyX]:
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     n = b.n
-    num = PolyX.from_dict({0: Fraction(1), 1: Fraction(-1)})
-    for i in range(1, n // 2 + 1):
-        num = num * PolyX.from_dict({0: Fraction(1), 2: Fraction(-(p ** (2 * i)))})
+    num = PolyX.from_list(_gamma_numerator(p, n))
     if n % 2:
         return num, PolyX.one()
     xi = chi_p(p, (-1) ** (n // 2) * b.det_doubled())
@@ -165,9 +164,24 @@ def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[PolyX, PolyX]:
     return num, den
 
 
+def _gamma_numerator(p: int, n: int) -> list[int]:
+    """Integer coefficients of (1 - X) prod_{i<=n/2} (1 - p^2i X^2), the
+    numerator of gamma_p for size n."""
+    num = [1, -1]
+    for i in range(1, n // 2 + 1):
+        num = [c - p ** (2 * i) * s for c, s in zip(num + [0, 0], [0, 0] + num)]
+    return num
+
+
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+
+
+def _check_prime_and_budget(p: int, budget: int) -> None:
+    if not _is_probable_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    _check_budget(budget)
 
 
 def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
@@ -324,9 +338,7 @@ def oracle_bp(
     p: int, b: HalfIntegralMatrix, j_max: int, budget: int = DEFAULT_BUDGET
 ) -> PolyX:
     """Truncated character sum sum_j c_j X^j for j <= j_max, exactly."""
-    if not _is_probable_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
-    _check_budget(budget)
+    _check_prime_and_budget(p, budget)
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     if b.det_doubled() == 0:
@@ -343,28 +355,22 @@ def local_F(
 ) -> SiegelSeriesPolynomial:
     """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
-    Sizes 1 and 2 return closed forms: a geometric sum, and the
-    content/square-part formula behind the classical divisor-sum expression
-    for degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) =
-    eps p^(2d-4i) f_i, d = `expected_degree` (read off det(2B)) and
+    d = `expected_degree` on every size.  Sizes 1 and 2 return closed forms:
+    a geometric sum, and the content/square-part formula (with
+    xi = `chi_p`(-det 2B)) behind the classical divisor-sum expression for
+    degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) = eps p^(2d-4i) f_i,
     eps = `_functional_equation_sign`: d = 0 gives 1 and d = 1 gives
     1 + eps p^2 X.  For d >= 2 the character sum through X^(d//2) is divided
-    by gamma_p and f_(d-i) filled in for i < ceil(d/2); for even d and
-    eps = -1 the middle coefficient must vanish, which is asserted.
+    by gamma_p (`_gamma_numerator`) and f_(d-i) filled in for i < ceil(d/2);
+    for even d and eps = -1 the middle coefficient must vanish, as asserted.
     `budget` (at least 1 on every route) caps the enumeration's points.
     Nothing is cached here: `eisen` keeps the size-3 F_p of each T it meets.
     """
-    if not _is_probable_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
-    _check_budget(budget)
-    det2 = b.det_doubled()
-    if det2 == 0:
-        raise ValueError("B must be nondegenerate")
+    _check_prime_and_budget(p, budget)
+    deg = expected_degree(p, b)
     if b.n == 2:
-        cv = ord_p(p, b.content())
-        chi, f = fundamental_decomposition(-det2)
-        e = ord_p(p, f)
-        xi = chi(p)
+        cv, e = ord_p(p, b.content()), deg // 2
+        xi = chi_p(p, -b.det_doubled())
         if cv > e:
             raise AssertionError("content valuation exceeds the square-part valuation")
         coeffs = [0] * (2 * e + 1)
@@ -374,7 +380,6 @@ def local_F(
             for i in range(e - a):
                 coeffs[a + 2 * i + 1] -= xi * p ** (2 * a) * p ** (3 * i + 1)
         return SiegelSeriesPolynomial(tuple(coeffs))
-    deg = ord_p(p, det2 // 2)  # expected_degree for odd sizes
     if b.n == 1:
         return SiegelSeriesPolynomial(tuple(p**i for i in range(deg + 1)))
     if deg == 0:
@@ -382,9 +387,9 @@ def local_F(
     sign = _functional_equation_sign(p, b)
     if deg == 1:
         return SiegelSeriesPolynomial((1, sign * p**2))
-    # gamma_p = (1 - X)(1 - p^2 X^2); divide it out of c_0..c_(d//2)
+    # divide gamma_p = (1 - X)(1 - p^2 X^2) out of c_0..c_(d//2)
     series = _character_sum_series(p, b, deg // 2, budget)
-    gamma = [1, -1, -(p**2), p**2]
+    gamma = _gamma_numerator(p, 3)
     f_coeffs = [0] * (deg + 1)
     for j, c in enumerate(series):
         f_coeffs[j] = c - sum(gamma[i] * f_coeffs[j - i] for i in range(1, min(j, 3) + 1))

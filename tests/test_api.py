@@ -142,6 +142,35 @@ def test_no_floating_point_in_the_package():
     assert found == []
 
 
+def test_no_unused_imports_in_src():
+    """Every name a module imports is used in it or listed in its __all__,
+    so a deletion leaves no import behind."""
+    package = Path(import_module("eiscong").__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                not isinstance(node, ast.ImportFrom) or node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used | exported
+        ]
+    assert found == []
+
+
 def test_certificate_path_returns_fractions():
     """The AST check above cannot see an int / int true division, which
     gives a float; the certificate path's values must all be Fractions."""

@@ -472,3 +472,45 @@ class TestSympyOracles:
 
     def test_is_probable_prime(self):
         assert [n for n in range(-5, 5000) if _is_probable_prime(n) != sympy.isprime(n)] == []
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
+# first 13 prime bases (2..37 and 2..41)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round to base a, for odd n > a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestStrongPseudoprimes:
+    BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+    def test_psi_12_passes_2_to_37_and_fails_41(self):
+        assert all(strong_probable_prime(PSI_12, a) for a in self.BASES[:12])
+        assert not strong_probable_prime(PSI_12, 41)
+        assert PSI_12 == 399165290221 * 798330580441
+
+    def test_psi_13_passes_2_to_41_and_fails_43(self):
+        assert all(strong_probable_prime(PSI_13, a) for a in self.BASES[:13])
+        assert not strong_probable_prime(PSI_13, 43)
+
+    def test_pseudoprimes_are_composite(self):
+        assert not _is_probable_prime(PSI_12)
+        assert not _is_probable_prime(PSI_13)
+
+    def test_factorize_twice_psi_12(self):
+        assert factorize(2 * PSI_12) == {2: 1, 399165290221: 1, 798330580441: 1}
+        assert factorize(PSI_13) == sympy.factorint(PSI_13)

@@ -169,6 +169,18 @@ class TestSmallCommands:
         assert code == 0
         assert json.loads(out)["value"] == {"num": "65538", "den": "1"}
 
+    def test_eisenstein_coeff_degree1_at_a_strong_pseudoprime(self, capsys):
+        # T = psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
+        # the bases 2..37: a(T) = 2 sigma_3(psi_12) needs both factors
+        psi_12, (q1, q2) = 318665857834031151167461, (399165290221, 798330580441)
+        code, out, _ = run(
+            capsys, "eisenstein-coeff", "--degree", "1", "--k", "4", "--T", str(psi_12)
+        )
+        assert code == 0
+        value = "64719715779667726502887767757090556583020366594036416965137374082326328"
+        assert value == str(2 * (1 + q1**3) * (1 + q2**3))
+        assert json.loads(out)["value"] == {"num": value, "den": "1"}
+
     def test_eisenstein_coeff_degree3(self, capsys):
         code, out, _ = run(
             capsys, "eisenstein-coeff", "--degree", "3", "--k", "14",

@@ -225,6 +225,23 @@ class TestEigenBasis:
         f = basis.forms[0]
         assert f.coefficient(1) == 1 and f.coefficient(2) == 216
 
+    @pytest.mark.parametrize(
+        "k, a2, a3",
+        [
+            (12, -24, 252),
+            (16, 216, -3348),
+            (18, -528, -4284),
+            (20, 456, 50652),
+            (22, -288, -128844),
+            (26, -48, -195804),
+        ],
+    )
+    def test_one_dimensional_cusp_spaces(self, k, a2, a3):
+        # miller_basis relabels any product with weight k, so a wrong power
+        # of E_4, E_6 or Delta shows only in the coefficients
+        (f,) = eigen_basis(k).forms
+        assert (f.coefficient(1), f.coefficient(2), f.coefficient(3)) == (1, a2, a3)
+
     def test_weight12_is_delta(self):
         basis = eigen_basis(12)
         delta = delta_qexp(basis.forms[0].prec)

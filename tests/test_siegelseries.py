@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from eiscong.arith import divisor_power_sum, factorize
+from eiscong.arith import divisor_power_sum, factorize, fundamental_decomposition, ord_p
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix, nondeg_part
 from eiscong import quadform, siegelseries
@@ -26,9 +27,10 @@ from eiscong.siegelseries import (
 def reduced_binary_forms(max_det: int):
     """PD half-integral 2x2 with 0 <= b <= a <= c (doubled [[2a,b],[b,2c]])."""
     out = []
-    for a in range(1, max_det):
+    # 4ac - b^2 >= 3a^2 bounds a, and det <= max_det bounds c
+    for a in range(1, isqrt(max_det // 3) + 1):
         for b in range(a + 1):
-            for c in range(a, max_det):
+            for c in range(a, (max_det + b * b) // (4 * a) + 1):
                 det = 4 * a * c - b * b
                 if 0 < det <= max_det:
                     out.append(
@@ -139,6 +141,18 @@ class TestSizeTwo:
     def test_oracle_equivalence_p5_nontrivial_det(self):
         b = HalfIntegralMatrix.diagonal(1, 5)  # det 20
         assert oracle_matches_product(5, b)
+
+    def test_xi_and_degree_match_the_fundamental_decomposition(self):
+        # local_F reads xi off chi_p and e off expected_degree; the route it
+        # gave up writes -det(2T) = D f^2 and takes chi_D(p) and ord_p(f)
+        forms = reduced_binary_forms(400)
+        assert len(forms) == 936
+        for b in forms:
+            det2 = b.det_doubled()
+            chi, f = fundamental_decomposition(-det2)
+            for p in factorize(det2):
+                assert chi_p(p, -det2) == chi(p), (p, b)
+                assert expected_degree(p, b) == 2 * ord_p(p, f), (p, b)
 
 
 class TestSizeThree:
