@@ -1,9 +1,11 @@
 """Exact scalar arithmetic underlying the whole package.
 
 Everything returns plain ints or `fractions.Fraction`: Bernoulli numbers,
-Kronecker symbols, quadratic characters of fundamental discriminants,
-generalized Bernoulli numbers, Dirichlet L-values at non-positive integers,
-and Cohen's function H(r, N), all in integer and rational arithmetic.
+Kronecker symbols, the split m = d f^2 with d a fundamental discriminant
+(one factorization, shared by the discriminant test, the characters and H),
+generalized Bernoulli numbers, Dirichlet L-values at non-positive integers
+and Cohen's function H(r, N).  Factorization raises BudgetExceeded when
+Pollard's rho cannot split a cofactor in 2^21 steps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
+
+from .errors import BudgetExceeded
 
 __all__ = [
     "DiscriminantChar",
@@ -105,6 +109,7 @@ def pochhammer(x: int | Fraction, n: int) -> Fraction:
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_RHO_STEPS = 2**21  # Floyd steps per cofactor before factorize raises BudgetExceeded
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -134,20 +139,19 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
     rng = random.Random(0xE15C)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(0, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
+    d = n
+    for _ in range(_RHO_STEPS):
+        if d == n:  # a fresh start: new c and x
+            c = rng.randrange(1, n)
+            x = y = rng.randrange(0, n)
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        d = gcd(abs(x - y), n)
+        if 1 < d < n:
             return d
+    raise BudgetExceeded(f"Pollard's rho found no factor of {n} in {_RHO_STEPS} steps")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -239,25 +243,26 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def squarefree_decomposition(m: int) -> tuple[int, int]:
-    """Write m = s * f^2 with s squarefree (carrying the sign of m)."""
+def _square_class(m: int) -> tuple[int, dict[int, int]]:
+    """d and {p: ord_p f} with m = d f^2, d a fundamental discriminant (1 for
+    squares), from one factorization of m != 0, m = 0 or 1 mod 4.  With s
+    the signed squarefree part of m, d = s if s = 1 mod 4, else d = 4s, f / 2."""
     if m == 0:
         raise ValueError("need m != 0")
-    s, f = (1 if m > 0 else -1), 1
+    if m % 4 not in (0, 1):
+        raise ValueError(f"{m} is not congruent to 0 or 1 mod 4")
+    d, f = (1 if m > 0 else -1), {}
     for p, e in factorize(m).items():
         if e % 2:
-            s *= p
-        f *= p ** (e // 2)
-    return s, f
+            d *= p
+        f[p] = e // 2
+    if d % 4 != 1:  # here 4 | m, so 2 | f
+        d, f[2] = 4 * d, f[2] - 1
+    return d, {p: a for p, a in f.items() if a}
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    if d == 1:
-        return True
-    s, f = squarefree_decomposition(d)
-    if f == 1:
-        return d % 4 == 1
-    return f == 2 and d == 4 * s and s % 4 in (2, 3)
+    return d % 4 in (0, 1) and not _square_class(d)[1]
 
 
 @dataclass(frozen=True)
@@ -286,22 +291,9 @@ TRIVIAL_CHAR = DiscriminantChar(1)
 
 
 def fundamental_decomposition(m: int) -> tuple[DiscriminantChar, int]:
-    """Split m = d * f^2 with d a fundamental discriminant (d = 1 for squares).
-
-    Only defined for m = 0 or 1 mod 4, which is exactly when such a
-    decomposition exists; m = 0 is rejected.
-    """
-    if m == 0:
-        raise ValueError("need m != 0")
-    if m % 4 not in (0, 1):
-        raise ValueError(f"{m} is not congruent to 0 or 1 mod 4")
-    s, f = squarefree_decomposition(m)
-    if s == 1:
-        return TRIVIAL_CHAR, f
-    if s % 4 == 1:
-        return DiscriminantChar(s), f
-    # here 4 | m and f is even
-    return DiscriminantChar(4 * s), f // 2
+    """Split m = d * f^2, m != 0 and 0 or 1 mod 4, with d fundamental (1 for squares)."""
+    d, f = _square_class(m)
+    return DiscriminantChar(d), prod(p**a for p, a in f.items())
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ def cohen_h(r: int, n: int) -> Fraction:
     Eisenstein coefficients modular for non-fundamental -N.  It is the
     Dirichlet convolution of two multiplicative functions, so it is the
     product over p^a || f of sigma_{2r-1}(p^a) - chi_d(p) p^(r-1)
-    sigma_{2r-1}(p^(a-1)), read off one factorization of f.
+    sigma_{2r-1}(p^(a-1)), read off the split of -N.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and N >= 0")
@@ -386,12 +378,12 @@ def cohen_h(r: int, n: int) -> Fraction:
         return zeta_neg(2 * r)
     if n % 4 in (1, 2):
         return Fraction(0)
-    chi, f = fundamental_decomposition(-n)
+    d, f = _square_class(-n)
+    chi = DiscriminantChar(d)
     tail = 1
-    if f > 1:
-        for p, a in factorize(f).items():
-            q = p ** (2 * r - 1)
-            sigma = (q ** (a + 1) - 1) // (q - 1)  # sigma_{2r-1}(p^a)
-            # sigma - q^a is sigma_{2r-1}(p^(a-1))
-            tail *= sigma - chi(p) * p ** (r - 1) * (sigma - q**a)
+    for p, a in f.items():
+        q = p ** (2 * r - 1)
+        sigma = (q ** (a + 1) - 1) // (q - 1)  # sigma_{2r-1}(p^a)
+        # sigma - q^a is sigma_{2r-1}(p^(a-1))
+        tail *= sigma - chi(p) * p ** (r - 1) * (sigma - q**a)
     return l_value_neg(r, chi) * tail

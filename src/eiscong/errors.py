@@ -17,4 +17,4 @@ class SingularSystem(Exception):
 
 
 class BudgetExceeded(Exception):
-    """A character-sum enumeration would exceed the configured work budget."""
+    """A character-sum enumeration, or Pollard's rho, would exceed its work bound."""

@@ -35,7 +35,7 @@ from .arith import (
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import BinaryForm, _specialization_sum
-from .qexp import QExpansion, eigen_basis, std_l_value
+from .qexp import QExpansion, _check_l_pair, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -65,14 +65,10 @@ CERT_SCHEMA = "eiscong-cert-v1"
 # Scalar constants of the rank-1 and rank-2 pullback pieces
 
 
-def _check_kv(k: int, nu: int) -> None:
-    if k % 2 or nu % 2 or k <= 0 or nu <= 0:
-        raise ValueError("k and nu must be positive even integers")
-
-
 def _gamma(k: int, nu: int, sign_exp: int, two_exp: int, shift: int) -> Fraction:
     """(-1)^sign_exp 2^two_exp nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-shift)_(nu-1)."""
-    _check_kv(k, nu)
+    if k % 2 or nu % 2 or k <= 0 or nu <= 0:
+        raise ValueError("k and nu must be positive even integers")
     return (
         (-1) ** sign_exp
         * 2**two_exp
@@ -115,13 +111,9 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     specializations are summed in integers weighted by the numerators
     (`_specialization_sum`), and each coefficient is divided once.
     """
-    _check_kv(k, nu)
-    if k < 6:
-        raise ValueError("need k >= 6")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    # enumerate_R rejects an N that is not a positive definite 2x2 matrix
-    # before H is built
+    _check_l_pair(k, nu)
+    # enumerate_R rejects an n < 1 and an N that is not a positive definite
+    # 2x2 matrix before H is built
     rows = enumerate_R(n, quad)
     stabilizer = [
         h
@@ -161,8 +153,6 @@ def epsilon_hecke(
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
     ops: list[int] = []
     if m > 1:
         for p, e in factorize(m).items():
@@ -403,7 +393,7 @@ def certify(
     The stronger mod-p^alpha verdict applies when alpha >= 2 (the cusp
     space is one-dimensional).
     """
-    _check_kv(k, nu)
+    _check_l_pair(k, nu)
     if a_matrix.n != 2 or not a_matrix.is_pd():
         raise ValueError(
             f"A = {format_half_integral(a_matrix)} is not a positive definite 2x2 matrix"

@@ -54,8 +54,6 @@ def dim_modular(k: int) -> int:
 
 
 def dim_cusp(k: int) -> int:
-    if k < 4:
-        return 0
     return max(dim_modular(k) - 1, 0)
 
 

@@ -171,6 +171,26 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
+def test_every_private_helper_is_referenced_in_src():
+    """Every `_name` function or class defined in the package is referenced
+    somewhere in it, so a helper whose last caller went is deleted too."""
+    package = Path(import_module("eiscong").__file__).parent
+    defined, referenced = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert defined, "no private definitions found"
+    assert sorted(where for name, where in defined.items() if name not in referenced) == []
+
+
 def test_certificate_path_returns_fractions():
     """The AST check above cannot see an int / int true division, which
     gives a float; the certificate path's values must all be Fractions."""

@@ -160,6 +160,23 @@ class TestFundamentalDecomposition:
             assert chi.d * f * f == m
             assert is_fundamental_discriminant(chi.d)
 
+    def test_against_sympy_factorint(self):
+        # d is fundamental when d = 1 mod 4 is squarefree, or d = 4s with
+        # s = 2, 3 mod 4 squarefree; squarefreeness is read off sympy
+        def squarefree(x: int) -> bool:
+            return all(e == 1 for e in sympy.factorint(x).values())
+
+        def fundamental(d: int) -> bool:
+            return (d % 4 == 1 and squarefree(d)) or (
+                d % 4 == 0 and d // 4 % 4 in (2, 3) and squarefree(d // 4)
+            )
+
+        for m in [m for m in range(-3000, 3001) if m]:
+            assert is_fundamental_discriminant(m) == fundamental(m), m
+            if m % 4 in (0, 1):
+                chi, f = fundamental_decomposition(m)
+                assert chi.d * f * f == m and f >= 1 and fundamental(chi.d), m
+
     def test_field_discriminant(self):
         # the fundamental part of m = 0, 1 mod 4 is the discriminant of Q(sqrt m)
         assert fundamental_decomposition(-4)[0].d == -4
@@ -345,6 +362,21 @@ class TestCohenH:
         # H(1, N) is the Hurwitz class number
         hurwitz = hurwitz_class_numbers(3000)
         assert [n for n in range(1, 3001) if cohen_h(1, n) != hurwitz[n]] == []
+
+    def test_one_factorization_per_miss(self, monkeypatch):
+        # -3675 = -3 * 35^2: the split of -N gives d and the primes of f; the
+        # second call is DiscriminantChar(-3) checking its own argument
+        calls = []
+
+        def spy(n: int) -> dict[int, int]:
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith, "factorize", spy)
+        value = cohen_h.__wrapped__(11, 3675)
+        assert calls == [-3675, -3]
+        chi = DiscriminantChar(-3)
+        assert value == l_value_neg(11, chi) * cohen_tail_divisor_sum(11, chi, 35)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(NON_FUNDAMENTAL_5000), st.integers(1, 25))

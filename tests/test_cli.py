@@ -499,6 +499,19 @@ class TestBadInput:
         assert code == 3 and out == ""
         assert f"need even k >= 6 and even nu >= 2, got k = {k}, nu = {nu}" in err
 
+    def test_certify_names_an_out_of_scope_pair(self, capsys):
+        code, out, err = run(capsys, "certify", "--k", "4", "--nu", "8", "--p", "23", "--A", "1,0,1")
+        assert code == 3 and out == ""
+        assert "need even k >= 6 and even nu >= 2, got k = 4, nu = 8" in err
+
+    def test_factorization_past_the_rho_bound_is_typed_error(self):
+        # two 21-digit primes: Pollard's rho cannot split their product within
+        # its step bound, so sigma_3 of it raises BudgetExceeded, not a hang
+        t = str((10**20 + 39) * (10**20 + 129))
+        code, err = run_bounded("eisenstein-coeff", "--degree", "1", "--k", "4", "--T", t)
+        assert code == 3, err
+        assert "BudgetExceeded" in err and t in err
+
     def test_negative_precision_flag(self, capsys):
         code, out, err = run(
             capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "-1"

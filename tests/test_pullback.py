@@ -139,6 +139,23 @@ class TestEpsilon:
             epsilon(4, 2, 1, I2)
 
 
+@pytest.mark.parametrize(
+    "call, k, nu",
+    [
+        (lambda: epsilon(4, 2, 1, I2), 4, 2),
+        (lambda: epsilon(14, 3, 1, I2), 14, 3),
+        (lambda: certify(4, 8, 23, I2), 4, 8),
+    ],
+    ids=["epsilon-k4", "epsilon-nu3", "certify-k4"],
+)
+def test_one_k_nu_rule(call, k, nu):
+    # epsilon and certify state their (k, nu) domain in lvalue's words
+    message = f"need even k >= 6 and even nu >= 2, got k = {k}, nu = {nu}"
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # N with 8, 4, 4 and 2 signed permutations h such that h N h^t = N
 ORACLE_FORMS = ("1,0,1", "1,1,1", "1,0,2", "2,1,3")
 
