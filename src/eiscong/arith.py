@@ -121,6 +121,8 @@ def _is_probable_prime(n: int) -> bool:
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 47 * 47:  # no prime factor up to 43, so none at all
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -115,12 +115,13 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     # enumerate_R rejects an n < 1 and an N that is not a positive definite
     # 2x2 matrix before H is built
     rows = enumerate_R(n, quad)
+    (a, b), (_, c) = quad.doubled
     stabilizer = [
         h
         for s1 in (1, -1)
         for s2 in (1, -1)
-        for h in (((s1, 0), (0, s2)), ((0, s1), (s2, 0)))
-        if quad.transform(h) == quad
+        if s1 == s2 or b == 0  # diag(s1, s2) fixes N; the swap also needs a = c
+        for h in (((s1, 0), (0, s2)), ((0, s1), (s2, 0)))[: 1 + (a == c)]
     ]
     ctx = EisensteinContext(3, k)
     orbit_values: dict[tuple[int, int], Fraction] = {}

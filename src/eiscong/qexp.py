@@ -230,9 +230,9 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
 
     Lands in M_k, and in S_k when r < k - 1.  Requires odd r with
     3 <= r <= k - 1, even k and prec >= 0.  P(t/2, m) is
-    sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer), so each
-    coefficient is the sum of h * sum C_ij t^i (4m)^j over t, taken in
-    integers over the common denominator of the h and divided once.
+    sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer).  H(r, 0..4 prec)
+    goes over one common denominator h_den once, so each coefficient is the
+    integer sum of h * sum C_ij t^i (4m)^j over t, divided by h_den * den.
     P is isobaric with i + 2j = k - r - 1 even, so the terms at t and -t
     agree: t runs over t >= 0, weighted 2 if t > 0.
     """
@@ -241,19 +241,18 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
     terms, den = _integer_coeffs(2 * r + 2, k - r - 1)
+    h_num, h_den = _over_common_denominator([cohen_h(r, n) for n in range(4 * prec + 1)])
     out = []
     for m in range(prec + 1):
         # the polynomial in t at this m: C_ij (4m)^j t^i
         poly_t = [(i, c * (4 * m) ** j) for i, j, c in terms]
-        hs, weights = [], []
+        total = 0
         for t in range(isqrt(4 * m) + 1):
-            h = cohen_h(r, 4 * m - t * t)
+            h = h_num[4 * m - t * t]
             if h:
                 term = sum(c * t**i for i, c in poly_t)
-                hs.append(h)
-                weights.append(2 * term if t else term)
-        nums, scale = _over_common_denominator(hs)
-        out.append(Fraction(sum(a * b for a, b in zip(nums, weights)), scale * den))
+                total += h * (2 * term if t else term)
+        out.append(Fraction(total, h_den * den))
     return QExpansion(k, prec, tuple(out))
 
 
@@ -273,10 +272,8 @@ def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
     if g.coefficient(0) != 0:
         raise ValueError("g has a nonzero constant term; not a cusp form")
     forms = eigen_basis(k).forms
-    if not forms or any(
-        forms[0].coefficient(n) != f.coefficient(n)
-        for n in range(1, min(f.prec, forms[0].prec) + 1)
-    ):
+    top = min(f.prec, forms[0].prec) + 1 if forms else 0
+    if not forms or forms[0].coeffs[1:top] != f.coeffs[1:top]:
         raise ValueError("f is not the normalized eigenform of this weight")
     eigenform = forms[0]
     bound = sturm_bound(k)
@@ -286,8 +283,9 @@ def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
             f"precision {avail} below the Sturm bound {bound}"
         )
     ratio = g.coefficient(1)
-    for n in range(1, avail + 1):
-        if ratio * eigenform.coefficient(n) != g.coefficient(n):
+    rn, rd = ratio.numerator, ratio.denominator
+    for a, b in zip(eigenform.coeffs[1 : avail + 1], g.coeffs[1 : avail + 1]):
+        if rn * a.numerator * b.denominator != b.numerator * rd * a.denominator:
             raise ValueError("g does not lie in the cusp eigenspace to this precision")
     return ratio
 

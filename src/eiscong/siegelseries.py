@@ -40,7 +40,7 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
-from .arith import _is_probable_prime, fundamental_decomposition, kronecker, ord_p
+from .arith import _is_probable_prime, _square_class, kronecker, ord_p
 from .errors import BudgetExceeded
 from .quadform import HalfIntegralMatrix, format_half_integral
 
@@ -194,8 +194,7 @@ def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
     if b.n % 2:
         return ord_p(p, det2 // 2)
     sign = -1 if (b.n // 2) % 2 else 1
-    _, f = fundamental_decomposition(sign * det2)
-    return 2 * ord_p(p, f)
+    return 2 * _square_class(sign * det2)[1].get(p, 0)
 
 
 def _functional_equation_sign(p: int, b: HalfIntegralMatrix) -> int:

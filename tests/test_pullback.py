@@ -156,8 +156,8 @@ def test_one_k_nu_rule(call, k, nu):
     assert str(exc.value) == message
 
 
-# N with 8, 4, 4 and 2 signed permutations h such that h N h^t = N
-ORACLE_FORMS = ("1,0,1", "1,1,1", "1,0,2", "2,1,3")
+# N with 8, 4, 4, 4 and 2 signed permutations h such that h N h^t = N
+ORACLE_FORMS = ("1,0,1", "1,1,1", "1,-1,1", "1,0,2", "2,1,3")
 
 
 def row_orbits(n: int, quad: HalfIntegralMatrix) -> list[set[tuple[int, int]]]:

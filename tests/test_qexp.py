@@ -308,8 +308,10 @@ class TestCohenSeries:
 
 class TestPetersson:
     def test_scalar_multiple(self):
-        f = eigen_basis(16).forms[0]
-        assert petersson_ratio(f, 5 * f) == 5
+        # prec 40 lies above the default 20 of the reference eigenform
+        for prec in (None, 40):
+            f = eigen_basis(16, prec).forms[0]
+            assert petersson_ratio(f, 5 * f) == 5, prec
 
     def test_zero(self):
         f = eigen_basis(16).forms[0]
@@ -336,19 +338,23 @@ class TestPetersson:
             petersson_ratio(low, 5 * low)
 
     def test_cusp_shaped_series_off_the_eigenline(self):
-        # a(0) = 0 and a(1) = 1 like f, but a(5) is not f's
+        # a(0) = 0 and a(1) = 1 like f, but a(5), or the last available
+        # coefficient a(prec), is not f's
         f = eigen_basis(16).forms[0]
-        g = QExpansion(16, f.prec, f.coeffs[:5] + (f.coeffs[5] + 1,) + f.coeffs[6:])
-        with pytest.raises(ValueError, match="does not lie in the cusp eigenspace"):
-            petersson_ratio(f, g)
+        for n in (5, f.prec):
+            g = QExpansion(16, f.prec, f.coeffs[:n] + (f.coeffs[n] + 1,) + f.coeffs[n + 1 :])
+            with pytest.raises(ValueError, match="does not lie in the cusp eigenspace"):
+                petersson_ratio(f, g)
 
-    @pytest.mark.parametrize("change", ["coefficient", "scale"])
+    @pytest.mark.parametrize("change", ["coefficient", "last coefficient", "scale"])
     def test_f_must_be_the_normalized_eigenform(self, change):
         f = eigen_basis(16).forms[0]
         if change == "scale":
             other = 2 * f
         else:
-            other = QExpansion(16, f.prec, f.coeffs[:3] + (f.coeffs[3] + 1,) + f.coeffs[4:])
+            # a(3), or a(prec), the last coefficient shared with the reference
+            n = 3 if change == "coefficient" else f.prec
+            other = QExpansion(16, f.prec, f.coeffs[:n] + (f.coeffs[n] + 1,) + f.coeffs[n + 1 :])
         with pytest.raises(ValueError, match="f is not the normalized eigenform"):
             petersson_ratio(other, 5 * f)
 

@@ -12,7 +12,7 @@ import pytest
 from eiscong.arith import divisor_power_sum, factorize, fundamental_decomposition, ord_p
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix, nondeg_part
-from eiscong import quadform, siegelseries
+from eiscong import arith, quadform, siegelseries
 from eiscong.siegelseries import (
     DEFAULT_BUDGET,
     PolyX,
@@ -218,6 +218,18 @@ class TestInvariants:
         assert expected_degree(2, HalfIntegralMatrix.identity(3)) == 2
         assert expected_degree(2, HalfIntegralMatrix.diagonal(1, 4)) == 2
         assert expected_degree(3, HalfIntegralMatrix.diagonal(1, 1, 3)) == 1
+
+    def test_degree_factors_det_once(self, monkeypatch):
+        # -det(2B) = -36 = -4 * 3^2: one factorization gives both d and f
+        calls = []
+
+        def spy(n: int) -> dict[int, int]:
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith, "factorize", spy)
+        assert expected_degree(3, HalfIntegralMatrix.diagonal(1, 9)) == 2
+        assert calls == [-36]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
