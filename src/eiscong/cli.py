@@ -28,7 +28,7 @@ import sys
 from .arith import _is_probable_prime, ord_p
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
-from .pullback import Strictness, certify, decode_rat, encode_rat
+from .pullback import Strictness, Verdict, certify, decode_rat, encode_rat, epsilon
 from .qexp import _check_l_pair, cohen_series, default_precision, eigen_basis, std_l_value
 from .quadform import HalfIntegralMatrix, format_half_integral, parse_half_integral
 from .siegelseries import DEFAULT_BUDGET, local_F
@@ -85,9 +85,8 @@ def _cmd_lvalue(args) -> tuple[dict, int]:
         if not _is_probable_prime(p):
             raise ValueError(f"p = {p} is not a prime")
     prec = _precision(args, k + nu)
-    basis = eigen_basis(k + nu, prec)
     rows = []
-    for j, f in enumerate(basis.forms):
+    for j, f in enumerate(eigen_basis(k + nu, prec)):
         value = std_l_value(k, nu, f)
         row = {
             "form": j,
@@ -109,8 +108,6 @@ def _cmd_lvalue(args) -> tuple[dict, int]:
 
 
 def _cmd_epsilon(args) -> tuple[dict, int]:
-    from .pullback import epsilon
-
     form = epsilon(args.k, args.nu, args.n, args.N)
     doc = {
         "command": "epsilon",
@@ -139,7 +136,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         strictness=Strictness.RELAXED if args.relaxed else Strictness.STRICT,
     )
     doc = cert.to_json_dict()
-    return doc, 0 if cert.verdict.value != "NotEstablished" else 1
+    return doc, 1 if cert.verdict is Verdict.NOT_ESTABLISHED else 0
 
 
 def _cmd_siegel_series(args) -> tuple[dict, int]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .arith import _over_common_denominator, pochhammer
@@ -81,7 +80,6 @@ class BinaryForm:
     __rmul__ = __mul__
 
 
-@lru_cache(maxsize=None)
 def gegenbauer_poly(d: int, nu: int) -> BivariatePoly:
     """P_{d,nu} via the explicit sum over mu <= nu/2.
 

@@ -178,7 +178,7 @@ def epsilon_hecke(
 
 def _eigenform(weight: int) -> QExpansion:
     """The normalized eigenform of S_weight, which must not be zero."""
-    forms = eigen_basis(weight).forms
+    forms = eigen_basis(weight)
     if not forms:
         raise ValueError(f"the weight-{weight} cusp space is zero; there is no eigenform")
     return forms[0]

@@ -2,12 +2,12 @@
 
 Provides the classical Eisenstein series and Victor Miller bases, the
 degree-1 Hecke operators, the normalized eigenform of a cusp space of
-dimension <= 1 (larger level-1 cusp spaces have irrational Hecke fields and
-raise UnsupportedHeckeField), the weight-k series whose coefficients are
-built from Cohen's H function, and the normalized standard L-value
-obtained from it by an exact Petersson projection.  Every identity used
-downstream is decided at the Sturm bound, so the default working precision
-is max(20, 2 * sturm_bound(k)).
+dimension <= 1 as a tuple of zero or one QExpansion (larger level-1 cusp
+spaces have irrational Hecke fields and raise UnsupportedHeckeField), the
+weight-k series whose coefficients are built from Cohen's H function, and
+the normalized standard L-value obtained from it by an exact Petersson
+projection.  Every identity used downstream is decided at the Sturm bound,
+so the default working precision is max(20, 2 * sturm_bound(k)).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import SingularSystem, UnsupportedHeckeField
 from .gegenbauer import _convolve, _integer_coeffs
 
 __all__ = [
-    "EigenBasis",
     "QExpansion",
     "cohen_series",
     "default_precision",
@@ -115,7 +114,6 @@ class QExpansion:
         return all(c == 0 for c in self.coeffs)
 
 
-@lru_cache(maxsize=None)
 def eisenstein_qexp(k: int, prec: int) -> QExpansion:
     """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k < 4 or k % 2:
@@ -127,7 +125,6 @@ def eisenstein_qexp(k: int, prec: int) -> QExpansion:
     return QExpansion(k, prec, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def delta_qexp(prec: int) -> QExpansion:
     """The discriminant cusp form (E_4^3 - E_6^2)/1728."""
     e4 = eisenstein_qexp(4, prec)
@@ -186,20 +183,12 @@ def hecke_t(p: int, f: QExpansion) -> QExpansion:
 # The normalized eigenform
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Normalized rational Hecke eigenforms of one weight."""
-
-    weight: int
-    forms: tuple[QExpansion, ...]
-
-
-def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
-    """The normalized eigenform of a cusp space of dimension <= 1, for even k >= 4.
+def eigen_basis(k: int, prec: int | None = None) -> tuple[QExpansion, ...]:
+    """The normalized eigenforms of a cusp space of dimension <= 1, for even k >= 4.
 
     A one-dimensional S_k is spanned by its Miller row, which already has
-    a(1) = 1 and so is the normalized eigenform; S_k = 0 (k = 4, ..., 10
-    and 14) gives an empty basis.  Larger level-1 cusp spaces have
+    a(1) = 1 and so is the one normalized eigenform; S_k = 0 (k = 4, ..., 10
+    and 14) gives the empty tuple.  Larger level-1 cusp spaces have
     irrational Hecke eigenvalues (checked for every k <= 60, and for all k
     if Maeda's conjecture holds), so they raise UnsupportedHeckeField.
     """
@@ -215,8 +204,7 @@ def eigen_basis(k: int, prec: int | None = None) -> EigenBasis:
         )
     if prec < 2:
         raise ValueError("precision too low to express T(2)")
-    _, cusp = miller_basis(k, prec)
-    return EigenBasis(k, cusp)
+    return miller_basis(k, prec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +259,7 @@ def petersson_ratio(f: QExpansion, g: QExpansion) -> Fraction:
         return Fraction(0)
     if g.coefficient(0) != 0:
         raise ValueError("g has a nonzero constant term; not a cusp form")
-    forms = eigen_basis(k).forms
+    forms = eigen_basis(k)
     top = min(f.prec, forms[0].prec) + 1 if forms else 0
     if not forms or forms[0].coeffs[1:top] != f.coeffs[1:top]:
         raise ValueError("f is not the normalized eigenform of this weight")

@@ -29,7 +29,8 @@ the integer numerator of gamma_p that `gamma_p` itself is built from; the
 upper half follows from the equation.  Nothing here is cached: `eisen`
 keeps the F_p of each rank-3 T it evaluates, for every weight.  The
 full-length sum stays available as `oracle_bp`, the test oracle for every
-fast route.
+fast route.  `gamma_p`, `oracle_bp` and `local_F` all return integer
+coefficients, constant term first: tests form gamma_p F_p by convolving them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .quadform import HalfIntegralMatrix, format_half_integral
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "PolyX",
     "SiegelSeriesPolynomial",
     "chi_p",
     "expected_degree",
@@ -56,42 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2**24
-
-
-@dataclass(frozen=True)
-class PolyX:
-    """Sparse exact polynomial in X; `coeffs` holds (exponent, value) pairs."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[int, Fraction]) -> PolyX:
-        return cls(tuple(sorted((e, Fraction(c)) for e, c in d.items() if c != 0)))
-
-    @classmethod
-    def from_list(cls, values) -> PolyX:
-        return cls.from_dict({e: Fraction(c) for e, c in enumerate(values)})
-
-    @classmethod
-    def one(cls) -> PolyX:
-        return cls.from_dict({0: Fraction(1)})
-
-    def coefficient(self, e: int) -> Fraction:
-        return dict(self.coeffs).get(e, Fraction(0))
-
-    def degree(self) -> int:
-        return max((e for e, _ in self.coeffs), default=0)
-
-    def coefficient_list(self, through: int) -> list[Fraction]:
-        d = dict(self.coeffs)
-        return [d.get(e, Fraction(0)) for e in range(through + 1)]
-
-    def __mul__(self, other: PolyX) -> PolyX:
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return PolyX.from_dict(out)
 
 
 @dataclass(frozen=True)
@@ -114,9 +78,6 @@ class SiegelSeriesPolynomial:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def as_poly(self) -> PolyX:
-        return PolyX.from_list(self.coeffs)
 
 
 def _hilbert(p: int, a: int | Fraction, b: int | Fraction) -> int:
@@ -145,23 +106,21 @@ def chi_p(p: int, a: int | Fraction) -> int:
     return _hilbert(p, a, p)
 
 
-def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[PolyX, PolyX]:
-    """gamma_p(B, X) as a (numerator, denominator) pair of polynomials.
+def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """gamma_p(B, X) as a (numerator, denominator) pair of integer coefficient
+    tuples, constant term first.
 
     Odd size: (1 - X) prod_{i<=(n-1)/2} (1 - p^2i X^2), denominator 1.
     Even size: the same shape of numerator with i <= n/2, divided by
     (1 - p^(n/2) xi X), xi = chi_p((-1)^(n/2) det B), read on det(2B) (they
-    differ by the square 2^n).
+    differ by the square 2^n); the denominator is (1,) when xi = 0.
     """
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     n = b.n
-    num = PolyX.from_list(_gamma_numerator(p, n))
-    if n % 2:
-        return num, PolyX.one()
-    xi = chi_p(p, (-1) ** (n // 2) * b.det_doubled())
-    den = PolyX.from_dict({0: Fraction(1), 1: Fraction(-(p ** (n // 2) * xi))})
-    return num, den
+    xi = 0 if n % 2 else chi_p(p, (-1) ** (n // 2) * b.det_doubled())
+    den = (1, -(p ** (n // 2) * xi)) if xi else (1,)
+    return tuple(_gamma_numerator(p, n)), den
 
 
 def _gamma_numerator(p: int, n: int) -> list[int]:
@@ -335,14 +294,14 @@ def _character_sum_series(
 
 def oracle_bp(
     p: int, b: HalfIntegralMatrix, j_max: int, budget: int = DEFAULT_BUDGET
-) -> PolyX:
-    """Truncated character sum sum_j c_j X^j for j <= j_max, exactly."""
+) -> tuple[int, ...]:
+    """c_0..c_{j_max} of the character sum sum_j c_j X^j, exactly."""
     _check_prime_and_budget(p, budget)
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
-    return PolyX.from_list(_character_sum_series(p, b, j_max, budget))
+    return tuple(_character_sum_series(p, b, j_max, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,31 @@ def test_every_private_helper_is_referenced_in_src():
     assert sorted(where for name, where in defined.items() if name not in referenced) == []
 
 
+def test_cached_functions_are_pinned():
+    """The package's process-global caches, by module and function: each one
+    saves repeated work on the benchmark or is read by it, so adding or
+    dropping a cache is an edit here."""
+    package = Path(import_module("eiscong").__file__).parent
+    cached = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+                    if name in {"lru_cache", "cache"}:
+                        cached.add(f"{path.stem}.{node.name}")
+    assert cached == {
+        "arith.cohen_h",
+        "arith.gen_bernoulli",
+        "eisen._local_factors",
+        "eisen._untailed",
+        "pullback.epsilon",
+        "qexp.cohen_series",
+        "qexp.miller_basis",
+    }
+
+
 def test_certificate_path_returns_fractions():
     """The AST check above cannot see an int / int true division, which
     gives a float; the certificate path's values must all be Fractions."""
@@ -201,7 +226,7 @@ def test_certificate_path_returns_fractions():
     for weight in (12, 16, 18, 20, 22, 26):
         full, _ = miller_basis(weight, default_precision(weight))
         assert all(type(c) is Fraction for row in full for c in row.coeffs), weight
-        eigenform = eigen_basis(weight).forms[0]
+        eigenform = eigen_basis(weight)[0]
         for k in range(6, weight - 1, 2):
             nu = weight - k
             assert type(gamma1(k, nu)) is Fraction, (k, nu)

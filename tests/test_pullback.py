@@ -246,10 +246,10 @@ class TestEpsilonHecke:
     def test_eigenvalue_identity(self):
         # the series n -> eps(n, N) lies in the weight-16 eigenspace, so the
         # composite Hecke operators act by the eigenvalue table
-        basis = eigen_basis(16)
+        f = eigen_basis(16)[0]
         base = epsilon(14, 2, 1, I2)
         for m in (1, 2, 3, 4):
-            lam = tm_eigenvalue(basis.forms[0], m)
+            lam = tm_eigenvalue(f, m)
             assert epsilon_hecke(14, 2, m, 1, I2) == lam * base, m
 
 
@@ -261,7 +261,7 @@ def test_eigenform_identity_at_every_n(k, nu):
     call can enumerate, such as T = diag(32, 1, 1), where F_2 has degree 7:
     the full sum through X^7 would take 2^42 points, local_F enumerates
     through X^3 and takes the rest from the functional equation."""
-    f = eigen_basis(k + nu, 60).forms[0]
+    f = eigen_basis(k + nu, 60)[0]
     cases = [(I2, 48)] + [(parse_half_integral(t), 12) for t in ("1,0,2", "1,1,1", "2,1,3")]
     for quad, n_max in cases:
         base = epsilon(k, nu, 1, quad)
