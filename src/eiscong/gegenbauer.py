@@ -1,21 +1,17 @@
 """Two-variable Gegenbauer polynomials and their binary-form specializations.
 
 P_{d,nu}(s, m) is defined by the generating function
-(1 - 2 s t + m t^2)^(-(d-2)/2) = sum_nu P_{d,nu}(s, m) t^nu and is computed
-here through its closed-form coefficient sum.  Substituting a linear form
-for s and a binary quadratic form for m turns P_{d,nu} into a homogeneous
-degree-nu form in two variables; that specialization is the kernel of the
-scalar-to-vector differential operator used by the pullback coefficients.
-
-Every monomial s^i m^j of P_{d,nu} has i + 2j = nu, so at s = u/2, m = w/4
-each one is divided by the same 2^nu.  Specializations are therefore
-evaluated in integers, sum C_ij u^i w^j, and divided once by
-den = 2^nu * lcm(coefficient denominators) (`_integer_coeffs`); Fraction
-normalizes the quotient, so the result is the same rational as the
-term-by-term rational evaluation.  For even d the coefficients are
-integers and den = 2^nu.  Integer-weighted sums of specializations over
-rows stay in integers as well (`_specialization_sum`); `eval_binary` is the
-one-row case.
+(1 - 2 s t + m t^2)^(-(d-2)/2) = sum_nu P_{d,nu}(s, m) t^nu.  The pullback
+(d = 2k) and Cohen's series (d = 2r + 2) use only even d >= 4, where every
+coefficient is an integer; `_integer_coeffs` is their one statement.
+Substituting a linear form for s and a binary quadratic form for m turns
+P_{d,nu} into a homogeneous degree-nu form in two variables; that
+specialization is the kernel of the scalar-to-vector differential operator
+used by the pullback coefficients.  Every monomial s^i m^j has i + 2j = nu,
+so at s = u/2, m = w/4 each one is divided by the same 2^nu: specializations
+are evaluated in integers and divided once.  Integer-weighted sums of them
+over rows stay in integers as well (`_specialization_sum`); `eval_binary` is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .arith import _over_common_denominator, pochhammer
 from .quadform import HalfIntegralMatrix
 
 __all__ = [
@@ -41,7 +36,7 @@ class BivariatePoly:
     """Polynomial in (s, m); `coeffs` maps (i, j) to the coefficient of s^i m^j."""
 
     degree: int
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
+    coeffs: tuple[tuple[tuple[int, int], int], ...]
 
     def evaluate(self, s: Fraction | int, m: Fraction | int) -> Fraction:
         s, m = Fraction(s), Fraction(m)
@@ -81,38 +76,28 @@ class BinaryForm:
 
 
 def gegenbauer_poly(d: int, nu: int) -> BivariatePoly:
-    """P_{d,nu} via the explicit sum over mu <= nu/2.
-
-    The monomial s^(nu-2mu) m^mu carries
-    (-1)^mu (d/2-1)_(nu-mu) 2^(nu-2mu) / ((nu-2mu)! mu!); every monomial has
-    isobaric weight i + 2j = nu, so specializations below stay homogeneous.
-    Coefficients are rational for odd d (the Pochhammer base is then a
-    half-integer), even though callers here always pass even d.
-    """
-    if d < 3 or nu < 0:
-        raise ValueError("need d >= 3 and nu >= 0")
-    base = Fraction(d, 2) - 1
-    entries = []
-    for mu in range(nu // 2 + 1):
-        c = (
-            (-1) ** mu
-            * pochhammer(base, nu - mu)
-            * 2 ** (nu - 2 * mu)
-            / (factorial(nu - 2 * mu) * factorial(mu))
-        )
-        entries.append(((nu - 2 * mu, mu), c))
-    return BivariatePoly(nu, tuple(entries))
+    """P_{d,nu} for even d >= 4, from the integer coefficients of `_integer_coeffs`."""
+    terms, _ = _integer_coeffs(d, nu)
+    return BivariatePoly(nu, tuple(((i, j), c) for i, j, c in terms))
 
 
 def _integer_coeffs(d: int, nu: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """((i, j, C_ij), ...) and den with P_{d,nu}(u/2, w/4) = sum C_ij u^i w^j / den.
+    """((i, j, C_ij), ...) and den = 2^nu with P_{d,nu}(u/2, w/4) = sum C_ij u^i w^j / den.
 
-    Isobaric weight i + 2j = nu turns s^i m^j into u^i w^j / 2^nu; den is
-    2^nu times the lcm of the coefficient denominators (1 for even d).
+    With b = d/2 - 1, the monomial s^(nu-2mu) m^mu of P_{d,nu} carries
+    (-1)^mu (b)_(nu-mu) 2^(nu-2mu) / ((nu-2mu)! mu!)
+    = (-1)^mu 2^(nu-2mu) C(b+nu-mu-1, nu-mu) C(nu-mu, mu), an integer for
+    even d.  Isobaric weight i + 2j = nu turns s^i m^j into u^i w^j / 2^nu,
+    so C_ij is that coefficient itself.
     """
-    terms = gegenbauer_poly(d, nu).coeffs
-    nums, scale = _over_common_denominator([c for _, c in terms])
-    return tuple((i, j, c) for ((i, j), _), c in zip(terms, nums)), scale << nu
+    if d % 2 or d < 4 or nu < 0:
+        raise ValueError("need even d >= 4 and nu >= 0")
+    b = d // 2 - 1
+    terms = []
+    for mu in range(nu // 2 + 1):
+        c = comb(b + nu - mu - 1, nu - mu) * comb(nu - mu, mu) << (nu - 2 * mu)
+        terms.append((nu - 2 * mu, mu, (-1) ** mu * c))
+    return tuple(terms), 1 << nu
 
 
 def _convolve(a: list[int], b: list[int], size: int | None = None) -> list[int]:

@@ -151,25 +151,25 @@ def epsilon_hecke(
     The action is the degree-1 Hecke operator in weight k + nu applied
     coefficientwise: (T(p) g)(n) = g(np) + p^(k+nu-1) g(n/p), composed over
     the prime factorization of m with multiplicity; m = 1 is the identity.
+    Each T(p) rewrites the map {index: integer weight} in one loop, so the
+    result is sum weight * eps(index) however many factors m has.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    ops: list[int] = []
-    if m > 1:
-        for p, e in factorize(m).items():
-            ops.extend([p] * e)
-    weight_power = k + nu - 1
-
-    def value(remaining: tuple[int, ...], idx: int) -> BinaryForm:
-        if not remaining:
-            return epsilon(k, nu, idx, quad)
-        p, rest = remaining[0], remaining[1:]
-        out = value(rest, idx * p)
-        if idx % p == 0:
-            out = out + p**weight_power * value(rest, idx // p)
-        return out
-
-    return value(tuple(ops), n)
+    weights = {n: 1}
+    for p, e in (factorize(m).items() if m > 1 else ()):
+        lower = p ** (k + nu - 1)
+        for _ in range(e):
+            step: dict[int, int] = {}
+            for idx, w in weights.items():
+                step[idx * p] = step.get(idx * p, 0) + w
+                if idx % p == 0:
+                    step[idx // p] = step.get(idx // p, 0) + lower * w
+            weights = step
+    total = BinaryForm(nu, (Fraction(0),) * (nu + 1))
+    for idx, w in weights.items():
+        total = total + w * epsilon(k, nu, idx, quad)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +330,6 @@ class CongruenceCertificate:
         if self.reference_gamma is not None:
             out["reference_gamma"] = encode_rat(self.reference_gamma)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> CongruenceCertificate:

@@ -1,12 +1,12 @@
 """Level-1 modular forms as truncated q-expansions over exact rationals.
 
-Provides the classical Eisenstein series and Victor Miller bases, the
-degree-1 Hecke operators, the normalized eigenform of a cusp space of
-dimension <= 1 as a tuple of zero or one QExpansion (larger level-1 cusp
-spaces have irrational Hecke fields and raise UnsupportedHeckeField), the
-weight-k series whose coefficients are built from Cohen's H function, and
-the normalized standard L-value obtained from it by an exact Petersson
-projection.  Every identity used downstream is decided at the Sturm bound,
+Provides the classical Eisenstein series, the Victor Miller bases (built
+from E_4, E_6 and Delta = (E_4^3 - E_6^2)/1728), the degree-1 Hecke
+operators, the normalized eigenform of a cusp space of dimension <= 1 as a
+tuple of zero or one QExpansion (larger level-1 cusp spaces have irrational
+Hecke fields and raise UnsupportedHeckeField), the weight-k series whose
+coefficients are built from Cohen's H function, and the normalized standard
+L-value obtained from it by an exact Petersson projection.  Every identity used downstream is decided at the Sturm bound,
 so the default working precision is max(20, 2 * sturm_bound(k)).
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "QExpansion",
     "cohen_series",
     "default_precision",
-    "delta_qexp",
     "dim_cusp",
     "dim_modular",
     "eigen_basis",
@@ -125,17 +124,10 @@ def eisenstein_qexp(k: int, prec: int) -> QExpansion:
     return QExpansion(k, prec, tuple(coeffs))
 
 
-def delta_qexp(prec: int) -> QExpansion:
-    """The discriminant cusp form (E_4^3 - E_6^2)/1728."""
-    e4 = eisenstein_qexp(4, prec)
-    e6 = eisenstein_qexp(6, prec)
-    diff = e4 * e4 * e4 - e6 * e6
-    return Fraction(1, 1728) * diff
-
-
 @lru_cache(maxsize=None)
 def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpansion, ...]]:
-    """Echelonized integral bases of M_k and S_k from E_4^a E_6^b Delta^j.
+    """Echelonized integral bases of M_k and S_k from E_4^a E_6^b Delta^j,
+    with Delta = (E_4^3 - E_6^2)/1728 built from the same E_4 and E_6.
 
     Row j leads with coefficient 1 at q^j and has zeros at the other
     q^i, i < dim; the cusp basis is rows 1 and up.
@@ -148,7 +140,8 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
     if prec < d:
         raise ValueError(f"precision {prec} below dimension {d}")
     one = QExpansion(0, prec, (Fraction(1),) + (Fraction(0),) * prec)
-    e4, e6, delta = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec), delta_qexp(prec)
+    e4, e6 = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec)
+    delta = Fraction(1, 1728) * (e4 * e4 * e4 - e6 * e6)
     rows = []
     for j in range(d):
         w = k - 12 * j

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
+from .errors import BudgetExceeded
+
 __all__ = [
     "HalfIntegralMatrix",
     "build_T",
@@ -28,6 +30,8 @@ __all__ = [
     "nondeg_part",
     "parse_half_integral",
 ]
+
+_R_BOX_POINTS = 2**24  # candidate rows enumerate_R may test before it raises BudgetExceeded
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[list[int]]]:
@@ -109,10 +113,6 @@ class HalfIntegralMatrix:
     @classmethod
     def identity(cls, n: int) -> HalfIntegralMatrix:
         return cls.diagonal(*([1] * n))
-
-    @classmethod
-    def zero(cls, n: int) -> HalfIntegralMatrix:
-        return cls.from_doubled([[0] * n for _ in range(n)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -249,15 +249,18 @@ def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:
     N is positive definite, so by the Schur complement T is PSD exactly when
     n - R N^(-1) R^t / 4 >= 0, that is when det(2T) = det(2N) (2n - R (2N)^(-1)
     R^t) >= 0.  Candidate coordinates are bounded by r_i^2 <= 4 n N_ii and
-    kept by that one determinant.  Output is sorted lexicographically.
+    kept by that one determinant.  Output is sorted lexicographically.  A
+    box of more than _R_BOX_POINTS candidates raises BudgetExceeded at once.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if quad.n != 2 or not quad.is_pd():
         raise ValueError("N must be a positive definite 2x2 matrix")
     (a, b), (_, c) = quad.doubled
-    b1 = isqrt(2 * n * a)
-    b2 = isqrt(2 * n * c)
+    b1, b2 = isqrt(2 * n * a), isqrt(2 * n * c)
+    points = (2 * b1 + 1) * (2 * b2 + 1)
+    if points > _R_BOX_POINTS:
+        raise BudgetExceeded(f"the row box of n = {n} has {points} > {_R_BOX_POINTS} points")
     return [
         (r1, r2)
         for r1 in range(-b1, b1 + 1)

@@ -512,6 +512,23 @@ class TestBadInput:
         assert code == 3, err
         assert "BudgetExceeded" in err and t in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "--k", "14", "--nu", "2", "--p", "23", "--A", "1,0,1",
+             "--m-list", str(2**1100)),
+            ("epsilon", "--k", "14", "--nu", "2", "--n", str(10**12), "--N", "1,0,1"),
+        ],
+        ids=["certify-m-2^1100", "epsilon-n-10^12"],
+    )
+    def test_huge_m_or_n_is_typed_error(self, argv):
+        # epsilon_hecke loops over the 1100 prime factors of m without
+        # recursion, and enumerate_R refuses a row box past its bound before
+        # walking it; both exit 3 rather than with a traceback or a hang
+        code, err = run_bounded(*argv, timeout=30)
+        assert code == 3, err
+        assert "BudgetExceeded" in err and "Traceback" not in err
+
     def test_negative_precision_flag(self, capsys):
         code, out, err = run(
             capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "-1"

@@ -50,7 +50,8 @@ class TestContextValidation:
     def test_rank_zero_convention(self):
         for n in (1, 2, 3):
             ctx = EisensteinContext(n, 8)
-            assert ctx.coefficient(HalfIntegralMatrix.zero(n)) == z_const(n, 8)
+            zero = HalfIntegralMatrix.from_doubled([[0] * n] * n)
+            assert ctx.coefficient(zero) == z_const(n, 8)
 
     def test_rejects_bad_weight(self):
         # exactly the even k >= 4 are accepted in every degree n <= 3

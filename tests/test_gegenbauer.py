@@ -1,30 +1,55 @@
 """Tests for the two-variable Gegenbauer polynomials and binary forms.
 
-The integer route behind `eval_binary` and `cohen_series` is checked against
-test-local copies of the rational routes it replaced: dense Fraction powers
-of the specialized forms, and term-by-term `BivariatePoly.evaluate`.  The
-per-row integer route that the weighted row sum in `pullback.epsilon`
-replaced is kept here as well, checked against the rational one, and is the
-oracle for that weighted sum.
+The integer coefficients are checked against a test-local copy of the
+rational closed form they replaced (Pochhammer terms over factorials), and
+against the generating function.  The integer route behind `eval_binary` and
+`cohen_series` is checked against test-local copies of the rational routes it
+replaced: dense Fraction powers of the specialized forms, and term-by-term
+`BivariatePoly.evaluate`.  The per-row integer route that the weighted row
+sum in `pullback.epsilon` replaced is kept here as well, checked against the
+rational one, and is the oracle for that weighted sum.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, factorial, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiscong.arith import cohen_h
-from eiscong.gegenbauer import BinaryForm, _specialization_sum, eval_binary, gegenbauer_poly
+from eiscong.arith import cohen_h, pochhammer
+from eiscong.gegenbauer import (
+    BinaryForm,
+    BivariatePoly,
+    _integer_coeffs,
+    _specialization_sum,
+    eval_binary,
+    gegenbauer_poly,
+)
 from eiscong.qexp import cohen_series, default_precision
 from eiscong.quadform import HalfIntegralMatrix
 
 I2 = HalfIntegralMatrix.identity(2)
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def gegenbauer_fraction(d: int, nu: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """The rational closed form of P_{d,nu}: s^(nu-2mu) m^mu carries
+    (-1)^mu (d/2-1)_(nu-mu) 2^(nu-2mu) / ((nu-2mu)! mu!), as Fractions."""
+    base = Fraction(d, 2) - 1
+    return tuple(
+        (
+            (nu - 2 * mu, mu),
+            (-1) ** mu
+            * pochhammer(base, nu - mu)
+            * 2 ** (nu - 2 * mu)
+            / (factorial(nu - 2 * mu) * factorial(mu)),
+        )
+        for mu in range(nu // 2 + 1)
+    )
 
 
 def binary_pow(base: tuple[Fraction, ...], deg: int, e: int) -> tuple[Fraction, ...]:
@@ -50,7 +75,7 @@ def eval_binary_fraction(d, nu, r_pair, n, quad) -> tuple[Fraction, ...]:
     lin = (Fraction(r_pair[0], 2), Fraction(r_pair[1], 2))
     quad_coeffs = (Fraction(n * g[0][0], 2), Fraction(n * g[0][1]), Fraction(n * g[1][1], 2))
     total = [Fraction(0)] * (nu + 1)
-    for (i, j), c in gegenbauer_poly(d, nu).coeffs:
+    for (i, j), c in gegenbauer_fraction(d, nu):
         part = binary_pow(lin, 1, i)
         if j:
             qpow = binary_pow(quad_coeffs, 2, j)
@@ -76,7 +101,7 @@ def eval_binary_per_row(d, nu, r_pair, n, quad) -> BinaryForm:
     """The earlier integer `eval_binary`: the powers of u and w of one row
     convolved term by term, each coefficient divided by den once."""
     g = quad.doubled
-    terms = gegenbauer_poly(d, nu).coeffs
+    terms = gegenbauer_fraction(d, nu)
     scale = lcm(*(c.denominator for _, c in terms))
     den = scale << nu
     u = list(r_pair)
@@ -96,7 +121,7 @@ def eval_binary_per_row(d, nu, r_pair, n, quad) -> BinaryForm:
 
 def cohen_series_fraction(k: int, r: int, prec: int) -> tuple[Fraction, ...]:
     """Coefficients of cohen_series by evaluating P(t/2, m) in Fractions."""
-    poly = gegenbauer_poly(2 * r + 2, k - r - 1)
+    poly = BivariatePoly(k - r - 1, gegenbauer_fraction(2 * r + 2, k - r - 1))
     out = []
     for m in range(prec + 1):
         tmax = isqrt(4 * m)
@@ -141,12 +166,12 @@ def generating_check(
 
 class TestClosedForm:
     def test_nu_zero(self):
-        for d in (3, 4, 28):
+        for d in (4, 6, 28):
             p = gegenbauer_poly(d, 0)
             assert p.evaluate(7, 11) == 1
 
     def test_nu_one(self):
-        for d in (3, 5, 8, 28):
+        for d in (4, 6, 8, 28):
             p = gegenbauer_poly(d, 1)
             s = Fraction(3, 7)
             assert p.evaluate(s, 5) == (d - 2) * s
@@ -161,24 +186,30 @@ class TestClosedForm:
     def test_parity(self):
         s, m = Fraction(5, 3), Fraction(-2, 7)
         for nu in range(13):
-            p = gegenbauer_poly(9, nu)
+            p = gegenbauer_poly(10, nu)
             assert p.evaluate(-s, m) == (-1) ** nu * p.evaluate(s, m)
 
-    @pytest.mark.parametrize("d", range(4, 41, 2))
+    @pytest.mark.parametrize("d", range(4, 53, 2))
     def test_even_d_coefficients_are_integers(self, d):
-        # (b)_(nu-mu) / ((nu-2mu)! mu!) = C(b+nu-mu-1, nu-mu) C(nu-mu, mu),
-        # b = d/2 - 1: the integrality behind den = 2^nu for even d
-        b = d // 2 - 1
-        for nu in range(25):
-            coeffs = dict(gegenbauer_poly(d, nu).coeffs)
-            for mu in range(nu // 2 + 1):
-                expected = (
-                    (-1) ** mu
-                    * comb(b + nu - mu - 1, nu - mu)
-                    * comb(nu - mu, mu)
-                    * 2 ** (nu - 2 * mu)
-                )
-                assert coeffs.get((nu - 2 * mu, mu), 0) == expected, (nu, mu)
+        # every (d, nu) that epsilon (d = 2k) and cohen_series (d = 2r + 2)
+        # reach on weights <= 26: the integer coefficients equal the rational
+        # closed form, and den = 2^nu
+        for nu in range(27):
+            expected = gegenbauer_fraction(d, nu)
+            assert gegenbauer_poly(d, nu).coeffs == expected, nu
+            terms, den = _integer_coeffs(d, nu)
+            assert den == 2**nu
+            assert [((i, j), c) for i, j, c in terms] == list(expected), nu
+            assert all(type(c) is int for _, _, c in terms), nu
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 9])
+    def test_rejects_d_not_even_at_least_four(self, d):
+        with pytest.raises(ValueError, match="need even d >= 4"):
+            gegenbauer_poly(d, 2)
+        with pytest.raises(ValueError, match="need even d >= 4"):
+            _specialization_sum(d, 2, 1, I2, [(1, (1, 0))])
+        with pytest.raises(ValueError, match="need even d >= 4"):
+            eval_binary(d, 2, (1, 0), 1, I2)
 
     def test_isobaric_support(self):
         for d, nu in ((6, 5), (28, 8)):
@@ -196,11 +227,11 @@ class TestGeneratingFunction:
 
     def test_random_rational_samples(self):
         rng = random.Random(99)
-        for d in range(4, 33, 2):
+        for d in range(4, 53, 2):
             for _ in range(5):
                 s = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
                 m = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-                assert generating_check(d, 6, s, m), (d, s, m)
+                assert generating_check(d, 24, s, m), (d, s, m)
 
     def test_rejects_odd_d(self):
         with pytest.raises(ValueError):
@@ -240,10 +271,10 @@ class TestEvalBinary:
 
 class TestIntegerRoute:
     @ORACLE
-    @example(d=3, nu=9, r_pair=(3, -2), n=5, g=(0, 0, 0))
-    @example(d=37, nu=24, r_pair=(0, 0), n=1, g=(0, 0, 0))
+    @example(d=4, nu=9, r_pair=(3, -2), n=5, g=(0, 0, 0))
+    @example(d=38, nu=24, r_pair=(0, 0), n=1, g=(0, 0, 0))
     @given(
-        d=st.integers(3, 40),
+        d=st.integers(2, 20).map(lambda h: 2 * h),
         nu=st.integers(0, 24),
         r_pair=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
         n=st.integers(1, 12),
@@ -259,9 +290,9 @@ class TestIntegerRoute:
 
     @ORACLE
     @example(d=28, nu=2, rows=[(0, (0, 0)), (-(10**30), (1, 0)), (10**30, (0, 1))], n=1, g=(1, 0, 1))
-    @example(d=3, nu=9, rows=[(7, (0, 0)), (0, (3, -2)), (-(10**30), (3, -2))], n=5, g=(2, 1, 3))
+    @example(d=4, nu=9, rows=[(7, (0, 0)), (0, (3, -2)), (-(10**30), (3, -2))], n=5, g=(2, 1, 3))
     @given(
-        d=st.integers(3, 40),
+        d=st.integers(2, 20).map(lambda h: 2 * h),
         nu=st.integers(0, 16),
         rows=st.lists(
             st.tuples(
@@ -274,7 +305,6 @@ class TestIntegerRoute:
         g=st.tuples(st.integers(-4, 4), st.integers(-6, 6), st.integers(-4, 4)),
     )
     def test_weighted_sum_matches_per_row_sum(self, d, nu, rows, n, g):
-        # odd d scales den by the lcm of the coefficient denominators
         quad = HalfIntegralMatrix.from_doubled([[2 * g[0], g[1]], [g[1], 2 * g[2]]])
         total, den = _specialization_sum(d, nu, n, quad, rows)
         expected = BinaryForm(nu, (Fraction(0),) * (nu + 1))
@@ -282,7 +312,7 @@ class TestIntegerRoute:
             expected = expected + weight * eval_binary_per_row(d, nu, r_pair, n, quad)
         assert BinaryForm(nu, tuple(Fraction(c, den) for c in total)) == expected
 
-    @pytest.mark.parametrize("d", [3, 28])
+    @pytest.mark.parametrize("d", [4, 28])
     def test_weighted_sum_of_no_rows_is_zero(self, d):
         total, den = _specialization_sum(d, 4, 1, I2, [])
         assert total == [0] * 5 and den > 0

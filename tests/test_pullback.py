@@ -10,9 +10,9 @@ from itertools import permutations, product
 
 import pytest
 
-from eiscong.arith import ord_p, pochhammer, zeta_neg
+from eiscong.arith import factorize, ord_p, pochhammer, zeta_neg
 from eiscong.eisen import EisensteinContext
-from eiscong.errors import UnsupportedHeckeField
+from eiscong.errors import BudgetExceeded, UnsupportedHeckeField
 from eiscong.gegenbauer import BinaryForm
 from eiscong.pullback import (
     CongruenceCertificate,
@@ -253,6 +253,42 @@ class TestEpsilonHecke:
             assert epsilon_hecke(14, 2, m, 1, I2) == lam * base, m
 
 
+    @pytest.mark.parametrize("m", [6, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_recursive_composition(self, m, n):
+        assert epsilon_hecke(14, 2, m, n, I2) == epsilon_hecke_recursive(14, 2, m, n, I2)
+
+    def test_many_prime_factors_is_a_budget_error(self):
+        # 1100 factors 2 run as one loop, not 1100 nested calls; eps(2^1100),
+        # the first index evaluated, has a row box past enumerate_R's bound
+        with pytest.raises(BudgetExceeded, match="row box"):
+            epsilon_hecke(14, 2, 2**1100, 1, I2)
+
+    def test_huge_n_is_a_budget_error(self):
+        # a 4*10^6 x 4*10^6 row box is refused before it is walked
+        with pytest.raises(BudgetExceeded, match="row box"):
+            epsilon(14, 2, 10**12, I2)
+
+
+def epsilon_hecke_recursive(
+    k: int, nu: int, m: int, n: int, quad: HalfIntegralMatrix
+) -> BinaryForm:
+    """The earlier epsilon_hecke: one recursion level per prime factor of m,
+    (T(p) g)(idx) = g(idx p) + p^(k+nu-1) g(idx / p)."""
+    ops = [p for p, e in factorize(m).items() for _ in range(e)] if m > 1 else []
+
+    def value(remaining: list[int], idx: int) -> BinaryForm:
+        if not remaining:
+            return epsilon(k, nu, idx, quad)
+        p, rest = remaining[0], remaining[1:]
+        out = value(rest, idx * p)
+        if idx % p == 0:
+            out = out + p ** (k + nu - 1) * value(rest, idx // p)
+        return out
+
+    return value(ops, n)
+
+
 @pytest.mark.parametrize("k, nu", [(14, 2), (8, 8), (12, 6)])
 def test_eigenform_identity_at_every_n(k, nu):
     """eps(k, nu, n, N) = a_f(n) eps(k, nu, 1, N) for the normalized eigenform
@@ -410,7 +446,7 @@ class TestCertificateSerialization:
         cert = certify(14, 2, 373, I2)
         doc = cert.to_json_dict()
         assert doc["schema"] == "eiscong-cert-v1"
-        back = CongruenceCertificate.from_json_dict(json.loads(cert.to_json()))
+        back = CongruenceCertificate.from_json_dict(json.loads(json.dumps(doc, indent=2)))
         assert back == cert
 
     def test_rationals_are_strings(self):

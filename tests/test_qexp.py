@@ -14,7 +14,6 @@ from eiscong.qexp import (
     QExpansion,
     cohen_series,
     default_precision,
-    delta_qexp,
     dim_cusp,
     dim_modular,
     eigen_basis,
@@ -85,6 +84,12 @@ def eta_power_24(prec: int) -> list[int]:
     return [0] + poly[:prec]
 
 
+def delta_qexp(prec: int) -> QExpansion:
+    """The discriminant cusp form (E_4^3 - E_6^2)/1728."""
+    e4, e6 = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec)
+    return Fraction(1, 1728) * (e4 * e4 * e4 - e6 * e6)
+
+
 class TestBuilders:
     def test_eisenstein_normalization(self):
         for k in (4, 6, 10, 16):
@@ -100,6 +105,9 @@ class TestBuilders:
         oracle = eta_power_24(prec)
         assert [delta.coefficient(n) for n in range(prec + 1)] == oracle
         assert delta.coefficient(1) == 1 and delta.coefficient(2) == -24
+        # the Miller row of S_12, built from miller_basis's own E_4 and E_6
+        (row,) = miller_basis(12, prec)[1]
+        assert list(row.coeffs) == oracle
 
     def test_rejects(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from itertools import product
 
 import pytest
 
+from eiscong import quadform
 from eiscong.arith import DiscriminantChar, fundamental_decomposition
+from eiscong.errors import BudgetExceeded
 from eiscong.quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -60,7 +62,7 @@ class TestConstruction:
 
 class TestRankDefiniteness:
     def test_zero(self):
-        z = HalfIntegralMatrix.zero(3)
+        z = HalfIntegralMatrix.from_doubled([[0] * 3] * 3)
         assert z.rank() == 0 and z.is_psd() and not z.is_pd()
 
     def test_identity(self):
@@ -91,7 +93,7 @@ class TestNondegPart:
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
-            nondeg_part(HalfIntegralMatrix.zero(2))
+            nondeg_part(HalfIntegralMatrix.from_doubled([[0, 0], [0, 0]]))
 
     def test_det_invariance_under_conjugation(self):
         rng = random.Random(20260809)
@@ -181,6 +183,14 @@ class TestEnumerateR:
         for r in shell:
             assert r not in rs
             assert not build_T(1, I2, r).is_psd()
+
+    def test_box_bound_is_inclusive(self, monkeypatch):
+        # n = 1, N = I: |r_i| <= 2, a 5 x 5 box
+        monkeypatch.setattr(quadform, "_R_BOX_POINTS", 25)
+        assert len(enumerate_R(1, I2)) == 13
+        monkeypatch.setattr(quadform, "_R_BOX_POINTS", 24)
+        with pytest.raises(BudgetExceeded, match="has 25 > 24 points"):
+            enumerate_R(1, I2)
 
     def test_symmetries(self):
         rs = set(enumerate_R(2, I2))

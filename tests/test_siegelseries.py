@@ -104,7 +104,7 @@ class TestGammaP:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            gamma_p(2, HalfIntegralMatrix.zero(2))
+            gamma_p(2, HalfIntegralMatrix.from_doubled([[0, 0], [0, 0]]))
 
 
 class TestSizeOne:
@@ -363,7 +363,7 @@ class TestLocalFStar:
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
-            local_F_star(2, HalfIntegralMatrix.zero(2), 1)
+            local_F_star(2, HalfIntegralMatrix.from_doubled([[0, 0], [0, 0]]), 1)
 
 
 class TestDivisorSumIdentity:
