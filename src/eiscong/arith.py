@@ -292,10 +292,17 @@ class DiscriminantChar:
 TRIVIAL_CHAR = DiscriminantChar(1)
 
 
+def _fundamental_char(d: int) -> DiscriminantChar:
+    """DiscriminantChar(d) for a d that `_square_class` returned fundamental, unchecked."""
+    chi = object.__new__(DiscriminantChar)
+    object.__setattr__(chi, "d", d)
+    return chi
+
+
 def fundamental_decomposition(m: int) -> tuple[DiscriminantChar, int]:
     """Split m = d * f^2, m != 0 and 0 or 1 mod 4, with d fundamental (1 for squares)."""
     d, f = _square_class(m)
-    return DiscriminantChar(d), prod(p**a for p, a in f.items())
+    return _fundamental_char(d), prod(p**a for p, a in f.items())
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,7 @@ def cohen_h(r: int, n: int) -> Fraction:
     if n % 4 in (1, 2):
         return Fraction(0)
     d, f = _square_class(-n)
-    chi = DiscriminantChar(d)
+    chi = _fundamental_char(d)
     tail = 1
     for p, a in f.items():
         q = p ** (2 * r - 1)

@@ -152,10 +152,12 @@ def epsilon_hecke(
     coefficientwise: (T(p) g)(n) = g(np) + p^(k+nu-1) g(n/p), composed over
     the prime factorization of m with multiplicity; m = 1 is the identity.
     Each T(p) rewrites the map {index: integer weight} in one loop, so the
-    result is sum weight * eps(index) however many factors m has.
+    result is sum weight * eps(index) however many factors m has.  eps(n m),
+    of the largest row box, is evaluated first, before m is factored.
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    epsilon(k, nu, n * m, quad)
     weights = {n: 1}
     for p, e in (factorize(m).items() if m > 1 else ()):
         lower = p ** (k + nu - 1)

@@ -24,22 +24,25 @@ Size 3 combines the second route with Katsurada's functional equation
 ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
 F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
-sum are enumerated (p^(6 (d//2)) points instead of p^(6d)) and divided by
-the integer numerator of gamma_p that `gamma_p` itself is built from; the
-upper half follows from the equation.  Nothing here is cached: `eisen`
-keeps the F_p of each rank-3 T it evaluates, for every weight.  The
-full-length sum stays available as `oracle_bp`, the test oracle for every
-fast route.  `gamma_p`, `oracle_bp` and `local_F` all return integer
-coefficients, constant term first: tests form gamma_p F_p by convolving them.
+sum are needed, divided by the integer numerator of gamma_p that `gamma_p`
+itself is built from; the upper half follows from the equation.  For d <= 3
+that is c_1, counted on the p^2 + p + 1 points of P^2(F_p); beyond, the sum
+is enumerated through X^(d//2) (p^(6 (d//2)) points instead of p^(6d)).
+The levels of the enumerated R do not depend on B and are cached per
+(p, size, j); nothing of B is: `eisen` keeps the F_p of each rank-3 T it
+evaluates, for every weight.  The full-length sum stays available as
+`oracle_bp`, the test oracle for every fast route.  `gamma_p`, `oracle_bp`
+and `local_F` all return integer coefficients, constant term first: tests
+form gamma_p F_p by convolving them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, combinations_with_replacement
-from math import gcd
+from functools import lru_cache, reduce
+from itertools import chain, combinations, combinations_with_replacement, product
+from math import factorial, gcd
 
 from .arith import _is_probable_prime, _square_class, kronecker, ord_p
 from .errors import BudgetExceeded
@@ -56,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2**24
+_CHUNK = 2**20  # points per numpy pass of the character sum, which bounds its arrays
 
 
 @dataclass(frozen=True)
@@ -209,49 +213,36 @@ def _collapse_histogram(counts: list[int], p: int, j_max: int) -> int:
     return counts[0] - counts[q // p] if q > 1 else counts[0]
 
 
-def _character_sum_series(
-    p: int, b: HalfIntegralMatrix, j_max: int, budget: int
-) -> list[int]:
-    """Coefficients c_0..c_{j_max} of the character sum, grouped by level.
+@lru_cache(maxsize=8)
+def _level_table(p: int, n: int, j_max: int):
+    """Level exponent of every symmetric n x n R with entries in p^-j_max Z / Z,
+    as a read-only int8 array: entry i of R's upper triangle (row-major),
+    times q = p^j_max, is digit i of R's index, least significant first.
 
-    Enumerates all symmetric R with entries in p^-j_max Z / Z (these contain
-    every coset of level <= p^j_max), computes the level from the gcds of
-    k x k minors capped at p^(k j_max), and accumulates a histogram of the
-    trace numerator per level before collapsing it exactly.
+    It does not depend on B, so it is built once per (p, n, j_max): one byte
+    per point, at most 8 tables, so at most 8 budgets' worth of bytes.  The
+    level comes from the p-adic valuations of the k x k minors capped at
+    k j_max, computed _CHUNK points at a time.
     """
-    n = b.n
-    dim = n * (n + 1) // 2
-    q = p**j_max
-    points = q**dim
-    if points > budget:
-        raise BudgetExceeded(
-            f"character sum at p = {p} for T = {format_half_integral(b)} "
-            f"through X^{j_max}: {points} representatives exceed the budget "
-            f"of {budget}"
-        )
     import numpy as np
 
-    # R's entries in upper-triangular row-major order, and the 2 x 2 minors
-    # of the symmetric R over row/column pairs with rows <= cols; only
-    # tr(BR) mod q enters the sum, so B's multipliers are taken mod q
-    # before they meet the int64 digits
-    g = b.doubled
+    q, max_level = p**j_max, n * j_max
     pos = [(i, j) for i in range(n) for j in range(i, n)]
-    tr_mult = [(g[i][j] // 2 if i == j else g[i][j]) % q for i, j in pos]
     pairs = list(combinations(range(n), 2))
     minor_keys = list(combinations_with_replacement(pairs, 2))
-    max_level = n * j_max
-    powers = p ** np.arange(max_level + 1, dtype=np.int64)
-    hist = np.zeros((max_level + 1, q), dtype=np.int64)
-    chunk = 1 << 20
-    for start in range(0, points, chunk):
-        stop = min(start + chunk, points)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = []
-        rem = idx
-        for _ in range(dim):
-            digits.append(rem % q)
-            rem = rem // q
+    # caps[k - 1][x + k! q^k] = min(ord_p x, k j_max) (k j_max at x = 0) for
+    # |x| < k! q^k, which bounds a k x k minor of digits below q
+    caps = []
+    for k in range(1, n + 1):
+        cap = np.zeros(q**k, dtype=np.int8)
+        for e in range(1, k * j_max + 1):
+            cap[:: p**e] += 1
+        caps.append(np.tile(cap, 2 * factorial(k)))
+    points = q ** len(pos)
+    table = np.empty(points, dtype=np.int8)
+    for start in range(0, points, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, points), dtype=np.int64)
+        digits = np.unravel_index(idx, (q,) * len(pos))[::-1]
         r = {}
         for (i, j), digit in zip(pos, digits):
             r[i, j] = r[j, i] = digit
@@ -265,31 +256,60 @@ def _character_sum_series(
             # column c has rows (1, 2) and columns pairs[2 - c]
             det = sum((-1) ** c * r[0, c] * m2[pairs[2 - c], (1, 2)] for c in range(3))
             minors.append([det])
-        # h_k = gcd(k x k minors, q^k) = p^min(v_k, k j_max), v_k the valuation
-        # of the minors' gcd (h_k = q^k once they vanish).  The elementary
-        # divisor exponents e_k = v_k - v_(k-1) increase, so
-        # gcd(h_k / h_(k-1), q) = p^min(e_k, j_max), and the level exponent
-        # is the sum of j_max - min(e_k, j_max).
-        found = np.ones_like(idx)
-        h_prev = 1
-        for k, k_minors in enumerate(minors, 1):
-            h = np.gcd(reduce(np.gcd, k_minors), q**k)
-            found *= np.gcd(h // h_prev, q)
-            h_prev = h
-        level = max_level - np.searchsorted(powers, found)
-        trace = np.zeros_like(idx)
-        for mult, digit in zip(tr_mult, digits):
-            if mult:
-                trace += mult * digit
-        trace %= q
-        keys = level * q + trace
-        hist += np.bincount(keys, minlength=(max_level + 1) * q).reshape(
-            max_level + 1, q
+        # v_k = min(ord_p g_k, k j_max), g_k the gcd of the k x k minors, is
+        # the least capped valuation of a minor (k j_max once all vanish).
+        # The elementary divisor exponents e_k = ord_p g_k - ord_p g_(k-1)
+        # increase, so min(v_k - v_(k-1), j_max) = min(e_k, j_max), and the
+        # level exponent is the sum of j_max - min(e_k, j_max).
+        level, v_prev = max_level, 0
+        for k, (k_minors, cap) in enumerate(zip(minors, caps), 1):
+            v = reduce(np.minimum, (cap[m + factorial(k) * q**k] for m in k_minors))
+            level = level - np.minimum(v - v_prev, j_max)
+            v_prev = v
+        table[start : start + _CHUNK] = level
+    table.setflags(write=False)
+    return table
+
+
+def _character_sum_series(p: int, b: HalfIntegralMatrix, j_max: int, budget: int) -> list[int]:
+    """Coefficients c_0..c_{j_max} of the character sum, grouped by level.
+
+    Runs over all symmetric R with entries in p^-j_max Z / Z (these contain
+    every coset of level <= p^j_max).  Their levels do not depend on B and
+    come from `_level_table`, built once; per B only tr(BR) mod q is
+    computed, histogrammed per level and collapsed exactly.
+    """
+    n, q = b.n, p**j_max
+    dim = n * (n + 1) // 2
+    points = q**dim
+    if points > budget:
+        raise BudgetExceeded(
+            f"character sum at p = {p} for T = {format_half_integral(b)} "
+            f"through X^{j_max}: {points} representatives exceed the budget "
+            f"of {budget}"
         )
-    return [
-        _collapse_histogram(hist[j].tolist(), p, j_max)
-        for j in range(j_max + 1)
-    ]
+    import numpy as np
+
+    # only tr(BR) mod q enters the sum, so B's multipliers of R's upper
+    # triangle are taken mod q before they meet the int64 digits
+    g = b.doubled
+    tr_mult = [(g[i][j] // 2 if i == j else g[i][j]) % q for i in range(n) for j in range(i, n)]
+    # tr(BR) mod q digit by digit: the low digits 0..k-1 run through every
+    # value within each block of q^k consecutive points (at most _CHUNK of
+    # them, or one digit's q), and the high digits add one value per block
+    low, k = np.zeros(1, dtype=np.int64), 0
+    while k < dim and (low.size == 1 or low.size * q <= _CHUNK):
+        low = ((tr_mult[k] * np.arange(q))[:, None] + low).ravel() % q
+        k += 1
+    table = _level_table(p, n, j_max)
+    size = (n * j_max + 1) * q
+    hist = np.zeros(size, dtype=np.int64)
+    for block in range(points // low.size):
+        high = sum(mult * (block // q**i % q) for i, mult in enumerate(tr_mult[k:]))
+        part = table[block * low.size : (block + 1) * low.size]
+        hist += np.bincount(part * np.int64(q) + (low + high) % q, minlength=size)
+    hist = hist.reshape(n * j_max + 1, q)
+    return [_collapse_histogram(hist[j].tolist(), p, j_max) for j in range(j_max + 1)]
 
 
 def oracle_bp(
@@ -302,6 +322,31 @@ def oracle_bp(
     if b.det_doubled() == 0:
         raise ValueError("B must be nondegenerate")
     return tuple(_character_sum_series(p, b, j_max, budget))
+
+
+def _c1(p: int, b: HalfIntegralMatrix, budget: int) -> int:
+    """c_1 of the character sum of ternary B, with no enumeration of R.
+
+    A level-p class is R = S / p with S mod p of rank 1: S = a v v^t with v
+    in P^2(F_p) and a in F_p^x, and tr(BR) = a Q_B(v) / p, Q_B(v) = v^t B v.
+    The sum of e_p over a is p - 1 when p | Q_B(v) and -1 otherwise, so
+    c_1 = p N_0 - (p^2 + p + 1), N_0 the number of v with p | Q_B(v): the
+    p^2 + p + 1 points of P^2(F_p) count against the budget, not p^6.
+    """
+    points = p * p + p + 1
+    if points > budget:
+        raise BudgetExceeded(
+            f"c_1 at p = {p} for T = {format_half_integral(b)}: {points} points "
+            f"of P^2(F_p) exceed the budget of {budget}"
+        )
+    g = b.doubled
+    # v^t (2B) v = 2 Q_B(v), so p | Q_B(v) exactly when 2p divides it
+    plane = chain(product((1,), range(p), range(p)), product((0,), (1,), range(p)), [(0, 0, 1)])
+    zeros = sum(
+        sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3)) % (2 * p) == 0
+        for v in plane
+    )
+    return p * zeros - points
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +366,10 @@ def local_F(
     1 + eps p^2 X.  For d >= 2 the character sum through X^(d//2) is divided
     by gamma_p (`_gamma_numerator`) and f_(d-i) filled in for i < ceil(d/2);
     for even d and eps = -1 the middle coefficient must vanish, as asserted.
-    `budget` (at least 1 on every route) caps the enumeration's points.
-    Nothing is cached here: `eisen` keeps the size-3 F_p of each T it meets.
+    For d = 2, 3 that sum is 1 + c_1 X with c_1 from `_c1`, and only d >= 4
+    enumerates R.  `budget` (at least 1 on every route) caps the points
+    counted, of P^2(F_p) or of R.  Nothing of B is cached here: `eisen`
+    keeps the size-3 F_p of each T it meets.
     """
     _check_prime_and_budget(p, budget)
     deg = expected_degree(p, b)
@@ -345,8 +392,8 @@ def local_F(
     sign = _functional_equation_sign(p, b)
     if deg == 1:
         return SiegelSeriesPolynomial((1, sign * p**2))
-    # divide gamma_p = (1 - X)(1 - p^2 X^2) out of c_0..c_(d//2)
-    series = _character_sum_series(p, b, deg // 2, budget)
+    # divide gamma_p = (1 - X)(1 - p^2 X^2) out of c_0..c_(d//2); c_0 = 1
+    series = [1, _c1(p, b, budget)] if deg < 4 else _character_sum_series(p, b, deg // 2, budget)
     gamma = _gamma_numerator(p, 3)
     f_coeffs = [0] * (deg + 1)
     for j, c in enumerate(series):

@@ -213,6 +213,7 @@ def test_cached_functions_are_pinned():
         "pullback.epsilon",
         "qexp.cohen_series",
         "qexp.miller_basis",
+        "siegelseries._level_table",
     }
 
 

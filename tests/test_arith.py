@@ -364,8 +364,9 @@ class TestCohenH:
         assert [n for n in range(1, 3001) if cohen_h(1, n) != hurwitz[n]] == []
 
     def test_one_factorization_per_miss(self, monkeypatch):
-        # -3675 = -3 * 35^2: the split of -N gives d and the primes of f; the
-        # second call is DiscriminantChar(-3) checking its own argument
+        # -3675 = -3 * 35^2: the split of -N gives d and the primes of f, and
+        # the character of the fundamental d = -3 is built without factoring
+        # d again
         calls = []
 
         def spy(n: int) -> dict[int, int]:
@@ -374,7 +375,7 @@ class TestCohenH:
 
         monkeypatch.setattr(arith, "factorize", spy)
         value = cohen_h.__wrapped__(11, 3675)
-        assert calls == [-3675, -3]
+        assert calls == [-3675]
         chi = DiscriminantChar(-3)
         assert value == l_value_neg(11, chi) * cohen_tail_divisor_sum(11, chi, 35)
 

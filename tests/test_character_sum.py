@@ -1,5 +1,6 @@
 """The integer character-sum kernel against the valuation-and-cyclotomic kernel
-it replaced.
+it replaced, and the routes that skip it: the cached level table, which must
+carry nothing of B, and the closed-form c_1 of ternary B.
 
 `reference_series` is the earlier `_character_sum_series`: levels from
 elementwise p-adic valuations of the minors' gcds (e_k = v_k - v_(k-1),
@@ -18,11 +19,12 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix
-from eiscong.siegelseries import _character_sum_series, _collapse_histogram
+from eiscong.siegelseries import _c1, _character_sum_series, _collapse_histogram, _level_table
 from test_cli import run_python
 
 POINTS = 2**15
@@ -175,6 +177,73 @@ def test_kernel_reads_b_modulo_q(case, data):
 def test_kernel_matches_reference_p2_j3(doubled):
     b = HalfIntegralMatrix.from_doubled(doubled)
     assert kernel_series(2, b, 3) == reference_series(2, b, 3)
+
+
+@st.composite
+def ternary_forms(draw) -> HalfIntegralMatrix:
+    """Nondegenerate ternary B, possibly indefinite or with zero diagonal entries."""
+    g = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        g[i][i] = 2 * draw(st.integers(-6, 6))
+        for k in range(i + 1, 3):
+            g[i][k] = g[k][i] = draw(st.integers(-12, 12))
+    b = HalfIntegralMatrix.from_doubled(g)
+    assume(b.det_doubled() != 0)
+    return b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5, 7)), ternary_forms())
+@example(3, HalfIntegralMatrix.from_doubled([[0, 1, 1], [1, 0, 3], [1, 3, 0]]))
+@example(2, HalfIntegralMatrix.from_doubled([[2, 0, 0], [0, 0, 1], [0, 1, -10]]))
+@example(7, HalfIntegralMatrix.from_doubled([[14, 0, 0], [0, 14, 7], [0, 7, 28]]))
+def test_c1_matches_the_character_sum(p, b):
+    # c_1 over the points of P^2(F_p) against the sum over the p^6 R of level <= p
+    assert _c1(p, b, 2**24) == _character_sum_series(p, b, 1, 2**18)[1]
+
+
+def test_c1_counts_the_points_of_the_plane_against_the_budget():
+    b = HalfIntegralMatrix.identity(3)
+    assert _c1(2, b, 7) == _character_sum_series(2, b, 1, 64)[1]
+    with pytest.raises(BudgetExceeded, match="7 points of P\\^2\\(F_p\\) exceed the budget of 6"):
+        _c1(2, b, 6)
+
+
+def test_level_table_carries_nothing_of_b():
+    # B1, B2, B1 at one (p, n, j): every pass reads the same cached table,
+    # and each result is the reference kernel's for its own B
+    b1 = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 4, 1], [0, 1, 6]])
+    b2 = HalfIntegralMatrix.from_doubled([[0, 1, 1], [1, 0, 3], [1, 3, 0]])
+    before = _level_table.cache_info()
+    for b in (b1, b2, b1):
+        assert kernel_series(2, b, 3) == reference_series(2, b, 3)
+    after = _level_table.cache_info()
+    assert after.hits - before.hits >= 2 and after.misses - before.misses <= 1
+    assert not _level_table(2, 3, 3).flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [2**3, 2**5])
+def test_chunks_and_blocks_do_not_change_the_sum(monkeypatch, chunk):
+    # chunks of 8 or 32 of the 4096 points: the table is built in 512 or 128
+    # chunks, and per B one or two low digits span a block of 4 or 16
+    # points, while the other five or four are read off the block index
+    from eiscong import siegelseries
+
+    whole = _level_table.__wrapped__(2, 3, 2)
+    monkeypatch.setattr(siegelseries, "_CHUNK", chunk)
+    assert (_level_table.__wrapped__(2, 3, 2) == whole).all()
+    for b in (
+        HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 4, 1], [0, 1, 6]]),
+        HalfIntegralMatrix.from_doubled([[2, 0, 0], [0, 0, 1], [0, 1, -10]]),
+    ):
+        assert kernel_series(2, b, 2) == reference_series(2, b, 2)
+
+
+def test_budget_is_checked_before_a_table_is_built():
+    before = _level_table.cache_info()
+    with pytest.raises(BudgetExceeded, match="through X\\^5: 1073741824 representatives"):
+        _character_sum_series(2, HalfIntegralMatrix.identity(3), 5, 2**24)
+    assert _level_table.cache_info() == before
 
 
 def test_collapse_rejects_a_histogram_that_is_not_unit_invariant():

@@ -150,10 +150,16 @@ class TestSmallCommands:
 
     @pytest.mark.parametrize("t33", [2**62 + 5, 3**41 + 9], ids=["2^62+5", "3^41+9"])
     def test_siegel_series_entry_beyond_int64(self, capsys, t33):
-        # ord_3(t33) = 2: T reaches the size-3 character sum, with F_3 as at t33 = 9
+        # ord_3(t33) = 2: T reaches c_1 of the size-3 character sum, with F_3 as at t33 = 9
         code, out, _ = run(capsys, "siegel-series", "--p", "3", "--T", f"1,0,0,1,0,{t33}")
         assert code == 0
         assert json.loads(out)["coeffs"] == ["1", "-9", "81"]
+
+    def test_siegel_series_degree_two_at_p17(self, capsys):
+        # c_1 from the 307 points of P^2(F_17); the sum over R would take 17^6
+        code, out, _ = run(capsys, "siegel-series", "--p", "17", "--T", "1,0,0,17,0,17")
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "0", "83521"]
 
     def test_siegel_series_indefinite_zero_diagonal(self, capsys):
         # its first leading principal minor is 0; the coefficient of X is
@@ -286,6 +292,7 @@ README_EXAMPLES = (
     ("certify", "--k", "14", "--nu", "2", "--p", "373", "--A", "1,0,1"),
     ("certify", "--k", "8", "--nu", "8", "--p", "23", "--A", "1,0,1", "--relaxed"),
     ("siegel-series", "--p", "3", "--T", "1,0,0,1,0,1"),
+    ("siegel-series", "--p", "17", "--T", "1,0,0,17,0,17"),
     ("eisenstein-coeff", "--degree", "3", "--k", "14", "--T", "1,0,0,1,0,1"),
     ("cohen-series", "--k", "16", "--r", "13", "--precision", "12"),
 )
@@ -555,8 +562,9 @@ class TestBadInput:
         assert f"ValueError: budget must be >= 1, got {budget}" in err
 
     def test_budget_exceeded_names_p_and_matrix(self):
+        # degree 2 at p = 2: c_1 counts the 7 points of P^2(F_2)
         code, err = run_bounded(
-            "siegel-series", "--p", "2", "--T", "1,0,0,1,0,1", "--budget", "10"
+            "siegel-series", "--p", "2", "--T", "1,0,0,1,0,1", "--budget", "6"
         )
         assert code == 3, err
         assert "BudgetExceeded" in err

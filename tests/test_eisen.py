@@ -287,17 +287,17 @@ class TestOneReduction:
         assert values == [product_route(3, k, t) for k in (12, 20)]
 
     def test_rank3_cache_is_keyed_on_the_budget(self, calls):
-        # I3 at p = 2 has degree 2: c_0, c_1 take 2^6 = 64 points
+        # I3 at p = 2 has degree 2: c_1 takes the 7 points of P^2(F_2)
         assert EisensteinContext(3, 14).coefficient(I3) == product_route(3, 14, I3)
         before = eisen._local_factors.cache_info()
         for _ in range(2):
             with pytest.raises(BudgetExceeded):
-                EisensteinContext(3, 16, budget=63).coefficient(I3)
+                EisensteinContext(3, 16, budget=6).coefficient(I3)
         after = eisen._local_factors.cache_info()
         # both calls miss, and neither leaves an entry behind
         assert (after.hits, after.misses) == (before.hits, before.misses + 2)
         assert after.currsize == before.currsize == 1
-        assert EisensteinContext(3, 16, budget=64).coefficient(I3) == product_route(3, 16, I3)
+        assert EisensteinContext(3, 16, budget=7).coefficient(I3) == product_route(3, 16, I3)
 
 
 def product_route(n: int, k: int, t: HalfIntegralMatrix) -> Fraction:

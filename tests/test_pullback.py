@@ -10,6 +10,7 @@ from itertools import permutations, product
 
 import pytest
 
+from eiscong import pullback
 from eiscong.arith import factorize, ord_p, pochhammer, zeta_neg
 from eiscong.eisen import EisensteinContext
 from eiscong.errors import BudgetExceeded, UnsupportedHeckeField
@@ -258,11 +259,14 @@ class TestEpsilonHecke:
     def test_matches_the_recursive_composition(self, m, n):
         assert epsilon_hecke(14, 2, m, n, I2) == epsilon_hecke_recursive(14, 2, m, n, I2)
 
-    def test_many_prime_factors_is_a_budget_error(self):
-        # 1100 factors 2 run as one loop, not 1100 nested calls; eps(2^1100),
-        # the first index evaluated, has a row box past enumerate_R's bound
+    def test_many_prime_factors_is_a_budget_error(self, monkeypatch):
+        # the largest index, 2^1100, has a row box past enumerate_R's bound,
+        # which is refused before m is factored or any Hecke weight is built
+        calls = []
+        monkeypatch.setattr(pullback, "factorize", lambda n: calls.append(n) or factorize(n))
         with pytest.raises(BudgetExceeded, match="row box"):
             epsilon_hecke(14, 2, 2**1100, 1, I2)
+        assert calls == []
 
     def test_huge_n_is_a_budget_error(self):
         # a 4*10^6 x 4*10^6 row box is refused before it is walked
@@ -297,13 +301,16 @@ def test_eigenform_identity_at_every_n(k, nu):
     call can enumerate, such as T = diag(32, 1, 1), where F_2 has degree 7:
     the full sum through X^7 would take 2^42 points, local_F enumerates
     through X^3 and takes the rest from the functional equation."""
-    f = eigen_basis(k + nu, 60)[0]
+    f = eigen_basis(k + nu, 255)[0]
     cases = [(I2, 48)] + [(parse_half_integral(t), 12) for t in ("1,0,2", "1,1,1", "2,1,3")]
     for quad, n_max in cases:
         base = epsilon(k, nu, 1, quad)
         assert any(base.coeffs)
         for n in range(2, n_max + 1):
             assert epsilon(k, nu, n, quad) == f.coefficient(n) * base, (quad, n)
+    # n = 255 meets F_17 of degree 2, whose c_1 comes from the 307 points of
+    # P^2(F_17); the sum over R would take 17^6 points, past the budget
+    assert epsilon(k, nu, 255, I2) == f.coefficient(255) * epsilon(k, nu, 1, I2)
 
 
 class TestCond2Determinant:

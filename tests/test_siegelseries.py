@@ -253,10 +253,11 @@ def local_F_star(p, t, x):
 
 
 class TestMemo:
-    """local_F caches nothing and never canonicalizes B: every size-3 call
-    with degree >= 2 enumerates, degree <= 1 is read off det(2B) and the sign,
-    and B, its sign flips and its permutations agree because the series is a
-    GL(Z_p) invariant.  The cache of rank-3 factors lives in eisen."""
+    """local_F caches nothing of B and never canonicalizes it: every size-3
+    call with degree >= 4 enumerates, degree <= 1 is read off det(2B) and the
+    sign, and B, its sign flips and its permutations agree because the series
+    is a GL(Z_p) invariant.  The one cache here is the B-independent level
+    table; the cache of rank-3 factors lives in eisen."""
 
     @pytest.fixture
     def key_calls(self, monkeypatch) -> list:
@@ -297,19 +298,19 @@ class TestMemo:
         assert [expected_degree(p, HalfIntegralMatrix.diagonal(1, 1, 4)) for p in (2, 3)] == [4, 0]
 
     def test_sign_flip_shares_one_entry(self, key_calls, enumerations):
-        # det(2B) = 18: degree 2 at p = 3
-        b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 6]])
+        # det(2B) = 96: degree 4 at p = 2
+        b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 32]])
         flipped = b.transform(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
         swapped = b.transform(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
-        assert len({b, flipped, swapped}) == 3 and expected_degree(3, b) == 2
-        values = [local_F(3, m) for m in (b, flipped, swapped, b)]
+        assert len({b, flipped, swapped}) == 3 and expected_degree(2, b) == 4
+        values = [local_F(2, m) for m in (b, flipped, swapped, b)]
         assert values[1:] == values[:1] * 3
-        # no memo: each call enumerates c_0, c_1 once
-        assert [(p, j) for p, _, j in enumerations] == [(3, 1)] * 4
+        # no memo of B: each call enumerates c_0..c_2 once
+        assert [(p, j) for p, _, j in enumerations] == [(2, 2)] * 4
         assert key_calls == []
-        assert not [
+        assert [
             name for name, fn in vars(siegelseries).items() if hasattr(fn, "cache_info")
-        ]
+        ] == ["_level_table"]
 
     @pytest.mark.parametrize(
         "p, doubled, coeffs",
