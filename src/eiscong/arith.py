@@ -3,9 +3,9 @@
 Everything returns plain ints or `fractions.Fraction`: Bernoulli numbers,
 Kronecker symbols, the split m = d f^2 with d a fundamental discriminant
 (one factorization, shared by the discriminant test, the characters and H),
-generalized Bernoulli numbers, Dirichlet L-values at non-positive integers
-and Cohen's function H(r, N).  Factorization raises BudgetExceeded when
-Pollard's rho cannot split a cofactor in 2^21 steps.
+generalized Bernoulli numbers (one power-sum table per character), Dirichlet
+L-values at non-positive integers and Cohen's function H(r, N).  Factorization
+raises BudgetExceeded when Pollard's rho cannot split a cofactor in 2^21 steps.
 """
 
 from __future__ import annotations
@@ -326,6 +326,10 @@ def _character_values(chi: DiscriminantChar, h: int) -> list[int]:
     return values
 
 
+# chi -> (a < m/2 with chi(a) != 0, chi(a) a^j at the last j, S_0..S_j), replaced whole
+_power_sums: dict[DiscriminantChar, tuple[list[int], list[int], list[int]]] = {}
+
+
 @lru_cache(maxsize=None)
 def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     """Generalized Bernoulli number B_{r,chi} = m^(r-1) sum_{a<=m} chi(a) B_r(a/m).
@@ -338,8 +342,9 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     one over the half range a < m/2; chi there comes from Kronecker symbols
     at primes only.  Expanding B_r and swapping the sums gives
     sum_i C(r, i) B_i m^(i-1) S_(r-i) with integer power sums
-    S_j = sum_a chi(a) a^j.  Over the lcm den of the Bernoulli denominators
-    the sum is an integer num, and one Fraction(num, den m) ends.
+    S_j = 2 sum_a chi(a) a^j over the half range, from `_power_sums`, which a
+    larger r extends.  Over the lcm den of the Bernoulli denominators the sum
+    is an integer num, and one Fraction(num, den m) ends.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -349,13 +354,19 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     elif (chi.d < 0) != (r % 2 == 1):  # chi(-1) = sign(d) is not (-1)^r
         return Fraction(0)
     else:
-        values = _character_values(chi, (m - 1) // 2)
-        xs = [a for a, v in enumerate(values) if v]
-        terms = [values[a] for a in xs]  # the signed terms chi(a) a^j, from j = 0
-        sums = [2 * sum(terms)]
-        for _ in range(r):
-            terms = list(map(mul, terms, xs))
-            sums.append(2 * sum(terms))
+        entry = _power_sums.get(chi)
+        if entry is None:
+            values = _character_values(chi, (m - 1) // 2)
+            xs = [a for a, v in enumerate(values) if v]
+            terms = [values[a] for a in xs]  # the signed terms chi(a) a^j, from j = 0
+            entry = xs, terms, [2 * sum(terms)]
+        xs, terms, sums = entry
+        if len(sums) <= r:
+            sums = list(sums)
+            while len(sums) <= r:
+                terms = list(map(mul, terms, xs))
+                sums.append(2 * sum(terms))
+            _power_sums[chi] = xs, terms, sums
     b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
     num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
     return Fraction(num, den * m)

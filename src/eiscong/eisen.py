@@ -16,13 +16,14 @@ at p^(k-4), so one entry serves every weight.  For m <= 2, content(T) = content(
 (2T = V^t (2 T~) V with V primitive), so a(T) without its zeta tail depends
 on (k, m, det(2 T~), content) alone and is cached under that key; the tail
 is applied outside the cache, so a binary T and its ternary image
-U diag(T, 0) U^t share one entry.
+U diag(T, 0) U^t share one entry.  A context forms each tail once, lazily.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .arith import cohen_h, divisor_power_sum, divisors, prime_divisors, zeta_neg
 from .quadform import HalfIntegralMatrix, nondeg_invariants
@@ -77,11 +78,12 @@ class EisensteinContext:
         self.n = n
         self.k = k
         self.budget = budget
+        self._tails: dict[int, Fraction] = {}  # rank m <= 2 -> its zeta tail
 
     def coefficient(self, t: HalfIntegralMatrix) -> Fraction:
         """a(T); ValueError unless T is a PSD matrix of size n.  Rank m <= 2
         takes prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k) outside the cache, one
-        factor for m = 1 in degrees 2 and 3 and none otherwise."""
+        factor for m = 1 in degrees 2 and 3 and none otherwise, once per context."""
         if t.n != self.n:
             raise ValueError(f"matrix size {t.n} does not match degree {self.n}")
         n, k = self.n, self.k
@@ -94,6 +96,9 @@ class EisensteinContext:
                 value *= f.evaluate(p ** (k - 4))
             return value
         value = _untailed(k, m, det2, t.content())
-        for i in range(m // 2 + 1, n // 2 + 1):
-            value *= zeta_neg(2 * k - 2 * i)
+        if m // 2 < n // 2:
+            if m not in self._tails:
+                factors = range(m // 2 + 1, n // 2 + 1)
+                self._tails[m] = prod(zeta_neg(2 * k - 2 * i) for i in factors)
+            value *= self._tails[m]
         return value

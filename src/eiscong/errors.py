@@ -17,5 +17,5 @@ class SingularSystem(Exception):
 
 
 class BudgetExceeded(Exception):
-    """A character-sum enumeration, Pollard's rho or the row box of
-    `enumerate_R` would exceed its work bound."""
+    """A character-sum enumeration, Pollard's rho, the row box of
+    `enumerate_R` or a q-expansion precision would exceed its work bound."""

@@ -7,7 +7,8 @@ tuple of zero or one QExpansion (larger level-1 cusp spaces have irrational
 Hecke fields and raise UnsupportedHeckeField), the weight-k series whose
 coefficients are built from Cohen's H function, and the normalized standard
 L-value obtained from it by an exact Petersson projection.  Every identity used downstream is decided at the Sturm bound,
-so the default working precision is max(20, 2 * sturm_bound(k)).
+so the default working precision is max(20, 2 * sturm_bound(k)), at most
+2^12: `miller_basis` and `cohen_series` raise BudgetExceeded above it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 
 from .arith import _over_common_denominator, bernoulli, cohen_h, divisor_power_sum
-from .errors import SingularSystem, UnsupportedHeckeField
+from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import _convolve, _integer_coeffs
 
 __all__ = [
@@ -35,6 +36,14 @@ __all__ = [
     "std_l_value",
     "sturm_bound",
 ]
+
+
+_MAX_PRECISION = 2**12  # q-expansion terms; the series cost the square of it
+
+
+def _check_precision(prec: int) -> None:
+    if prec > _MAX_PRECISION:
+        raise BudgetExceeded(f"precision {prec} exceeds the bound of {_MAX_PRECISION}")
 
 
 def sturm_bound(k: int) -> int:
@@ -137,6 +146,7 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
     d = dim_modular(k)
     if d == 0:
         return (), ()
+    _check_precision(prec)
     if prec < d:
         raise ValueError(f"precision {prec} below dimension {d}")
     one = QExpansion(0, prec, (Fraction(1),) + (Fraction(0),) * prec)
@@ -214,24 +224,27 @@ def cohen_series(k: int, r: int, prec: int) -> QExpansion:
     sum C_ij t^i (4m)^j / den with integral C_ij (see gegenbauer).  H(r, 0..4 prec)
     goes over one common denominator h_den once, so each coefficient is the
     integer sum of h * sum C_ij t^i (4m)^j over t, divided by h_den * den.
-    P is isobaric with i + 2j = k - r - 1 even, so the terms at t and -t
-    agree: t runs over t >= 0, weighted 2 if t > 0.
+    P is isobaric with i + 2j = k - r - 1 even: a polynomial in t^2, taken by
+    Horner's rule, whose terms at t and -t agree, so t runs over t >= 0,
+    weighted 2 if t > 0.
     """
     if k % 2 or not (3 <= r <= k - 1) or r % 2 == 0:
         raise ValueError("need even k and odd r with 3 <= r <= k-1")
     if prec < 0:
         raise ValueError(f"precision must be >= 0, got {prec}")
+    _check_precision(prec)
     terms, den = _integer_coeffs(2 * r + 2, k - r - 1)
     h_num, h_den = _over_common_denominator([cohen_h(r, n) for n in range(4 * prec + 1)])
     out = []
     for m in range(prec + 1):
-        # the polynomial in t at this m: C_ij (4m)^j t^i
-        poly_t = [(i, c * (4 * m) ** j) for i, j, c in terms]
+        poly = [c * (4 * m) ** j for _, j, c in terms]  # top power of t^2 (j = 0) first
         total = 0
         for t in range(isqrt(4 * m) + 1):
             h = h_num[4 * m - t * t]
             if h:
-                term = sum(c * t**i for i, c in poly_t)
+                term = 0
+                for c in poly:
+                    term = term * t * t + c
                 total += h * (2 * term if t else term)
         out.append(Fraction(total, h_den * den))
     return QExpansion(k, prec, tuple(out))

@@ -191,24 +191,30 @@ def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int]:
     """(m, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
 
     m is the rank of T and T~ its nondegenerate part (see `nondeg_part`),
-    both read off the principal minors of 2T without an elimination.  If
+    both read off principal minors formed straight from the rows of 2T.  If
     det(2T) != 0, m = n and T is PSD exactly when it is positive definite
-    (Sylvester).  Otherwise T is PSD exactly when its diagonal and its
-    diagonal cofactors are >= 0, and 2T = V^t (2 T~) V for a primitive
-    m x n matrix V, so by Cauchy-Binet every m x m principal minor of 2T is
-    det(2 T~) det(V_I)^2; the det(V_I) are the maximal minors of V, coprime,
-    so det(2 T~) is the gcd of the m x m principal minors.  For a ternary T
+    (Sylvester: a, a d - b^2 and det(2T) > 0).  Otherwise T is PSD exactly
+    when its diagonal and its diagonal cofactors are >= 0, and
+    2T = V^t (2 T~) V for a primitive m x n matrix V, so by Cauchy-Binet
+    every m x m principal minor of 2T is det(2 T~) det(V_I)^2; the det(V_I)
+    are the maximal minors of V, coprime, so det(2 T~) is the gcd of the
+    m x m principal minors.  For a ternary T
     of rank 2 those are the cofactors d f - e^2, a f - c^2, a d - b^2 of
     2T = [[a, b, c], [b, d, e], [c, e, f]], and for rank 1 the diagonal.
     """
-    det2 = t.det_doubled()
-    if det2:
-        if not t.is_pd():
-            raise ValueError("matrix must be positive semidefinite")
-        return t.n, det2
     g = t.doubled
-    diagonal = [g[i][i] for i in range(t.n)]
-    cofactors = [g[i][i] * g[j][j] - g[i][j] ** 2 for i, j in combinations(range(t.n), 2)]
+    diagonal = [row[i] for i, row in enumerate(g)]
+    if len(g) == 3:
+        (a, b, c), (_, d, e), (_, _, f) = g
+        cofactors = [d * f - e * e, a * f - c * c, a * d - b * b]
+        det2 = a * cofactors[0] - b * (b * f - c * e) + c * (b * e - c * d)
+    else:
+        cofactors = [g[0][0] * g[1][1] - g[0][1] ** 2] if len(g) == 2 else []
+        det2 = (cofactors or diagonal)[0]
+    if det2:
+        if min(diagonal[0], *cofactors[-1:], det2) <= 0:
+            raise ValueError("matrix must be positive semidefinite")
+        return len(g), det2
     if min(diagonal + cofactors) < 0:
         raise ValueError("matrix must be positive semidefinite")
     # a 2 x 2 T has det(2T) as its one cofactor, zero here: its rank is <= 1

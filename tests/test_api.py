@@ -217,6 +217,40 @@ def test_cached_functions_are_pinned():
     }
 
 
+def test_module_tables_written_by_functions_are_pinned():
+    """Module-level names that a function writes, by rebinding them through
+    `global` or by storing an item into them: table caches that the
+    lru_cache pin above cannot see, so adding one is an edit here too."""
+    package = Path(import_module("eiscong").__file__).parent
+    written = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        module_names = {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(func))
+            declared = {n for node in nodes if isinstance(node, ast.Global) for n in node.names}
+            stored = [node for node in nodes if isinstance(getattr(node, "ctx", None), ast.Store)]
+            local = {node.id for node in stored if isinstance(node, ast.Name)} - declared
+            for node in stored:
+                if isinstance(node, ast.Name) and node.id in declared:
+                    written.add(f"{path.stem}.{node.id}")
+                elif (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in module_names - local
+                ):
+                    written.add(f"{path.stem}.{node.value.id}")
+    assert written == {"arith._bernoulli_cache", "arith._power_sums", "cli._parser"}
+
+
 def test_certificate_path_returns_fractions():
     """The AST check above cannot see an int / int true division, which
     gives a float; the certificate path's values must all be Fractions."""

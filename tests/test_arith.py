@@ -224,19 +224,31 @@ class TestGenBernoulli:
         assert l_value_neg(3, chi) == Fraction(-2, 9)
 
     def test_matches_bernoulli_polynomial_sum(self):
-        # the defining sum m^(r-1) sum_a chi(a) B_r(a/m), which the library
-        # evaluates with the sums swapped
         for d in range(-100, 101):
             if d == 0 or not is_fundamental_discriminant(d):
                 continue
             chi = DiscriminantChar(d)
-            m = chi.conductor
             for r in range(1, 13):
-                direct = m ** (r - 1) * sum(
-                    (chi(a) * bernoulli_poly(r, Fraction(a, m)) for a in range(1, m + 1)),
-                    Fraction(0),
-                )
-                assert gen_bernoulli(r, chi) == direct, (d, r)
+                assert gen_bernoulli(r, chi) == gen_bernoulli_direct(r, chi), (d, r)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_any_call_order_from_a_cleared_table(self, order, monkeypatch):
+        # gen_bernoulli's body, past its lru_cache, on an empty power-sum
+        # table: a larger r extends a character's entry, a smaller r reads it
+        monkeypatch.setattr(arith, "_power_sums", {})
+        calls = [(r, d) for d in (1, -3, -4, 5, 8, -23, 12, -84, 85, -419) for r in range(1, 17)]
+        if order == "shuffled":
+            random.Random(29).shuffle(calls)
+        else:
+            calls.sort(reverse=order == "descending")
+        for r, d in calls:
+            chi = DiscriminantChar(d)
+            assert gen_bernoulli.__wrapped__(r, chi) == gen_bernoulli_direct(r, chi), (d, r)
+        # only nontrivial characters of the right parity reach the table, each
+        # through the largest r of that parity
+        assert {chi.d: len(entry[2]) for chi, entry in arith._power_sums.items()} == {
+            d: 16 + (d > 0) for d in (-3, -4, 5, 8, -23, 12, -84, 85, -419)
+        }
 
     def test_parity_vanishing(self):
         for d in (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35, -39, -40):
@@ -247,6 +259,15 @@ class TestGenBernoulli:
             chi = DiscriminantChar(d)
             for r in range(1, 21, 2):
                 assert gen_bernoulli(r, chi) == 0, (d, r)
+
+
+def gen_bernoulli_direct(r: int, chi: DiscriminantChar) -> Fraction:
+    """The defining sum m^(r-1) sum_a chi(a) B_r(a/m), which the library
+    evaluates with the sums swapped."""
+    m = chi.conductor
+    return m ** (r - 1) * sum(
+        (chi(a) * bernoulli_poly(r, Fraction(a, m)) for a in range(1, m + 1)), Fraction(0)
+    )
 
 
 def gen_bernoulli_fraction(r: int, chi: DiscriminantChar) -> Fraction:

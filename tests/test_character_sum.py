@@ -13,6 +13,7 @@ ones included.
 
 from __future__ import annotations
 
+import time
 import warnings
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
@@ -24,7 +25,17 @@ from hypothesis import strategies as st
 
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix
-from eiscong.siegelseries import _c1, _character_sum_series, _collapse_histogram, _level_table
+from eiscong import siegelseries
+from eiscong.arith import ord_p
+from eiscong.siegelseries import (
+    _c1,
+    _character_sum_series,
+    _collapse_histogram,
+    _functional_equation_sign,
+    _level_table,
+    expected_degree,
+    local_F,
+)
 from test_cli import run_python
 
 POINTS = 2**15
@@ -198,8 +209,65 @@ def ternary_forms(draw) -> HalfIntegralMatrix:
 @example(2, HalfIntegralMatrix.from_doubled([[2, 0, 0], [0, 0, 1], [0, 1, -10]]))
 @example(7, HalfIntegralMatrix.from_doubled([[14, 0, 0], [0, 14, 7], [0, 7, 28]]))
 def test_c1_matches_the_character_sum(p, b):
-    # c_1 over the points of P^2(F_p) against the sum over the p^6 R of level <= p
+    # c_1 from 2B mod p (odd p) or the 7 points of P^2(F_2), against the sum
+    # over the p^6 R of level <= p
     assert _c1(p, b, 2**24) == _character_sum_series(p, b, 1, 2**18)[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((3, 5, 7, 11, 13)), ternary_forms(), st.sets(st.integers(0, 2), max_size=3))
+# rank 3 with every principal 2 x 2 minor divisible by 3; rank 0; rank 2
+# with a zero diagonal
+@example(3, HalfIntegralMatrix.from_doubled([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), set())
+@example(5, HalfIntegralMatrix.identity(3), {0, 1, 2})
+@example(13, HalfIntegralMatrix.from_doubled([[0, 1, 0], [1, 0, 0], [0, 0, 2]]), {2})
+def test_odd_p_c1_from_2b_mod_p(p, b, scaled):
+    # rows and columns in `scaled` are multiplied by p, so 2B mod p has rank
+    # at most 3 - |scaled|: every rank from 3 down to 0 is drawn
+    g = [
+        [x * p ** ((i in scaled) + (j in scaled)) for j, x in enumerate(row)]
+        for i, row in enumerate(b.doubled)
+    ]
+    b = HalfIntegralMatrix.from_doubled(g)
+    assert _c1(p, b, 1) == _character_sum_series(p, b, 1, p**6)[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ternary_forms(), st.data())
+@example(HalfIntegralMatrix.diagonal(1, 1, 3), None)
+def test_odd_p_degree_one_matches_the_hilbert_symbol_sign(b, data):
+    # at odd p with p || det(2B) / 2, f_1 = c_1 + 1 = (-m/p) p^2 is the sign times p^2
+    det = b.det_doubled() // 2
+    primes = [p for p in (3, 5, 7, 11, 13) if ord_p(p, det) == 1]
+    assume(primes)
+    p = data.draw(st.sampled_from(primes)) if data else primes[0]
+    assert expected_degree(p, b) == 1
+    assert local_F(p, b).coeffs == (1, _functional_equation_sign(p, b) * p**2)
+
+
+@pytest.mark.parametrize(
+    "p, doubled, calls",
+    [(3, [[2, 0, 0], [0, 2, 0], [0, 0, 6]], 0), (2, [[2, 1, 0], [1, 2, 0], [0, 0, 4]], 1)],
+    ids=["p3", "p2"],
+)
+def test_degree_one_takes_hilbert_symbols_at_p2_only(p, doubled, calls, monkeypatch):
+    sign = siegelseries._functional_equation_sign
+    spied = []
+    monkeypatch.setattr(
+        siegelseries, "_functional_equation_sign", lambda *a: spied.append(a) or sign(*a)
+    )
+    b = HalfIntegralMatrix.from_doubled(doubled)  # det(2B) / 2 = 12, 6: degree 1
+    assert local_F(p, b).coeffs == (1, sign(p, b) * p**2)
+    assert len(spied) == calls
+
+
+def test_odd_p_c1_counts_no_points():
+    # 1009^2 + 1009 + 1 points would take seconds; the rank of 2B mod p is
+    # read instead, and the budget is not consulted
+    b = HalfIntegralMatrix.diagonal(1, 1009, 1009)
+    start = time.perf_counter()
+    assert local_F(1009, b, budget=1).coeffs == (1, 0, 1009**4)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_c1_counts_the_points_of_the_plane_against_the_budget():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eiscong import cli
+from eiscong import cli, qexp
 from eiscong.cli import main
 from eiscong.pullback import CongruenceCertificate
 
@@ -156,7 +156,7 @@ class TestSmallCommands:
         assert json.loads(out)["coeffs"] == ["1", "-9", "81"]
 
     def test_siegel_series_degree_two_at_p17(self, capsys):
-        # c_1 from the 307 points of P^2(F_17); the sum over R would take 17^6
+        # c_1 read off 2B mod 17, of rank 2; the sum over R would take 17^6
         code, out, _ = run(capsys, "siegel-series", "--p", "17", "--T", "1,0,0,17,0,17")
         assert code == 0
         assert json.loads(out)["coeffs"] == ["1", "0", "83521"]
@@ -535,6 +535,31 @@ class TestBadInput:
         code, err = run_bounded(*argv, timeout=30)
         assert code == 3, err
         assert "BudgetExceeded" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lvalue", "--k", "10", "--nu", "2", "--precision", "100000000"),
+            ("cohen-series", "--k", "16", "--r", "13", "--precision", "100000000"),
+            ("cohen-series", "--k", "16", "--r", "13", "--precision", str(2**12 + 1)),
+        ],
+        ids=["lvalue-10^8", "cohen-series-10^8", "cohen-series-2^12+1"],
+    )
+    def test_huge_precision_is_typed_error(self, argv):
+        # the q-expansions cost the square of the precision; the bound is
+        # checked before miller_basis or cohen_series builds anything
+        code, err = run_bounded(*argv, timeout=30)
+        assert code == 3, err
+        assert f"BudgetExceeded: precision {argv[-1]} exceeds the bound of 4096" in err
+        assert "Traceback" not in err
+
+    def test_precision_at_the_bound_is_admitted(self, monkeypatch, capsys):
+        # the bound is inclusive; shrunk here so the series stays small
+        monkeypatch.setattr(qexp, "_MAX_PRECISION", 53)
+        code, out, _ = run(capsys, "cohen-series", "--k", "16", "--r", "13", "--precision", "53")
+        assert code == 0 and json.loads(out)["precision"] == 53
+        code, _, err = run(capsys, "lvalue", "--k", "10", "--nu", "2", "--precision", "54")
+        assert code == 3 and "precision 54 exceeds the bound of 53" in err
 
     def test_negative_precision_flag(self, capsys):
         code, out, err = run(

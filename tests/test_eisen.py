@@ -286,6 +286,22 @@ class TestOneReduction:
         assert factors == [2, 3, 5]
         assert values == [product_route(3, k, t) for k in (12, 20)]
 
+    def test_zeta_tail_once_per_context_and_never_for_rank3(self, calls, monkeypatch):
+        # the spy is in place before each context is built, so a tail formed
+        # in __init__ would show; rank 3 and rank 2 in degree 3 take no tail
+        spied = []
+        monkeypatch.setattr(eisen, "zeta_neg", lambda k: spied.append(k) or zeta_neg(k))
+        ctx, rank3 = EisensteinContext(3, 12), build_T(3, I2, (1, 2))
+        assert ctx.coefficient(rank3) == product_route(3, 12, rank3)
+        assert ctx.coefficient(padded_image(parse_half_integral("3,1,5"), 7)) != 0
+        assert spied == []
+        rank1 = [padded_image(parse_half_integral(f"{c},0,0"), c) for c in (1, 6, 9)]
+        values = [ctx.coefficient(t) for t in rank1]
+        assert spied == [22]
+        assert values == [product_route(3, 12, t) for t in rank1]
+        EisensteinContext(2, 12).coefficient(parse_half_integral("4,0,0"))
+        assert spied == [22, 22]
+
     def test_rank3_cache_is_keyed_on_the_budget(self, calls):
         # I3 at p = 2 has degree 2: c_1 takes the 7 points of P^2(F_2)
         assert EisensteinContext(3, 14).coefficient(I3) == product_route(3, 14, I3)
