@@ -326,8 +326,8 @@ def _character_values(chi: DiscriminantChar, h: int) -> list[int]:
     return values
 
 
-# chi -> (a < m/2 with chi(a) != 0, chi(a) a^j at the last j, S_0..S_j), replaced whole
-_power_sums: dict[DiscriminantChar, tuple[list[int], list[int], list[int]]] = {}
+# chi -> (S_0, ..., S_j), replaced whole; only the sums are kept, not the terms
+_power_sums: dict[DiscriminantChar, tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -342,9 +342,10 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     one over the half range a < m/2; chi there comes from Kronecker symbols
     at primes only.  Expanding B_r and swapping the sums gives
     sum_i C(r, i) B_i m^(i-1) S_(r-i) with integer power sums
-    S_j = 2 sum_a chi(a) a^j over the half range, from `_power_sums`, which a
-    larger r extends.  Over the lcm den of the Bernoulli denominators the sum
-    is an integer num, and one Fraction(num, den m) ends.
+    S_j = 2 sum_a chi(a) a^j over the half range, from `_power_sums`; a larger
+    r extends them from a fresh sieve, so no terms are held between calls.
+    Over the lcm den of the Bernoulli denominators the sum is an integer
+    num, and one Fraction(num, den m) ends.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -354,19 +355,16 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     elif (chi.d < 0) != (r % 2 == 1):  # chi(-1) = sign(d) is not (-1)^r
         return Fraction(0)
     else:
-        entry = _power_sums.get(chi)
-        if entry is None:
+        sums = _power_sums.get(chi, ())
+        if len(sums) <= r:
             values = _character_values(chi, (m - 1) // 2)
             xs = [a for a, v in enumerate(values) if v]
-            terms = [values[a] for a in xs]  # the signed terms chi(a) a^j, from j = 0
-            entry = xs, terms, [2 * sum(terms)]
-        xs, terms, sums = entry
-        if len(sums) <= r:
-            sums = list(sums)
+            terms = [values[a] * a ** len(sums) for a in xs]  # chi(a) a^j at the first missing j
+            sums = [*sums, 2 * sum(terms)]
             while len(sums) <= r:
                 terms = list(map(mul, terms, xs))
                 sums.append(2 * sum(terms))
-            _power_sums[chi] = xs, terms, sums
+            _power_sums[chi] = tuple(sums)
     b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
     num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
     return Fraction(num, den * m)

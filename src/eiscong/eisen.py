@@ -16,14 +16,14 @@ at p^(k-4), so one entry serves every weight.  For m <= 2, content(T) = content(
 (2T = V^t (2 T~) V with V primitive), so a(T) without its zeta tail depends
 on (k, m, det(2 T~), content) alone and is cached under that key; the tail
 is applied outside the cache, so a binary T and its ternary image
-U diag(T, 0) U^t share one entry.  A context forms each tail once, lazily.
+U diag(T, 0) U^t share one entry.  A context forms its one tail, zeta(3-2k),
+on the first rank-1 T it meets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from functools import cached_property, lru_cache
 
 from .arith import cohen_h, divisor_power_sum, divisors, prime_divisors, zeta_neg
 from .quadform import HalfIntegralMatrix, nondeg_invariants
@@ -78,12 +78,16 @@ class EisensteinContext:
         self.n = n
         self.k = k
         self.budget = budget
-        self._tails: dict[int, Fraction] = {}  # rank m <= 2 -> its zeta tail
+
+    @cached_property
+    def _tail(self) -> Fraction:
+        """zeta(3-2k), formed on first use: no rank-2 or rank-3 T takes it."""
+        return zeta_neg(2 * self.k - 2)
 
     def coefficient(self, t: HalfIntegralMatrix) -> Fraction:
         """a(T); ValueError unless T is a PSD matrix of size n.  Rank m <= 2
         takes prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k) outside the cache, one
-        factor for m = 1 in degrees 2 and 3 and none otherwise, once per context."""
+        factor, `_tail`, for m = 1 in degrees 2 and 3 and none otherwise."""
         if t.n != self.n:
             raise ValueError(f"matrix size {t.n} does not match degree {self.n}")
         n, k = self.n, self.k
@@ -96,9 +100,6 @@ class EisensteinContext:
                 value *= f.evaluate(p ** (k - 4))
             return value
         value = _untailed(k, m, det2, t.content())
-        if m // 2 < n // 2:
-            if m not in self._tails:
-                factors = range(m // 2 + 1, n // 2 + 1)
-                self._tails[m] = prod(zeta_neg(2 * k - 2 * i) for i in factors)
-            value *= self._tails[m]
+        if m == 1 and n >= 2:
+            value *= self._tail
         return value

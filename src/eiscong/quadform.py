@@ -78,6 +78,14 @@ def _det_int(rows: tuple[tuple[int, ...], ...]) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _principal_minors_2(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The 2 x 2 principal minors of a symmetric matrix of size <= 3, leading one first."""
+    if len(rows) < 3:
+        return [rows[0][0] * rows[1][1] - rows[0][1] ** 2] if len(rows) == 2 else []
+    (a, b, c), (_, d, e), (_, _, f) = rows
+    return [a * d - b * b, a * f - c * c, d * f - e * e]
+
+
 @dataclass(frozen=True)
 class HalfIntegralMatrix:
     """Symmetric half-integral matrix, stored as its doubled integer form."""
@@ -198,21 +206,15 @@ def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int]:
     2T = V^t (2 T~) V for a primitive m x n matrix V, so by Cauchy-Binet
     every m x m principal minor of 2T is det(2 T~) det(V_I)^2; the det(V_I)
     are the maximal minors of V, coprime, so det(2 T~) is the gcd of the
-    m x m principal minors.  For a ternary T
-    of rank 2 those are the cofactors d f - e^2, a f - c^2, a d - b^2 of
+    m x m principal minors.  For a ternary T of rank 2 those are the
+    cofactors a d - b^2, a f - c^2, d f - e^2 of
     2T = [[a, b, c], [b, d, e], [c, e, f]], and for rank 1 the diagonal.
     """
     g = t.doubled
     diagonal = [row[i] for i, row in enumerate(g)]
-    if len(g) == 3:
-        (a, b, c), (_, d, e), (_, _, f) = g
-        cofactors = [d * f - e * e, a * f - c * c, a * d - b * b]
-        det2 = a * cofactors[0] - b * (b * f - c * e) + c * (b * e - c * d)
-    else:
-        cofactors = [g[0][0] * g[1][1] - g[0][1] ** 2] if len(g) == 2 else []
-        det2 = (cofactors or diagonal)[0]
+    cofactors, det2 = _principal_minors_2(g), _det_int(g)
     if det2:
-        if min(diagonal[0], *cofactors[-1:], det2) <= 0:
+        if min(diagonal[0], *cofactors[:1], det2) <= 0:
             raise ValueError("matrix must be positive semidefinite")
         return len(g), det2
     if min(diagonal + cofactors) < 0:

@@ -23,12 +23,12 @@ Size 3 combines the second route with Katsurada's functional equation
 (An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
 ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
-F_p = 1, or 1 + eps p^2 X, with eps p^2 = c_1 + 1 at odd p.  For d >= 2 only
-c_0..c_(d//2) of the character sum are needed, divided by the integer
-numerator of gamma_p that `gamma_p` itself is built from; the upper half
-follows from the equation.  For d <= 3 that is c_1, read off 2B mod p at
-odd p and counted on the 7 points of P^2(F_2); beyond, the sum is
-enumerated through X^(d//2) (p^(6 (d//2)) points instead of p^(6d)).
+F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
+sum are needed, divided by the integer numerator of gamma_p that `gamma_p`
+itself is built from; the upper half follows from the equation.  For d <= 3
+that is c_1, read off 2B mod p at odd p and counted on the 7 points of
+P^2(F_2); beyond, the sum is enumerated through X^(d//2) (p^(6 (d//2))
+points instead of p^(6d)).
 The levels of the enumerated R do not depend on B and are cached per
 (p, size, j); nothing of B is: `eisen` keeps the F_p of each rank-3 T it
 evaluates, for every weight.  The full-length sum stays available as
@@ -47,7 +47,7 @@ from math import factorial, gcd
 
 from .arith import _is_probable_prime, _square_class, kronecker, ord_p
 from .errors import BudgetExceeded
-from .quadform import HalfIntegralMatrix, format_half_integral
+from .quadform import HalfIntegralMatrix, _principal_minors_2, format_half_integral
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -339,8 +339,7 @@ def _c1(p: int, b: HalfIntegralMatrix, budget: int) -> int:
     """
     g, points = b.doubled, p * p + p + 1
     if p > 2:
-        minors = [g[i][i] * g[j][j] - g[i][j] ** 2 for i, j in combinations(range(3), 2)]
-        m = next((x for x in minors if x % p), 0)
+        m = next((x for x in _principal_minors_2(g) if x % p), 0)
         if m and b.det_doubled() % p == 0:  # rank 2
             zeros = 1 + p * (1 + kronecker(-m, p))
         else:  # rank 3 or 1, or rank 0
@@ -374,11 +373,9 @@ def local_F(
     xi = `chi_p`(-det 2B)) behind the classical divisor-sum expression for
     degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) = eps p^(2d-4i) f_i,
     eps = `_functional_equation_sign`: d = 0 gives 1 and d = 1 gives
-    1 + eps p^2 X, where at odd p 2B mod p has rank 2 and eps p^2 = c_1 + 1
-    comes from `_c1`, with no Hilbert symbol.  For d >= 2 the character sum
-    through X^(d//2) is divided by gamma_p (`_gamma_numerator`) and f_(d-i)
-    filled in for i < ceil(d/2); for even d and eps = -1 the middle
-    coefficient must vanish, as asserted.
+    1 + eps p^2 X.  For d >= 2 the character sum through X^(d//2) is divided
+    by gamma_p (`_gamma_numerator`) and f_(d-i) filled in for i < ceil(d/2);
+    for even d and eps = -1 the middle coefficient must vanish, as asserted.
     For d = 2, 3 that sum is 1 + c_1 X with c_1 from `_c1`, and only d >= 4
     enumerates R.  `budget` (at least 1 on every route) caps the points
     counted, of P^2(F_2) or of R.  Nothing of B is cached here: `eisen`
@@ -402,8 +399,6 @@ def local_F(
         return SiegelSeriesPolynomial(tuple(p**i for i in range(deg + 1)))
     if deg == 0:
         return SiegelSeriesPolynomial((1,))
-    if deg == 1 and p > 2:  # f_1 = c_1 + 1
-        return SiegelSeriesPolynomial((1, _c1(p, b, budget) + 1))
     sign = _functional_equation_sign(p, b)
     if deg == 1:
         return SiegelSeriesPolynomial((1, sign * p**2))

@@ -246,7 +246,7 @@ class TestGenBernoulli:
             assert gen_bernoulli.__wrapped__(r, chi) == gen_bernoulli_direct(r, chi), (d, r)
         # only nontrivial characters of the right parity reach the table, each
         # through the largest r of that parity
-        assert {chi.d: len(entry[2]) for chi, entry in arith._power_sums.items()} == {
+        assert {chi.d: len(sums) for chi, sums in arith._power_sums.items()} == {
             d: 16 + (d > 0) for d in (-3, -4, 5, 8, -23, 12, -84, 85, -419)
         }
 

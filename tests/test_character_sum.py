@@ -25,15 +25,11 @@ from hypothesis import strategies as st
 
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix
-from eiscong import siegelseries
-from eiscong.arith import ord_p
 from eiscong.siegelseries import (
     _c1,
     _character_sum_series,
     _collapse_histogram,
-    _functional_equation_sign,
     _level_table,
-    expected_degree,
     local_F,
 )
 from test_cli import run_python
@@ -230,35 +226,6 @@ def test_odd_p_c1_from_2b_mod_p(p, b, scaled):
     ]
     b = HalfIntegralMatrix.from_doubled(g)
     assert _c1(p, b, 1) == _character_sum_series(p, b, 1, p**6)[1]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(ternary_forms(), st.data())
-@example(HalfIntegralMatrix.diagonal(1, 1, 3), None)
-def test_odd_p_degree_one_matches_the_hilbert_symbol_sign(b, data):
-    # at odd p with p || det(2B) / 2, f_1 = c_1 + 1 = (-m/p) p^2 is the sign times p^2
-    det = b.det_doubled() // 2
-    primes = [p for p in (3, 5, 7, 11, 13) if ord_p(p, det) == 1]
-    assume(primes)
-    p = data.draw(st.sampled_from(primes)) if data else primes[0]
-    assert expected_degree(p, b) == 1
-    assert local_F(p, b).coeffs == (1, _functional_equation_sign(p, b) * p**2)
-
-
-@pytest.mark.parametrize(
-    "p, doubled, calls",
-    [(3, [[2, 0, 0], [0, 2, 0], [0, 0, 6]], 0), (2, [[2, 1, 0], [1, 2, 0], [0, 0, 4]], 1)],
-    ids=["p3", "p2"],
-)
-def test_degree_one_takes_hilbert_symbols_at_p2_only(p, doubled, calls, monkeypatch):
-    sign = siegelseries._functional_equation_sign
-    spied = []
-    monkeypatch.setattr(
-        siegelseries, "_functional_equation_sign", lambda *a: spied.append(a) or sign(*a)
-    )
-    b = HalfIntegralMatrix.from_doubled(doubled)  # det(2B) / 2 = 12, 6: degree 1
-    assert local_F(p, b).coeffs == (1, sign(p, b) * p**2)
-    assert len(spied) == calls
 
 
 def test_odd_p_c1_counts_no_points():
