@@ -41,32 +41,49 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials
 
-# (B_0..B_m, the Akiyama-Tanigawa working row after m), replaced as a whole
-_bernoulli_cache: tuple[list[Fraction], list[Fraction]] = ([], [])
+# (B_0..B_m, their numerators over the common denominator den, den), replaced
+# as a whole; a larger n rebuilds it at least twice as long
+_bernoulli_cache: tuple[tuple[Fraction, ...], tuple[int, ...], int] = ((), (), 1)
+
+
+def _bernoulli_table(n: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
+    """`_bernoulli_cache`, rebuilt first to m = max(n + 1, twice its length)
+    entries if it stops before B_n (see `bernoulli`)."""
+    global _bernoulli_cache
+    if n < len(_bernoulli_cache[0]):
+        return _bernoulli_cache
+    m = max(n + 1, 2 * len(_bernoulli_cache[0]))
+    half = (m - 1) // 2
+    tangent = [0, 1] + [0] * (half - 1)  # tangent[h] = T_h, for h >= 1
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    values = [Fraction(1), Fraction(-1, 2)][:m] + [Fraction(0)] * (m - 2)
+    for h in range(1, half + 1):
+        values[2 * h] = Fraction((-1) ** (h - 1) * 2 * h * tangent[h], 4**h * (4**h - 1))
+    nums, den = _over_common_denominator(values)
+    _bernoulli_cache = (tuple(values), tuple(nums), den)
+    return _bernoulli_cache
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2 (so zeta(0) = -1/2).
 
-    Computed by the Akiyama-Tanigawa triangle, which naturally produces
-    B_1 = +1/2; the sign is flipped for n = 1.  Values are cached, and a
-    larger n extends the cached working row from where it stopped.  The
-    extension works on copies and publishes them in one assignment, so a
-    concurrent reader never sees a half-extended row.
+    Read from `_bernoulli_cache`.  When that table stops before B_n it is
+    rebuilt, at least twice as long, from the tangent numbers T_1..T_H of
+    Brent and Harvey's in-place integer triangle, with no Fraction
+    arithmetic: T_1 = 1 and T_k = (k-1) T_(k-1), then for k >= 2 and
+    j = k..H, T_j = (j-k) T_(j-1) + (j-k+2) T_j.  Then
+    B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1)), B_1 = -1/2 and the other
+    odd B vanish.  The table also holds the numerators over its one common
+    denominator, which `gen_bernoulli` reads, and a rebuild is published in
+    one assignment, so a concurrent reader never sees a half-built one.
     """
-    global _bernoulli_cache
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    values, row = _bernoulli_cache
-    if n >= len(values):
-        values, row = list(values), list(row)
-        for m in range(len(values), n + 1):
-            row.append(Fraction(1, m + 1))
-            for j in range(m, 0, -1):
-                row[j - 1] = j * (row[j - 1] - row[j])
-            values.append(-row[0] if m == 1 else row[0])
-        _bernoulli_cache = (values, row)
-    return values[n]
+    return _bernoulli_table(n)[0][n]
 
 
 def bernoulli_poly(r: int, x: Fraction) -> Fraction:
@@ -344,8 +361,8 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     sum_i C(r, i) B_i m^(i-1) S_(r-i) with integer power sums
     S_j = 2 sum_a chi(a) a^j over the half range, from `_power_sums`; a larger
     r extends them from a fresh sieve, so no terms are held between calls.
-    Over the lcm den of the Bernoulli denominators the sum is an integer
-    num, and one Fraction(num, den m) ends.
+    Over the common denominator den of the Bernoulli table the sum is an
+    integer num, and one Fraction(num, den m) ends.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -365,8 +382,8 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
                 terms = list(map(mul, terms, xs))
                 sums.append(2 * sum(terms))
             _power_sums[chi] = tuple(sums)
-    b, den = _over_common_denominator([bernoulli(i) for i in range(r + 1)])
-    num = sum(comb(r, i) * x * m**i * sums[r - i] for i, x in enumerate(b))
+    _, b, den = _bernoulli_table(r)
+    num = sum(comb(r, i) * b[i] * m**i * sums[r - i] for i in range(r + 1))
     return Fraction(num, den * m)
 
 

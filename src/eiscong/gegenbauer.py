@@ -10,8 +10,8 @@ specialization is the kernel of the scalar-to-vector differential operator
 used by the pullback coefficients.  Every monomial s^i m^j has i + 2j = nu,
 so at s = u/2, m = w/4 each one is divided by the same 2^nu: specializations
 are evaluated in integers and divided once.  Integer-weighted sums of them
-over rows stay in integers as well (`_specialization_sum`); `eval_binary` is
-the one-row case.
+over rows stay in integers as well (`_specialization_sum`, by Horner's rule
+in w); `eval_binary` is the one-row case.
 """
 
 from __future__ import annotations
@@ -123,30 +123,28 @@ def _specialization_sum(
 
     u = r1 x + r2 y and w = 4m = 2n (g00 x^2 + 2 g01 x y + g11 y^2), with g
     the doubled Q, so each summand is c * den times the specialization of
-    P_{d,nu} at row R.  w does not depend on R: w^j is built once.  The
+    P_{d,nu} at row R.  w does not depend on R, and the terms are
+    C_j U_(nu-2j) w^j, j = 0..nu/2, where U_i is the row sum of c u^i: the
     coefficients of u^i are C(i, l) r1^(i-l) r2^l, so the weighted monomials
-    c r1^(i-l) r2^l are summed over the rows first, and each term costs one
-    convolution.
+    c r1^(i-l) r2^l are summed over the rows first.  The sum over j is then
+    taken by Horner's rule in w, each step one product with the three
+    coefficients of w.
     """
     if quad.n != 2:
         raise ValueError("quadratic form must be 2x2")
     g = quad.doubled
     terms, den = _integer_coeffs(d, nu)
     w = [2 * n * g[0][0], 4 * n * g[0][1], 2 * n * g[1][1]]
-    w_pows = [[1]]
-    for _ in range(nu // 2):
-        w_pows.append(_convolve(w_pows[-1], w))
     monomials = [[0] * (i + 1) for i, _, _ in terms]
     for c, (r1, r2) in rows:
         p1 = [c * r1**e for e in range(nu + 1)]
         p2 = [r2**e for e in range(nu + 1)]
         for mono, (i, _, _) in zip(monomials, terms):
             mono[:] = [s + x * y for s, x, y in zip(mono, p1[i::-1], p2)]
-    total = [0] * (nu + 1)
-    for mono, (i, j, c) in zip(monomials, terms):
+    total: list[int] = []  # terms run j = 0, 1, ...: the last one is innermost
+    for mono, (i, _, c) in zip(reversed(monomials), reversed(terms)):
         u_sum = [c * comb(i, l) * m for l, m in enumerate(mono)]
-        for idx, val in enumerate(_convolve(u_sum, w_pows[j])):
-            total[idx] += val
+        total = [a + b for a, b in zip(u_sum, _convolve(total, w))] if total else u_sum
     return total, den
 
 

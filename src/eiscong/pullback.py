@@ -94,6 +94,38 @@ def gamma2(k: int, nu: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _row_orbits(
+    n: int, quad: HalfIntegralMatrix
+) -> tuple[tuple[HalfIntegralMatrix, tuple[tuple[int, tuple[int, int]], ...]], ...]:
+    """The rows R >= (0, 0) of `enumerate_R(n, quad)` by orbit under H, the
+    signed 2x2 permutations h with h N h^t = N: per orbit, T_(n,N,rep) at
+    its least row rep and the pairs (weight, R), weight 1 for R = 0 and 2
+    otherwise.  None of it depends on (k, nu), so every weight shares it.
+    H is read off N's doubled entries (a, b, c): diag(s1, s2) fixes N
+    when s1 = s2 or b = 0, and the swap also needs a = c.
+    """
+    # enumerate_R rejects an n < 1 and an N that is not a positive definite
+    # 2x2 matrix before H is built
+    rows = enumerate_R(n, quad)
+    (a, b), (_, c) = quad.doubled
+    stabilizer = [
+        h
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+        if s1 == s2 or b == 0
+        for h in (((s1, 0), (0, s2)), ((0, s1), (s2, 0)))[: 1 + (a == c)]
+    ]
+    orbits: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    for r_pair in rows:
+        if r_pair < (0, 0):
+            continue
+        r1, r2 = r_pair
+        rep = min((h1 * r1 + h2 * r2, h3 * r1 + h4 * r2) for (h1, h2), (h3, h4) in stabilizer)
+        orbits.setdefault(rep, []).append((1 if r_pair == (0, 0) else 2, r_pair))
+    return tuple((build_T(n, quad, rep), tuple(members)) for rep, members in orbits.items())
+
+
+@lru_cache(maxsize=None)
 def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
     """The degree-nu binary form eps_{k,nu}(n, N).
 
@@ -103,41 +135,26 @@ def epsilon(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> BinaryForm:
 
     a(T) is evaluated once per orbit of rows under H, the signed 2x2
     permutations h with h N h^t = N: T(R h^t) = diag(1, h) T(R) diag(1, h)^t
-    is GL_3(Z)-equivalent to T(R), so both have one coefficient, which is
-    looked up under the orbit's least row.  H contains -1 and nu is even,
-    so R and -R contribute alike: only the rows R >= (0, 0) (in
-    lexicographic order) are summed, every R != 0 with weight 2.  The
-    weighted a(T) of the rows are put over their common denominator, the
+    is GL_3(Z)-equivalent to T(R), so both have one coefficient.  H
+    contains -1 and nu is even, so R and -R contribute alike: only the rows
+    R >= (0, 0) (in lexicographic order) are summed, every R != 0 with
+    weight 2.  The orbits, their T and the weighted rows do not depend on
+    (k, nu) and come from `_row_orbits`, once per (n, N).  The weighted
+    a(T) of the rows are put over their common denominator, the
     specializations are summed in integers weighted by the numerators
     (`_specialization_sum`), and each coefficient is divided once.
     """
     _check_l_pair(k, nu)
-    # enumerate_R rejects an n < 1 and an N that is not a positive definite
-    # 2x2 matrix before H is built
-    rows = enumerate_R(n, quad)
-    (a, b), (_, c) = quad.doubled
-    stabilizer = [
-        h
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-        if s1 == s2 or b == 0  # diag(s1, s2) fixes N; the swap also needs a = c
-        for h in (((s1, 0), (0, s2)), ((0, s1), (s2, 0)))[: 1 + (a == c)]
-    ]
+    orbits = _row_orbits(n, quad)
     ctx = EisensteinContext(3, k)
-    orbit_values: dict[tuple[int, int], Fraction] = {}
     weights: list[Fraction] = []
     summed: list[tuple[int, int]] = []
-    for r_pair in rows:
-        if r_pair < (0, 0):
-            continue
-        r1, r2 = r_pair
-        rep = min((a * r1 + b * r2, c * r1 + d * r2) for (a, b), (c, d) in stabilizer)
-        if rep not in orbit_values:
-            orbit_values[rep] = ctx.coefficient(build_T(n, quad, rep))
-        coeff = orbit_values[rep] if r_pair == (0, 0) else 2 * orbit_values[rep]
-        if coeff:
-            weights.append(coeff)
-            summed.append(r_pair)
+    for t, rows in orbits:
+        value = ctx.coefficient(t)
+        if value:
+            for weight, r_pair in rows:
+                weights.append(weight * value)
+                summed.append(r_pair)
     nums, scale = _over_common_denominator(weights)
     total, den = _specialization_sum(2 * k, nu, n, quad, zip(nums, summed))
     return BinaryForm(nu, tuple(Fraction(c, scale * den) for c in total))
@@ -238,8 +255,10 @@ class Verdict(str, Enum):
 
 
 def encode_rat(x: Fraction | int) -> dict:
-    """The JSON form of an exact rational: {"num", "den"} decimal strings."""
-    x = Fraction(x)
+    """The JSON form of an exact rational: {"num", "den"} decimal strings.
+
+    An int has numerator and denominator attributes too, so neither kind is
+    converted."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 

@@ -133,13 +133,26 @@ def eisenstein_qexp(k: int, prec: int) -> QExpansion:
     return QExpansion(k, prec, tuple(coeffs))
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers that must divide; ArithmeticError otherwise."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
+
+
 @lru_cache(maxsize=None)
 def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpansion, ...]]:
     """Echelonized integral bases of M_k and S_k from E_4^a E_6^b Delta^j,
     with Delta = (E_4^3 - E_6^2)/1728 built from the same E_4 and E_6.
 
     Row j leads with coefficient 1 at q^j and has zeros at the other
-    q^i, i < dim; the cusp basis is rows 1 and up.
+    q^i, i < dim; the cusp basis is rows 1 and up.  E_4, E_6 and Delta
+    are integral, so everything runs on integer lists: the factors
+    -8/B_4 = 240 and -12/B_6 = -504 and the division by 1728 are exact
+    (ArithmeticError if not), products are `_convolve`s cut to prec + 1
+    terms, the echelon steps subtract integer multiples of rows, and each
+    coefficient becomes one Fraction at the end.
     """
     if k % 2 or k < 0:
         raise ValueError("need even k >= 0")
@@ -149,24 +162,34 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
     _check_precision(prec)
     if prec < d:
         raise ValueError(f"precision {prec} below dimension {d}")
-    one = QExpansion(0, prec, (Fraction(1),) + (Fraction(0),) * prec)
-    e4, e6 = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec)
-    delta = Fraction(1, 1728) * (e4 * e4 * e4 - e6 * e6)
+    size = prec + 1
+
+    def eisenstein(w: int) -> list[int]:  # E_w as in eisenstein_qexp
+        b = bernoulli(w)
+        factor = _exact_div(-2 * w * b.denominator, b.numerator)
+        return [1] + [factor * divisor_power_sum(n, w - 1) for n in range(1, size)]
+
+    e4, e6 = eisenstein(4), eisenstein(6)
+    e4_cubed = _convolve(_convolve(e4, e4, size), e4, size)
+    delta = [
+        _exact_div(x - y, 1728) for x, y in zip(e4_cubed, _convolve(e6, e6, size))
+    ]
     rows = []
     for j in range(d):
         w = k - 12 * j
         a, b = (w // 4, 0) if w % 4 == 0 else ((w - 6) // 4, 1)
-        form = one
+        form = [1] + [0] * prec
         for factor in [e4] * a + [e6] * b + [delta] * j:
-            form = form * factor
-        rows.append(QExpansion(k, prec, form.coeffs))
+            form = _convolve(form, factor, size)
+        rows.append(form)
     # clear above-diagonal entries; rows[j] starts as q^j + higher
     for j in range(1, d):
         for i in range(j):
-            c = rows[i].coefficient(j)
+            c = rows[i][j]
             if c:
-                rows[i] = rows[i] - c * rows[j]
-    return tuple(rows), tuple(rows[1:])
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
+    full = tuple(QExpansion(k, prec, tuple(map(Fraction, row))) for row in rows)
+    return full, full[1:]
 
 
 def hecke_t(p: int, f: QExpansion) -> QExpansion:

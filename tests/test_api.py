@@ -210,6 +210,7 @@ def test_cached_functions_are_pinned():
         "arith.gen_bernoulli",
         "eisen._local_factors",
         "eisen._untailed",
+        "pullback._row_orbits",
         "pullback.epsilon",
         "qexp.cohen_series",
         "qexp.miller_basis",

@@ -42,13 +42,18 @@ from eiscong.arith import (
 )
 
 
-def bernoulli_oracle(n: int) -> Fraction:
-    """Binomial-sum recurrence, independent of the library's triangle scheme."""
+def bernoulli_oracle_values(n: int) -> list[Fraction]:
+    """B_0..B_n by the binomial-sum recurrence, independent of the library's
+    tangent-number scheme."""
     vals = [Fraction(1)]
     for m in range(1, n + 1):
         s = sum(comb(m + 1, j) * vals[j] for j in range(m))
         vals.append(-s / (m + 1))
-    return vals[n]
+    return vals
+
+
+def bernoulli_oracle(n: int) -> Fraction:
+    return bernoulli_oracle_values(n)[n]
 
 
 def legendre_oracle(a: int, p: int) -> int:
@@ -76,6 +81,19 @@ class TestBernoulli:
 
     def test_odd_vanishing(self):
         assert all(bernoulli(n) == 0 for n in range(3, 41, 2))
+
+    @pytest.mark.parametrize("steps", [(200,), (10, 47, 200)], ids=["one-shot", "grown"])
+    def test_table_matches_the_oracle_past_sympy(self, monkeypatch, steps):
+        """B_0..B_200 from a fresh table, built at once or grown in steps;
+        sympy's check below stops at 120.  The table's numerators over its
+        common denominator are the same rationals."""
+        monkeypatch.setattr(arith, "_bernoulli_cache", ((), (), 1))
+        for n in steps:
+            bernoulli(n)
+        values, nums, den = arith._bernoulli_cache
+        assert len(values) == 201
+        assert [bernoulli(n) for n in range(201)] == bernoulli_oracle_values(200)
+        assert [Fraction(x, den) for x in nums] == list(values)
 
 
 class TestZetaNeg:

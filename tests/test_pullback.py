@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiscong import pullback
 from eiscong.arith import factorize, ord_p, pochhammer, zeta_neg
@@ -293,6 +295,10 @@ def epsilon_hecke_recursive(
     return value(ops, n)
 
 
+# (N, largest n) of the eigenform identity tests
+IDENTITY_CASES = [(I2, 48)] + [(parse_half_integral(t), 12) for t in ("1,0,2", "1,1,1", "2,1,3")]
+
+
 @pytest.mark.parametrize("k, nu", [(14, 2), (8, 8), (12, 6)])
 def test_eigenform_identity_at_every_n(k, nu):
     """eps(k, nu, n, N) = a_f(n) eps(k, nu, 1, N) for the normalized eigenform
@@ -302,8 +308,7 @@ def test_eigenform_identity_at_every_n(k, nu):
     the full sum through X^7 would take 2^42 points, local_F enumerates
     through X^3 and takes the rest from the functional equation."""
     f = eigen_basis(k + nu, 255)[0]
-    cases = [(I2, 48)] + [(parse_half_integral(t), 12) for t in ("1,0,2", "1,1,1", "2,1,3")]
-    for quad, n_max in cases:
+    for quad, n_max in IDENTITY_CASES:
         base = epsilon(k, nu, 1, quad)
         assert any(base.coeffs)
         for n in range(2, n_max + 1):
@@ -313,6 +318,21 @@ def test_eigenform_identity_at_every_n(k, nu):
     # is read off 2B mod 17, where the sum over R would take 17^6 points
     for n in (64, 255):
         assert epsilon(k, nu, n, I2) == f.coefficient(n) * epsilon(k, nu, 1, I2), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    pair=st.sampled_from(SWEEP_PAIRS),
+    case=st.sampled_from(IDENTITY_CASES).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.integers(2, case[1]))
+    ),
+)
+def test_eigenform_identity_over_the_sweep(pair, case):
+    """eps(k, nu, n, N) = a_f(n) eps(k, nu, 1, N) for (k, nu) drawn from the
+    certify sweep: every weight reads the same row orbits of (n, N)."""
+    (k, nu), (quad, n) = pair, case
+    f = eigen_basis(k + nu, 48)[0]
+    assert epsilon(k, nu, n, quad) == f.coefficient(n) * epsilon(k, nu, 1, quad)
 
 
 class TestCond2Determinant:

@@ -90,6 +90,27 @@ def delta_qexp(prec: int) -> QExpansion:
     return Fraction(1, 1728) * (e4 * e4 * e4 - e6 * e6)
 
 
+def miller_basis_oracle(k: int, prec: int) -> tuple[QExpansion, ...]:
+    """The earlier Miller construction: QExpansion products E_4^a E_6^b
+    Delta^j one factor at a time, echelonized by QExpansion arithmetic."""
+    one = QExpansion(0, prec, (Fraction(1),) + (Fraction(0),) * prec)
+    e4, e6, delta = eisenstein_qexp(4, prec), eisenstein_qexp(6, prec), delta_qexp(prec)
+    rows = []
+    for j in range(dim_modular(k)):
+        w = k - 12 * j
+        a, b = (w // 4, 0) if w % 4 == 0 else ((w - 6) // 4, 1)
+        form = one
+        for factor in [e4] * a + [e6] * b + [delta] * j:
+            form = form * factor
+        rows.append(QExpansion(k, prec, form.coeffs))
+    for j in range(1, len(rows)):
+        for i in range(j):
+            c = rows[i].coefficient(j)
+            if c:
+                rows[i] = rows[i] - c * rows[j]
+    return tuple(rows)
+
+
 class TestBuilders:
     def test_eisenstein_normalization(self):
         for k in (4, 6, 10, 16):
@@ -175,6 +196,13 @@ class TestMillerBasis:
         full, _ = miller_basis(20, 12)
         for row in full:
             assert all(c.denominator == 1 for c in row.coeffs)
+
+    def test_integer_construction_matches_the_product_oracle(self):
+        for k in range(0, 62, 2):
+            full, cusp = miller_basis(k, 60)
+            assert full == miller_basis_oracle(k, 60), k
+            assert cusp == full[1:], k
+            assert all(c.denominator == 1 for row in full for c in row.coeffs), k
 
 
 class TestHecke:
