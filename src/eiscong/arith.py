@@ -126,7 +126,8 @@ def pochhammer(x: int | Fraction, n: int) -> Fraction:
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-_RHO_STEPS = 2**21  # Floyd steps per cofactor before factorize raises BudgetExceeded
+_RHO_SQUARINGS = 2**23  # modular squarings per cofactor before factorize raises BudgetExceeded
+_RHO_BATCH = 128  # differences multiplied per gcd in Brent's cycle search
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -158,19 +159,45 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
+    """A factor 1 < d < n of the composite n: Pollard's rho with Brent's cycle
+    search.  y steps by y -> y^2 + c mod n, and x holds y at the start of
+    each round of r = 1, 2, 4, ... steps; the second half of a round
+    multiplies the differences x - y mod n in batches of _RHO_BATCH, one
+    gcd per batch.  A batch whose gcd is n is stepped again one gcd at a
+    time (at most _RHO_BATCH more squarings); if that finds only n, a new c
+    and start are drawn.  Raises BudgetExceeded before a round would take the
+    squarings past _RHO_SQUARINGS.
+    """
     rng = random.Random(0xE15C)
-    d = n
-    for _ in range(_RHO_STEPS):
-        if d == n:  # a fresh start: new c and x
-            c = rng.randrange(1, n)
-            x = y = rng.randrange(0, n)
-        x = (x * x + c) % n
-        y = (y * y + c) % n
-        y = (y * y + c) % n
-        d = gcd(abs(x - y), n)
-        if 1 < d < n:
+    squarings = 0
+    while True:
+        c, y = rng.randrange(1, n), rng.randrange(0, n)
+        r, q, d = 1, 1, 1
+        while d == 1:
+            if squarings + 2 * r > _RHO_SQUARINGS:
+                raise BudgetExceeded(
+                    f"Pollard's rho found no factor of {n} in {squarings} squarings"
+                )
+            squarings += 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BATCH):
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = gcd(q, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d == n:  # step the last batch again, one gcd at a time
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(x - ys, n)
+        if d < n:
             return d
-    raise BudgetExceeded(f"Pollard's rho found no factor of {n} in {_RHO_STEPS} steps")
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -148,7 +148,8 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
 
     Row j leads with coefficient 1 at q^j and has zeros at the other
     q^i, i < dim; the cusp basis is rows 1 and up.  E_4, E_6 and Delta
-    are integral, so everything runs on integer lists: the factors
+    are integral, so everything runs on integer lists: sigma_3 and sigma_5
+    come from one divisor sieve each, with no factorization, the factors
     -8/B_4 = 240 and -12/B_6 = -504 and the division by 1728 are exact
     (ArithmeticError if not), products are `_convolve`s cut to prec + 1
     terms, the echelon steps subtract integer multiples of rows, and each
@@ -167,7 +168,13 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
     def eisenstein(w: int) -> list[int]:  # E_w as in eisenstein_qexp
         b = bernoulli(w)
         factor = _exact_div(-2 * w * b.denominator, b.numerator)
-        return [1] + [factor * divisor_power_sum(n, w - 1) for n in range(1, size)]
+        # sigma_(w-1)(1..prec) by one sieve: d^(w-1) added at each multiple of d
+        sigma = [0] * size
+        for d in range(1, size):
+            power = d ** (w - 1)
+            for m in range(d, size, d):
+                sigma[m] += power
+        return [1] + [factor * x for x in sigma[1:]]
 
     e4, e6 = eisenstein(4), eisenstein(6)
     e4_cubed = _convolve(_convolve(e4, e4, size), e4, size)

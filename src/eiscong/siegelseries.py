@@ -22,13 +22,15 @@ Two independent routes are implemented:
 Size 3 combines the second route with Katsurada's functional equation
 (An explicit formula for Siegel series, Amer. J. Math. 121, 1999): for
 ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
-of Hilbert symbols.  Degree d <= 1, read off det(2B), needs nothing more:
-F_p = 1, or 1 + eps p^2 X.  For d >= 2 only c_0..c_(d//2) of the character
-sum are needed, divided by the integer numerator of gamma_p that `gamma_p`
-itself is built from; the upper half follows from the equation.  For d <= 3
-that is c_1, read off 2B mod p at odd p and counted on the 7 points of
-P^2(F_2); beyond, the sum is enumerated through X^(d//2) (p^(6 (d//2))
-points instead of p^(6d)).
+of Hilbert symbols.  Degree d = 0 gives F_p = 1.  For d >= 1 only
+c_0..c_(d//2) of the character sum are needed, divided by the integer
+numerator of gamma_p that `gamma_p` itself is built from; the upper half
+follows from the equation (d = 1 needs no eps: F_p = 1 + (c_1 + 1) X).
+Through X^2 the sum is read off strata of R with no enumeration: c_1 from
+the rank-1 classes a v v^t / p (`_c1`: 2B mod p at odd p, the 7 points of
+P^2(F_2)), c_2 from the two level-p^2 strata (`_c2`: points and planes of
+P^2(F_p), at every p).  So only d >= 6 enumerates the sum, through X^(d//2)
+(p^(6 (d//2)) points instead of p^(6d)).
 The levels of the enumerated R do not depend on B and are cached per
 (p, size, j); nothing of B is: `eisen` keeps the F_p of each rank-3 T it
 evaluates, for every weight.  The full-length sum stays available as
@@ -275,7 +277,9 @@ def _level_table(p: int, n: int, j_max: int):
 def _character_sum_series(p: int, b: HalfIntegralMatrix, j_max: int, budget: int) -> list[int]:
     """Coefficients c_0..c_{j_max} of the character sum, grouped by level.
 
-    Runs over all symmetric R with entries in p^-j_max Z / Z (these contain
+    `local_F` calls it only for ternary B of degree >= 6 (j_max >= 3); the
+    strata routes `_c1` and `_c2` cover less, and it is their oracle.  Runs
+    over all symmetric R with entries in p^-j_max Z / Z (these contain
     every coset of level <= p^j_max).  Their levels do not depend on B and
     come from `_level_table`, built once; per B only tr(BR) mod q is
     computed, histogrammed per level and collapsed exactly.
@@ -325,6 +329,36 @@ def oracle_bp(
     return tuple(_character_sum_series(p, b, j_max, budget))
 
 
+def _projective_points(p: int):
+    """One representative of each of the p^2 + p + 1 points of P^2(F_p)."""
+    return chain(product((1,), range(p), range(p)), product((0,), (1,), range(p)), [(0, 0, 1)])
+
+
+def _planes(p: int):
+    """A basis of each of the p^2 + p + 1 planes of F_p^3: the orthogonal
+    complement of each point (1, s, t), (0, 1, t), (0, 0, 1) of P^2(F_p)."""
+    for s, t in product(range(p), repeat=2):
+        yield (-s, 1, 0), (-t, 0, 1)
+    for t in range(p):
+        yield (1, 0, 0), (0, -t, 1)
+    yield (1, 0, 0), (0, 1, 0)
+
+
+def _check_points(
+    label: str, p: int, b: HalfIntegralMatrix, count: int, what: str, budget: int
+) -> None:
+    if count > budget:
+        raise BudgetExceeded(
+            f"{label} at p = {p} for T = {format_half_integral(b)}: {count} "
+            f"{what} of P^2(F_p) exceed the budget of {budget}"
+        )
+
+
+def _bilinear(g: list[list[int]], u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """u^t g v for 3 x 3 g."""
+    return sum(g[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
+
+
 def _c1(p: int, b: HalfIntegralMatrix, budget: int) -> int:
     """c_1 of the character sum of ternary B, with no enumeration of R.
 
@@ -335,7 +369,9 @@ def _c1(p: int, b: HalfIntegralMatrix, budget: int) -> int:
     p, N_0 is read off the rank of 2B mod p: p + 1 for rank 3 or 1, all
     points for rank 0, 1 + p (1 + (-m/p)) for rank 2, m a principal 2 x 2
     minor of 2B prime to p (a symmetric rank-2 matrix has one).  At p = 2
-    the 7 points are counted.
+    the 7 points are counted against the budget.  `local_F` reads the
+    degree-1 F_p = 1 + (c_1 + 1) X off it, and c_1 is the first term of
+    every shorter series of degree 2 to 5.
     """
     g, points = b.doubled, p * p + p + 1
     if p > 2:
@@ -345,18 +381,55 @@ def _c1(p: int, b: HalfIntegralMatrix, budget: int) -> int:
         else:  # rank 3 or 1, or rank 0
             zeros = p + 1 if m or any(x % p for row in g for x in row) else points
         return p * zeros - points
-    if points > budget:
-        raise BudgetExceeded(
-            f"c_1 at p = {p} for T = {format_half_integral(b)}: {points} points "
-            f"of P^2(F_p) exceed the budget of {budget}"
-        )
+    _check_points("c_1", p, b, points, "points", budget)
     # v^t (2B) v = 2 Q_B(v), so p | Q_B(v) exactly when 2p divides it
-    plane = chain(product((1,), range(p), range(p)), product((0,), (1,), range(p)), [(0, 0, 1)])
-    zeros = sum(
-        sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3)) % (2 * p) == 0
-        for v in plane
-    )
+    zeros = sum(_bilinear(g, v, v) % (2 * p) == 0 for v in _projective_points(p))
     return p * zeros - points
+
+
+def _c2(p: int, b: HalfIntegralMatrix, budget: int) -> int:
+    """c_2 of the character sum of ternary B, by the two strata of level p^2,
+    with no enumeration of R.
+
+    A level-p^2 class R = S / p^2 has elementary divisor exponents of S,
+    capped at 2, of (0, 2, 2) or (1, 1, 2).  The first are R = a v v^t / p^2,
+    v in (Z/p^2)^3 primitive and a a unit mod p^2, each class met p^2 - p
+    times; the second are R = S' / p, S' mod p of rank 2.  So, with
+    c_(p^2)(x) the Ramanujan sum (p^2 - p if p^2 | x, -p if p || x, 0
+    otherwise),
+
+        c_2 = sum_v c_(p^2)(Q_B(v)) / (p^2 - p) + sum_(S' rank 2) e_p(tr BS').
+
+    Both sums collapse onto P^2(F_p).  Writing v = v_0 + p w,
+    Q_B(v) = Q_B(v_0) + p v_0^t (2B) w mod p^2: unless 2B v_0 = 0 mod p, the
+    p^3 values of w spread Q_B(v) evenly over the residues = Q_B(v_0) mod p,
+    where c_(p^2) sums to 0.  So the first sum is p^2 times the sum of
+    c_(p^2)(Q_B(v)) over the points v of the kernel of 2B mod p.  For the
+    second, the symmetric S' mod p that vanish on a line l form a space of
+    dimension 3, over which e_p(tr BS') sums to p^3 if Q_B vanishes mod p
+    on the plane orthogonal to l, and to 0 otherwise.  Summed over the
+    p^2 + p + 1 lines, this counts each S' once per point of its kernel
+    (once at rank 2, p + 1 times at rank 1, p^2 + p + 1 times for S' = 0),
+    and the rank-1 S' sum to c_1.  So the second sum is
+    p^3 I - (p + 1) c_1 - (p^2 + p + 1), I the number of planes on which Q_B
+    vanishes mod p.  The route is the same at every p, p = 2 included: the
+    2 (p^2 + p + 1) points and planes count against the budget.
+    """
+    g, points = b.doubled, p * p + p + 1
+    _check_points("c_2", p, b, 2 * points, "points and planes", budget)
+    kernel = 0
+    for v in _projective_points(p):
+        if all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in g):
+            # 2B v = 0 mod p: Q_B(v) mod p^2 is the same for every lift of v
+            q = _bilinear(g, v, v) // 2
+            kernel += p * p - p if q % (p * p) == 0 else -p if q % p == 0 else 0
+    # Q_B vanishes mod p on the plane spanned by u and w
+    isotropic = sum(
+        _bilinear(g, u, u) % (2 * p) == 0 and _bilinear(g, w, w) % (2 * p) == 0
+        and _bilinear(g, u, w) % p == 0
+        for u, w in _planes(p)
+    )
+    return p * p * kernel + p**3 * isotropic - (p + 1) * _c1(p, b, budget) - points
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +445,16 @@ def local_F(
     a geometric sum, and the content/square-part formula (with
     xi = `chi_p`(-det 2B)) behind the classical divisor-sum expression for
     degree-2 Eisenstein coefficients.  Size 3 uses f_(d-i) = eps p^(2d-4i) f_i,
-    eps = `_functional_equation_sign`: d = 0 gives 1 and d = 1 gives
-    1 + eps p^2 X.  For d >= 2 the character sum through X^(d//2) is divided
+    eps = `_functional_equation_sign`: d = 0 gives 1, and d = 1 gives
+    1 + (c_1 + 1) X with c_1 from `_c1`, asserted to be 1 +- p^2 X, so no
+    sign is taken.  For d >= 2 the character sum through X^(d//2) is divided
     by gamma_p (`_gamma_numerator`) and f_(d-i) filled in for i < ceil(d/2);
     for even d and eps = -1 the middle coefficient must vanish, as asserted.
-    For d = 2, 3 that sum is 1 + c_1 X with c_1 from `_c1`, and only d >= 4
-    enumerates R.  `budget` (at least 1 on every route) caps the points
-    counted, of P^2(F_2) or of R.  Nothing of B is cached here: `eisen`
-    keeps the size-3 F_p of each T it meets.
+    For d <= 5 that sum is 1 + c_1 X + c_2 X^2, cut after X^(d//2), with c_2
+    from `_c2`; only d >= 6 enumerates R.  `budget` (at least 1 on every
+    route) caps the points counted: of P^2(F_2) for c_1, of P^2(F_p) and its
+    planes for c_2, or of R.  Nothing of B is cached here: `eisen` keeps the
+    size-3 F_p of each T it meets.
     """
     _check_prime_and_budget(p, budget)
     deg = expected_degree(p, b)
@@ -399,11 +474,17 @@ def local_F(
         return SiegelSeriesPolynomial(tuple(p**i for i in range(deg + 1)))
     if deg == 0:
         return SiegelSeriesPolynomial((1,))
-    sign = _functional_equation_sign(p, b)
     if deg == 1:
-        return SiegelSeriesPolynomial((1, sign * p**2))
+        f1 = _c1(p, b, budget) + 1
+        if abs(f1) != p * p:
+            raise AssertionError("degree 1 needs c_1 + 1 = +-p^2")
+        return SiegelSeriesPolynomial((1, f1))
+    sign = _functional_equation_sign(p, b)
     # divide gamma_p = (1 - X)(1 - p^2 X^2) out of c_0..c_(d//2); c_0 = 1
-    series = [1, _c1(p, b, budget)] if deg < 4 else _character_sum_series(p, b, deg // 2, budget)
+    if deg > 5:
+        series = _character_sum_series(p, b, deg // 2, budget)
+    else:
+        series = [1, _c1(p, b, budget)] + ([_c2(p, b, budget)] if deg > 3 else [])
     gamma = _gamma_numerator(p, 3)
     f_coeffs = [0] * (deg + 1)
     for j, c in enumerate(series):

@@ -522,10 +522,15 @@ class TestSympyOracles:
             17 * 19,
             99991 * 99989,
             99991**2,
+            17 * 23,
+            17 * 31,
         ],
     )
     def test_factorize_through_pollard_rho(self, monkeypatch, n):
-        # every composite cofactor left by the 2..13 sieve is split by rho
+        # every composite cofactor left by the 2..13 sieve is split by rho;
+        # 17 * 19, 17 * 23 and 17 * 31 make the first batch's gcd n, so it is
+        # stepped again, and for 17 * 23 and 17 * 31 that finds n too, so a
+        # new c is drawn
         calls = []
 
         def spy(m: int) -> int:
@@ -536,6 +541,13 @@ class TestSympyOracles:
         monkeypatch.setattr(arith, "_pollard_rho", spy)
         assert factorize(n) == sympy.factorint(n)
         assert calls and not any(_is_probable_prime(m) for m in calls)
+
+    def test_brent_splits_what_the_floyd_bound_refused(self):
+        # two 14-digit primes: split in the round that takes the squarings
+        # to 2^23 - 2, inside _RHO_SQUARINGS; the earlier bound of 2^21 Floyd
+        # steps refused them
+        n = 10000000000037 * 30000000000011
+        assert factorize(n) == {10000000000037: 1, 30000000000011: 1}
 
     def test_kronecker(self):
         for a in range(-40, 41):

@@ -1,6 +1,6 @@
 """The integer character-sum kernel against the valuation-and-cyclotomic kernel
 it replaced, and the routes that skip it: the cached level table, which must
-carry nothing of B, and the closed-form c_1 of ternary B.
+carry nothing of B, and c_1 and c_2 of ternary B read off strata of R.
 
 `reference_series` is the earlier `_character_sum_series`: levels from
 elementwise p-adic valuations of the minors' gcds (e_k = v_k - v_(k-1),
@@ -13,10 +13,11 @@ ones included.
 
 from __future__ import annotations
 
+import random
 import time
 import warnings
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -25,12 +26,16 @@ from hypothesis import strategies as st
 
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import HalfIntegralMatrix
+from eiscong import siegelseries
 from eiscong.siegelseries import (
     _c1,
+    _c2,
     _character_sum_series,
     _collapse_histogram,
     _level_table,
+    expected_degree,
     local_F,
+    oracle_bp,
 )
 from test_cli import run_python
 
@@ -242,6 +247,94 @@ def test_c1_counts_the_points_of_the_plane_against_the_budget():
     assert _c1(2, b, 7) == _character_sum_series(2, b, 1, 64)[1]
     with pytest.raises(BudgetExceeded, match="7 points of P\\^2\\(F_p\\) exceed the budget of 6"):
         _c1(2, b, 6)
+
+
+def scale_rows(p: int, b: HalfIntegralMatrix, powers) -> HalfIntegralMatrix:
+    """B with row and column i multiplied by p^powers[i]."""
+    return HalfIntegralMatrix.from_doubled(
+        [
+            [x * p ** (powers[i] + powers[j]) for j, x in enumerate(row)]
+            for i, row in enumerate(b.doubled)
+        ]
+    )
+
+
+def strata_c2(p: int, b: HalfIntegralMatrix) -> int:
+    """c_2 by its two level-p^2 strata, summed term by term over 2 p^6 points:
+    the Ramanujan sums c_(p^2)(Q_B(v)) over primitive v mod p^2, divided by
+    the p^2 - p units, plus e_p(tr BS') over the S' mod p of rank 2, which is
+    N_0 - N_(!=0) / (p - 1) as S' -> uS' permutes the nonzero traces."""
+    g, q = b.doubled, p * p
+    first = 0
+    for v in product(range(q), repeat=3):
+        if any(x % p for x in v):
+            value = sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3)) // 2
+            first += q - p if value % q == 0 else -p if value % p == 0 else 0
+    counts = [0, 0]
+    for a, d, e, bb, f, c in product(range(p), repeat=6):
+        s = ((a, d, e), (d, bb, f), (e, f, c))
+        det = a * (bb * c - f * f) - d * (d * c - f * e) + e * (d * f - bb * e)
+        if det % p or not any(
+            (s[i][k] * s[j][m] - s[i][m] * s[j][k]) % p
+            for i, j in combinations(range(3), 2)
+            for k, m in combinations(range(3), 2)
+        ):
+            continue
+        trace = g[0][0] // 2 * a + g[1][1] // 2 * bb + g[2][2] // 2 * c
+        trace += g[0][1] * d + g[0][2] * e + g[1][2] * f
+        counts[trace % p != 0] += 1
+    assert first % (q - p) == 0 and counts[1] % (p - 1) == 0
+    return first // (q - p) + counts[0] - counts[1] // (p - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3)), ternary_forms(), st.tuples(*[st.integers(0, 2)] * 3))
+@example(2, HalfIntegralMatrix.identity(3), (0, 0, 0))
+@example(3, HalfIntegralMatrix.from_doubled([[0, 1, 0], [1, 0, 0], [0, 0, 2]]), (0, 0, 2))
+@example(2, HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 2]]), (1, 1, 2))
+def test_c2_matches_the_character_sum(p, b, powers):
+    # rows and columns scaled by p^0..p^2, so 2B mod p and mod p^2 take
+    # every rank, against the sum over the p^12 R of level <= p^2
+    b = scale_rows(p, b, powers)
+    assert _c2(p, b, 2 * (p * p + p + 1)) == oracle_bp(p, b, 2)[2]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(ternary_forms(), st.tuples(*[st.integers(0, 2)] * 3))
+@example(HalfIntegralMatrix.diagonal(1, 5, 5), (0, 0, 0))
+def test_c2_matches_its_strata_at_p5(b, powers):
+    # 5^12 R are too many for the sum; the strata themselves take 2 * 5^6
+    b = scale_rows(5, b, powers)
+    assert _c2(5, b, 62) == strata_c2(5, b)
+
+
+def test_c2_counts_points_and_planes_against_the_budget():
+    b = HalfIntegralMatrix.identity(3)
+    assert _c2(2, b, 14) == oracle_bp(2, b, 2)[2] == -20
+    message = "c_2 at p = 2 .*: 14 points and planes of P\\^2\\(F_p\\) exceed the budget of 13"
+    with pytest.raises(BudgetExceeded, match=message):
+        _c2(2, b, 13)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_degree_at_most_five_never_enumerates(monkeypatch, p):
+    # 12 forms of each degree 1..5 at p, of every signature: local_F reads
+    # c_1 and c_2 off strata, and neither the sum nor its level table runs
+    def refuse(*args):
+        raise AssertionError(f"enumerated at p = {args[0]}")
+
+    monkeypatch.setattr(siegelseries, "_character_sum_series", refuse)
+    monkeypatch.setattr(siegelseries, "_level_table", refuse)
+    rng, checked = random.Random(p), {d: 0 for d in range(1, 6)}
+    while min(checked.values()) < 12:
+        diagonal = [2 * rng.randint(-6, 6) for _ in range(3)]
+        r, s, t = (rng.randint(-12, 12) for _ in range(3))
+        g = [[diagonal[0], r, s], [r, diagonal[1], t], [s, t, diagonal[2]]]
+        b = scale_rows(p, HalfIntegralMatrix.from_doubled(g), [rng.randint(0, 2) for _ in range(3)])
+        d = expected_degree(p, b) if b.det_doubled() else 0
+        if checked.get(d, 12) < 12:
+            assert len(local_F(p, b).coeffs) == d + 1
+            checked[d] += 1
 
 
 def test_level_table_carries_nothing_of_b():

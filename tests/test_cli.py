@@ -271,11 +271,15 @@ class TestInterfaceContracts:
         assert json.loads(out)["precision"] == 20
 
     def test_numpy_loads_only_for_an_enumeration(self):
-        # importing the CLI and a whole lvalue command never enumerate
+        # importing the CLI, a whole lvalue command and epsilon at n = 6 never
+        # enumerate: every F_p that epsilon meets there has degree <= 5
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "from eiscong.cli import main\n"
             "assert 'numpy' not in sys.modules, 'import eiscong.cli loaded numpy'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    eps = main(['epsilon', '--k', '14', '--nu', '2', '--n', '6', '--N', '1,0,1'])\n"
+            "assert eps == 0 and 'numpy' not in sys.modules, 'epsilon loaded numpy'\n"
             "code = main(['lvalue', '--k', '14', '--nu', '2'])\n"
             "assert 'numpy' not in sys.modules, 'lvalue loaded numpy'\n"
             "sys.exit(code)\n"
@@ -585,6 +589,19 @@ class TestBadInput:
         code, out, err = run(capsys, *argv, "--budget", budget)
         assert code == 3 and out == ""
         assert f"ValueError: budget must be >= 1, got {budget}" in err
+
+    def test_degree_one_at_p2_counts_the_plane(self, capsys):
+        # degree 1 at p = 2 reads c_1 off the 7 points of P^2(F_2), as
+        # degrees 2 and 3 do; with 7 points allowed the output is unchanged
+        argv = ("siegel-series", "--p", "2", "--T", "1,1,0,1,0,2")
+        code, out, err = run(capsys, *argv, "--budget", "6")
+        assert code == 3 and out == ""
+        assert "BudgetExceeded: c_1 at p = 2" in err and "7 points" in err
+        code, out, _ = run(capsys, *argv, "--budget", "7")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "siegel-series", "p": 2, "T": "1,1,0,1,0,2", "coeffs": ["1", "-4"]
+        }
 
     def test_budget_exceeded_names_p_and_matrix(self):
         # degree 2 at p = 2: c_1 counts the 7 points of P^2(F_2)

@@ -320,6 +320,14 @@ def test_eigenform_identity_at_every_n(k, nu):
         assert epsilon(k, nu, n, I2) == f.coefficient(n) * epsilon(k, nu, 1, I2), n
 
 
+def test_eigenform_identity_at_313():
+    """n = 313 meets F_5 of degree 4, whose c_2 comes from the level-25
+    strata (the sum through X^2 would take 5^12 points, past the budget), and
+    F_3 of degree 4 and 5."""
+    f = eigen_basis(16, 313)[0]
+    assert epsilon(14, 2, 313, I2) == f.coefficient(313) * epsilon(14, 2, 1, I2)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     pair=st.sampled_from(SWEEP_PAIRS),

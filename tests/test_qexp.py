@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from eiscong import arith, qexp
 from eiscong.arith import factorize, ord_p, zeta_neg
 from eiscong.errors import SingularSystem, UnsupportedHeckeField
 from eiscong.qexp import (
@@ -203,6 +204,17 @@ class TestMillerBasis:
             assert full == miller_basis_oracle(k, 60), k
             assert cusp == full[1:], k
             assert all(c.denominator == 1 for row in full for c in row.coeffs), k
+
+    def test_eisenstein_coefficients_factor_nothing(self, monkeypatch):
+        # sigma_3 and sigma_5 come from a divisor sieve, not one factorization
+        # per coefficient
+        def refuse(*args):
+            raise AssertionError("factored")
+
+        expected = miller_basis_oracle(40, 60)
+        monkeypatch.setattr(qexp, "divisor_power_sum", refuse)
+        monkeypatch.setattr(arith, "factorize", refuse)
+        assert miller_basis.__wrapped__(40, 60)[0] == expected
 
 
 class TestHecke:

@@ -254,9 +254,9 @@ def local_F_star(p, t, x):
 
 class TestMemo:
     """local_F caches nothing of B and never canonicalizes it: every size-3
-    call with degree >= 4 enumerates, degree <= 1 is read off det(2B) and the
-    sign, and B, its sign flips and its permutations agree because the series
-    is a GL(Z_p) invariant.  The one cache here is the B-independent level
+    call with degree >= 6 enumerates, degree <= 5 is read off strata of R,
+    and B, its sign flips and its permutations agree because the series is a
+    GL(Z_p) invariant.  The one cache here is the B-independent level
     table; the cache of rank-3 factors lives in eisen."""
 
     @pytest.fixture
@@ -297,20 +297,31 @@ class TestMemo:
         assert key_calls == []
         assert [expected_degree(p, HalfIntegralMatrix.diagonal(1, 1, 4)) for p in (2, 3)] == [4, 0]
 
-    def test_sign_flip_shares_one_entry(self, key_calls, enumerations):
-        # det(2B) = 96: degree 4 at p = 2
-        b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, 32]])
+    @staticmethod
+    def check_four_calls(key_calls, g33: int, degree: int) -> None:
+        """local_F at p = 2 of B, a sign flip, a swap and B again agree, and
+        B is never canonicalized."""
+        b = HalfIntegralMatrix.from_doubled([[2, 1, 0], [1, 2, 0], [0, 0, g33]])
         flipped = b.transform(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
         swapped = b.transform(((0, 0, 1), (0, 1, 0), (1, 0, 0)))
-        assert len({b, flipped, swapped}) == 3 and expected_degree(2, b) == 4
+        assert len({b, flipped, swapped}) == 3 and expected_degree(2, b) == degree
         values = [local_F(2, m) for m in (b, flipped, swapped, b)]
         assert values[1:] == values[:1] * 3
-        # no memo of B: each call enumerates c_0..c_2 once
-        assert [(p, j) for p, _, j in enumerations] == [(2, 2)] * 4
         assert key_calls == []
+
+    def test_sign_flip_shares_one_entry(self, key_calls, enumerations):
+        # det(2B) = 96: degree 4 at p = 2, read off strata with no enumeration
+        self.check_four_calls(key_calls, 32, 4)
+        assert enumerations == []
         assert [
             name for name, fn in vars(siegelseries).items() if hasattr(fn, "cache_info")
         ] == ["_level_table"]
+
+    def test_degree_six_enumerates_once_per_call(self, key_calls, enumerations):
+        # det(2B) = 384: degree 6 at p = 2; no memo of B, so each of the four
+        # calls enumerates c_0..c_3
+        self.check_four_calls(key_calls, 128, 6)
+        assert [(p, j) for p, _, j in enumerations] == [(2, 3)] * 4
 
     @pytest.mark.parametrize(
         "p, doubled, coeffs",

@@ -5,8 +5,9 @@ coefficients from the functional equation f_(d-i) = eps p^(2d-4i) f_i.  The
 full-length character sum (`oracle_bp`) divided by gamma_p is the
 independent route it is checked against; degree 1 is checked against the
 coefficient of X in the sum (or, where that enumeration is too long, the
-rank-1 coset count it reduces to).  The equation is local, so indefinite T,
-whose leading principal minors may vanish, are checked as well.
+rank-1 coset count it reduces to), and against the sign of the equation,
+which the degree-1 route does not take.  The equation is local, so
+indefinite T, whose leading principal minors may vanish, are checked as well.
 """
 
 from __future__ import annotations
@@ -163,6 +164,25 @@ def test_degree_one_indefinite_matches_level_p_coefficient(b):
             assert local_F(p, b).coeffs == (1, c1 + 1), p
             checked += 1
     assume(checked)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_degree_one_route_is_the_functional_equation_sign(p):
+    # degree 1 returns 1 + (c_1 + 1) X from `_c1` and takes no sign; the
+    # functional equation f_1 = eps p^2 f_0, with eps from Hilbert symbols,
+    # must give the same polynomial, on forms of every signature
+    rng = random.Random(p)
+    checked = 0
+    while checked < 60:
+        diagonal = [2 * rng.randint(-5, 5) for _ in range(3)]
+        r, s, t = (rng.randint(-9, 9) for _ in range(3))
+        b = HalfIntegralMatrix.from_doubled(
+            [[diagonal[0], r, s], [r, diagonal[1], t], [s, t, diagonal[2]]]
+        )
+        if b.det_doubled() == 0 or expected_degree(p, b) != 1:
+            continue
+        assert local_F(p, b).coeffs == (1, _functional_equation_sign(p, b) * p**2), b
+        checked += 1
 
 
 @lru_cache(maxsize=None)
