@@ -3,7 +3,10 @@
 Subcommands: lvalue, epsilon, certify, siegel-series, eisenstein-coeff,
 cohen-series.  All numeric input is exact; output is deterministic JSON
 (stable key order, rationals as {"num": ..., "den": ...} decimal strings),
-CSV for the scalar lvalue table, or a human-readable pretty format.
+CSV for the scalar lvalue table, or a human-readable pretty format.  The
+JSON text is exactly that of json.dumps(doc, indent=2): two-space indent,
+every non-ASCII character escaped.  `_json_text` writes it, since
+json.dumps takes its C encoder only without an indent.
 --precision overrides the default q-expansion precision; --budget caps the
 character-sum enumeration.  A value may start with '-': `--N -1,0,-1`.
 
@@ -21,9 +24,9 @@ the verdict is NotEstablished, 2 usage errors, 3 typed computation errors.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arith import _is_probable_prime, ord_p
 from .eisen import EisensteinContext
@@ -177,9 +180,42 @@ def _cmd_cohen_series(args) -> tuple[dict, int]:
 # Output formatting
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str, int, bool and None leaves in dicts
+    with str keys, lists and tuples; pad is the newline and indent of obj's
+    closing bracket.  Any other type, a float among them, or a key that is
+    not a str raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, val in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(val, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2), file=out)
+        print(_json_text(doc), file=out)
         return
     if fmt == "csv":
         if doc.get("command") != "lvalue":

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .arith import (
     _is_probable_prime,
     _over_common_denominator,
     factorize,
     ord_p,
-    pochhammer,
     zeta_neg,
 )
 from .eisen import EisensteinContext
@@ -66,17 +65,21 @@ CERT_SCHEMA = "eiscong-cert-v1"
 
 
 def _gamma(k: int, nu: int, sign_exp: int, two_exp: int, shift: int) -> Fraction:
-    """(-1)^sign_exp 2^two_exp nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-shift)_(nu-1)."""
+    """(-1)^sign_exp 2^two_exp nu! (k-1)_(nu+1) (2k-1)_(nu-2) / (2k+nu-shift)_(nu-1).
+
+    The rising factorials (a)_n are the integer products a (a+1) ... (a+n-1),
+    so the value is one Fraction of two integer products.
+    """
     if k % 2 or nu % 2 or k <= 0 or nu <= 0:
         raise ValueError("k and nu must be positive even integers")
-    return (
-        (-1) ** sign_exp
-        * 2**two_exp
-        * factorial(nu)
-        * pochhammer(k - 1, nu + 1)
-        * pochhammer(2 * k - 1, nu - 2)
-        / pochhammer(2 * k + nu - shift, nu - 1)
+    num = (
+        factorial(nu)
+        * prod(range(k - 1, k + nu))
+        * prod(range(2 * k - 1, 2 * k + nu - 3))
+        << two_exp
     )
+    den = prod(range(2 * k + nu - shift, 2 * k + 2 * nu - shift - 1))
+    return Fraction(-num if sign_exp % 2 else num, den)
 
 
 def gamma1(k: int, nu: int) -> Fraction:
@@ -170,13 +173,18 @@ def epsilon_hecke(
     the prime factorization of m with multiplicity; m = 1 is the identity.
     Each T(p) rewrites the map {index: integer weight} in one loop, so the
     result is sum weight * eps(index) however many factors m has.  eps(n m),
-    of the largest row box, is evaluated first, before m is factored.
+    of the largest row box, is evaluated first, before m is factored; for
+    m = 1 it is the one term of the sum and is returned.  Otherwise the summed
+    coefficients are put over their common denominator, the weighted
+    numerators are added in integers and each coefficient is divided once.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    epsilon(k, nu, n * m, quad)
+    top = epsilon(k, nu, n * m, quad)
+    if m == 1:
+        return top
     weights = {n: 1}
-    for p, e in (factorize(m).items() if m > 1 else ()):
+    for p, e in factorize(m).items():
         lower = p ** (k + nu - 1)
         for _ in range(e):
             step: dict[int, int] = {}
@@ -185,10 +193,15 @@ def epsilon_hecke(
                 if idx % p == 0:
                     step[idx // p] = step.get(idx // p, 0) + lower * w
             weights = step
-    total = BinaryForm(nu, (Fraction(0),) * (nu + 1))
-    for idx, w in weights.items():
-        total = total + w * epsilon(k, nu, idx, quad)
-    return total
+    size = nu + 1
+    nums, den = _over_common_denominator(
+        [c for idx in weights for c in epsilon(k, nu, idx, quad).coeffs]
+    )
+    total = [0] * size
+    for j, w in enumerate(weights.values()):
+        for i, c in enumerate(nums[j * size : (j + 1) * size]):
+            total[i] += w * c
+    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiscong import cli, qexp
 from eiscong.cli import main
@@ -205,6 +208,75 @@ class TestSmallCommands:
 
         z = zeta_neg(30)
         assert doc["coeffs"][0] == {"num": str(z.numerator), "den": str(z.denominator)}
+
+
+# JSON leaves: any text, surrogates, control characters and punctuation
+# such as quotes and backslashes drawn often, and ints of any size
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(st.characters(categories=("Cs", "Cc", "Po")))
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [[], (), {}, {"a": []}, [{}], {"": ""}, 10**300, -(10**300)]
+    )
+    def test_empty_containers_and_long_ints(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, Fraction(1, 2), {1, 2}, {1: "one"}, {"ok": [0.0]}, [{"num": Fraction(1)}]],
+        ids=["float", "Fraction", "set", "int key", "nested float", "nested Fraction"],
+    )
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+# one command line per subcommand and output shape
+STDOUT_ARGVS = {
+    "lvalue": ("lvalue", "--k", "14", "--nu", "2", "--ords", "373,7"),
+    "lvalue-empty-forms": ("lvalue", "--k", "6", "--nu", "2"),
+    "epsilon-at": (
+        "epsilon", "--k", "14", "--nu", "2", "--n", "1", "--N", "1,0,1",
+        "--at", "1,1", "--at", "-1,2",
+    ),
+    "certify-strict": ("certify", "--k", "14", "--nu", "2", "--p", "373", "--A", "1,0,1"),
+    "certify-relaxed": (
+        "certify", "--k", "8", "--nu", "8", "--p", "23", "--A", "1,0,1", "--relaxed",
+    ),
+    "siegel-series": ("siegel-series", "--p", "3", "--T", "9"),
+    "eisenstein-coeff": ("eisenstein-coeff", "--degree", "3", "--k", "14", "--T", "1,0,0,1,0,1"),
+    "cohen-series-precision-0": ("cohen-series", "--k", "16", "--r", "15", "--precision", "0"),
+}
+
+
+class TestJsonStdout:
+    @pytest.mark.parametrize("argv", STDOUT_ARGVS.values(), ids=STDOUT_ARGVS)
+    def test_stdout_is_json_dumps_indent_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestInterfaceContracts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import permutations, product
@@ -66,7 +67,39 @@ def c_kv1(k: int, nu: int) -> tuple[Fraction, int]:
     return 2**4 * pochhammer(k, nu) * pochhammer(2 * k - 1, nu - 1), 1
 
 
+def rising(x: int, n: int) -> Fraction:
+    """(x)_n as a running product of Fractions."""
+    value = Fraction(1)
+    for i in range(n):
+        value *= x + i
+    return value
+
+
+def gamma_formula(k: int, nu: int, sign_exp: int, two_exp: int, shift: int) -> Fraction:
+    """The docstring formula of the gamma constants, term by term in Fractions."""
+    return (
+        Fraction(-1) ** sign_exp
+        * 2**two_exp
+        * math.factorial(nu)
+        * rising(k - 1, nu + 1)
+        * rising(2 * k - 1, nu - 2)
+        / rising(2 * k + nu - shift, nu - 1)
+    )
+
+
 class TestGammaConstants:
+    @pytest.mark.parametrize("k", range(6, 41, 2))
+    def test_integer_products_match_the_formula(self, k):
+        for nu in range(2, 31, 2):
+            assert gamma1(k, nu) == gamma_formula(k, nu, (k + nu) // 2 + 1, 3, 2), nu
+            assert gamma2(k, nu) == gamma_formula(k, nu, nu // 2 + 1, 5, 4), nu
+
+    @pytest.mark.parametrize("k, nu", [(13, 2), (14, 3), (0, 2), (-2, 2), (14, 0), (14, -2)])
+    def test_odd_or_non_positive_k_nu_raise(self, k, nu):
+        for gamma in (gamma1, gamma2):
+            with pytest.raises(ValueError, match="k and nu must be positive even integers"):
+                gamma(k, nu)
+
     def test_gamma1_14_2(self):
         assert gamma1(14, 2) == -1560
 
@@ -231,6 +264,8 @@ class TestEpsilonOracle:
 class TestEpsilonHecke:
     def test_identity_operator(self):
         assert epsilon_hecke(14, 2, 1, 1, I2) == epsilon(14, 2, 1, I2)
+        n111 = parse_half_integral("1,1,1")
+        assert epsilon_hecke(10, 6, 1, 2, n111) == epsilon(10, 6, 2, n111)
 
     def test_prime_at_one(self):
         # (T(2) g)(1) = g(2): the lower term drops
@@ -260,6 +295,21 @@ class TestEpsilonHecke:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_the_recursive_composition(self, m, n):
         assert epsilon_hecke(14, 2, m, n, I2) == epsilon_hecke_recursive(14, 2, m, n, I2)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_integral_sums_match_the_recursive_composition(self, monkeypatch, m, n):
+        # eps(10, 6, 1, [1,1,1]) has coefficients with denominator 3
+        n111 = parse_half_integral("1,1,1")
+        expect = epsilon_hecke_recursive(10, 6, m, n, n111)
+        summed = []
+        monkeypatch.setattr(
+            pullback, "epsilon", lambda *args: summed.append(args) or epsilon(*args)
+        )
+        assert epsilon_hecke(10, 6, m, n, n111) == expect
+        if (m, n) in ((2, 2), (4, 1)):
+            # the sum runs over eps(1), a non-integral form
+            assert any(c.denominator > 1 for args in summed for c in epsilon(*args).coeffs)
 
     def test_many_prime_factors_is_a_budget_error(self, monkeypatch):
         # the largest index, 2^1100, has a row box past enumerate_R's bound,
