@@ -174,9 +174,7 @@ def epsilon_hecke(
     Each T(p) rewrites the map {index: integer weight} in one loop, so the
     result is sum weight * eps(index) however many factors m has.  eps(n m),
     of the largest row box, is evaluated first, before m is factored; for
-    m = 1 it is the one term of the sum and is returned.  Otherwise the summed
-    coefficients are put over their common denominator, the weighted
-    numerators are added in integers and each coefficient is divided once.
+    m = 1 it is the one term of the sum and is returned.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -193,15 +191,10 @@ def epsilon_hecke(
                 if idx % p == 0:
                     step[idx // p] = step.get(idx // p, 0) + lower * w
             weights = step
-    size = nu + 1
-    nums, den = _over_common_denominator(
-        [c for idx in weights for c in epsilon(k, nu, idx, quad).coeffs]
-    )
-    total = [0] * size
-    for j, w in enumerate(weights.values()):
-        for i, c in enumerate(nums[j * size : (j + 1) * size]):
-            total[i] += w * c
-    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))
+    total = BinaryForm(nu, (Fraction(0),) * (nu + 1))
+    for idx, w in weights.items():
+        total = total + w * epsilon(k, nu, idx, quad)
+    return total
 
 
 # ---------------------------------------------------------------------------
