@@ -5,7 +5,9 @@ Kronecker symbols, the split m = d f^2 with d a fundamental discriminant
 (one factorization, shared by the discriminant test, the characters and H),
 generalized Bernoulli numbers (one power-sum table per character), Dirichlet
 L-values at non-positive integers and Cohen's function H(r, N).  Factorization
-raises BudgetExceeded when Pollard's rho cannot split a cofactor in 2^21 steps.
+raises BudgetExceeded when Pollard's rho cannot split a cofactor within
+_RHO_SQUARINGS squarings, and gen_bernoulli when a conductor m would need more
+than _L_VALUE_TERMS terms.  sigma_e(n) is a product over p^a || n.
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ def pochhammer(x: int | Fraction, n: int) -> Fraction:
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _RHO_SQUARINGS = 2**23  # modular squarings per cofactor before factorize raises BudgetExceeded
 _RHO_BATCH = 128  # differences multiplied per gcd in Brent's cycle search
+_L_VALUE_TERMS = 2**22  # most terms (m - 1)/2 (r + 1) a B_{r,chi} of conductor m may take
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -235,8 +238,15 @@ def divisors(n: int) -> list[int]:
 
 
 def divisor_power_sum(n: int, e: int) -> int:
-    """sigma_e(n) = sum of d^e over positive divisors d of n."""
-    return sum(d**e for d in divisors(n))
+    """sigma_e(n) = sum of d^e over positive divisors d of n != 0, for e >= 0.
+
+    sigma_e is multiplicative, so from one factorization it is the product
+    over p^a || n of (p^(e(a+1)) - 1) / (p^e - 1), and of a + 1 for e = 0;
+    no divisor is listed.
+    """
+    if e == 0:
+        return prod(a + 1 for a in factorize(n).values())
+    return prod((p ** (e * (a + 1)) - 1) // (p**e - 1) for p, a in factorize(n).items())
 
 
 def ord_p(p: int, x: int | Fraction) -> int:
@@ -388,6 +398,8 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     sum_i C(r, i) B_i m^(i-1) S_(r-i) with integer power sums
     S_j = 2 sum_a chi(a) a^j over the half range, from `_power_sums`; a larger
     r extends them from a fresh sieve, so no terms are held between calls.
+    Past _L_VALUE_TERMS terms (m - 1)/2 (r + 1), BudgetExceeded is raised
+    before any sieve is built.
     Over the common denominator den of the Bernoulli table the sum is an
     integer num, and one Fraction(num, den m) ends.
     """
@@ -399,6 +411,11 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     elif (chi.d < 0) != (r % 2 == 1):  # chi(-1) = sign(d) is not (-1)^r
         return Fraction(0)
     else:
+        if (m - 1) // 2 * (r + 1) > _L_VALUE_TERMS:
+            raise BudgetExceeded(
+                f"L-value of conductor {m} at r = {r} needs {(m - 1) // 2 * (r + 1)} "
+                f"terms, past the bound of {_L_VALUE_TERMS}"
+            )
         sums = _power_sums.get(chi, ())
         if len(sums) <= r:
             values = _character_values(chi, (m - 1) // 2)

@@ -6,7 +6,10 @@ exact rational, read off by the rank m of T.  Rank 3 is 4 prod_p F_p(T, p^(k-4))
 over the primes p | det(2T).  For m <= 2 the product (with L(1+m/2-k, chi)
 for m = 2) collapses to the degree-1 divisor sum and to the Maass
 formula in Cohen's function H (Cohen, Math. Ann. 217, 1975; Eichler-Zagier,
-The Theory of Jacobi Forms, 1985, section 6).
+The Theory of Jacobi Forms, 1985, section 6): rank 1 reads sigma_(k-1) as a
+product over p^a || D/2, and a primitive rank-2 T takes the Maass sum's one
+term d = 1, so neither lists divisors.  An L-value whose conductor is past
+`arith`'s term bound raises BudgetExceeded.
 
 `quadform.nondeg_invariants` reads m and det(2 T~) off the principal minors
 of 2T and rejects T that are not positive semidefinite; no T is reduced.
@@ -46,9 +49,11 @@ def z_const(n: int, k: int) -> Fraction:
 def _untailed(k: int, m: int, det2: int, content: int) -> Fraction:
     """a(T) of rank m <= 2 without its zeta tail, for D = det(2 T~):
     2 sigma_(k-1)(D/2) for m = 1 and 2 sum_{d | content} d^(k-1) H(k-1, D/d^2)
-    for m = 2."""
+    for m = 2, whose one term for primitive T (content 1) is 2 H(k-1, D)."""
     if m == 1:
         return Fraction(2 * divisor_power_sum(det2 // 2, k - 1))
+    if content == 1:
+        return 2 * cohen_h(k - 1, det2)
     return 2 * sum(d ** (k - 1) * cohen_h(k - 1, det2 // (d * d)) for d in divisors(content))
 
 

@@ -172,12 +172,16 @@ class HalfIntegralMatrix:
         )
 
     def content(self) -> int:
-        """gcd of the entries of T, read off the doubled form."""
-        vals = []
-        for i in range(self.n):
-            vals.append(self.doubled[i][i] // 2)
-            vals.extend(self.doubled[i][i + 1 :])
-        return gcd(*vals)
+        """gcd of the entries of T (0 for T = 0): one gcd call over the halved
+        diagonal and the upper off-diagonal entries of the doubled form."""
+        g = self.doubled
+        if len(g) == 3:
+            (a, b, c), (_, d, e), (_, _, f) = g
+            return gcd(a // 2, d // 2, f // 2, b, c, e)
+        if len(g) == 2:
+            (a, b), (_, d) = g
+            return gcd(a // 2, d // 2, b)
+        return gcd(g[0][0] // 2)
 
 
 def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIntegralMatrix:

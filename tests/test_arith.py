@@ -40,6 +40,7 @@ from eiscong.arith import (
     pochhammer,
     zeta_neg,
 )
+from eiscong.errors import BudgetExceeded
 
 
 def bernoulli_oracle_values(n: int) -> list[Fraction]:
@@ -279,6 +280,27 @@ class TestGenBernoulli:
                 assert gen_bernoulli(r, chi) == 0, (d, r)
 
 
+    def test_term_bound_is_inclusive_and_checked_before_the_sieve(self, monkeypatch):
+        # chi_{-23} at r = 3 takes (23 - 1)/2 (3 + 1) = 44 terms
+        chi = DiscriminantChar(-23)
+        sieves = []
+        values = arith._character_values
+        monkeypatch.setattr(
+            arith, "_character_values", lambda c, h: sieves.append(h) or values(c, h)
+        )
+        monkeypatch.setattr(arith, "_power_sums", {})
+        monkeypatch.setattr(arith, "_L_VALUE_TERMS", 43)
+        message = "conductor 23 at r = 3 needs 44 terms, past the bound of 43"
+        with pytest.raises(BudgetExceeded, match=message):
+            gen_bernoulli.__wrapped__(3, chi)
+        assert sieves == [] and arith._power_sums == {}
+        # a vanishing B_{r,chi} needs no terms, so the bound never applies
+        assert gen_bernoulli.__wrapped__(4, chi) == 0
+        monkeypatch.setattr(arith, "_L_VALUE_TERMS", 44)
+        assert gen_bernoulli.__wrapped__(3, chi) == gen_bernoulli_direct(3, chi)
+        assert sieves == [11]
+
+
 def gen_bernoulli_direct(r: int, chi: DiscriminantChar) -> Fraction:
     """The defining sum m^(r-1) sum_a chi(a) B_r(a/m), which the library
     evaluates with the sums swapped."""
@@ -481,6 +503,34 @@ class TestSmallUtilities:
     def test_sigma(self):
         assert divisor_power_sum(6, 1) == 12
         assert divisor_power_sum(2, 15) == 1 + 2**15
+
+
+def sigma_brute(n: int, e: int) -> int:
+    """sum of d^e over d <= n with d | n, one trial division per d."""
+    return sum(d**e for d in range(1, n + 1) if n % d == 0)
+
+
+class TestDivisorPowerSum:
+    """The library takes sigma_e(n) as a product over p^a || n; the oracle
+    divides n by every d <= n."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 20000), st.integers(0, 16))
+    @example(1, 0)
+    @example(1, 16)
+    @example(17**2 * 3, 0)
+    @example(19**2 * 23, 16)
+    @example(31**2 * 7, 11)
+    @example(113**2, 5)
+    @example(17**2 * 19**2, 13)
+    @example(2**14, 16)
+    def test_matches_the_brute_force_sum(self, n, e):
+        assert divisor_power_sum(n, e) == sigma_brute(n, e)
+
+    def test_every_n_up_to_2000_at_small_exponents(self):
+        for e in (0, 1, 3, 11):
+            for n in range(1, 2001):
+                assert divisor_power_sum(n, e) == sigma_brute(n, e), (n, e)
 
     def test_ord_p(self):
         assert ord_p(3, Fraction(9, 2)) == 2

@@ -596,6 +596,26 @@ class TestBadInput:
         assert "BudgetExceeded" in err and t in err
 
     @pytest.mark.parametrize(
+        "t, conductor",
+        [
+            # 4 10^20 (10^20 + 39): the parent's sieve could not allocate its range
+            (f"{10**20},0,{10**20 + 39}", 10**20 + 39),
+            # det(2T) = 699059 = 3 mod 4, prime: (699059 - 1)/2 * 12 = 4194348 terms,
+            # the first such conductor past the bound
+            ("1,1,174765", 699059),
+        ],
+        ids=["det-4e40", "just-past-the-bound"],
+    )
+    def test_l_value_past_the_term_bound_is_typed_error(self, t, conductor):
+        # a(T) = 2 H(11, D) needs L(-10, chi) of that conductor; gen_bernoulli
+        # refuses it before building a sieve, so the child exits at once
+        code, err = run_bounded("eisenstein-coeff", "--degree", "2", "--k", "12", "--T", t,
+                                timeout=30)
+        assert code == 3, err
+        assert f"BudgetExceeded: L-value of conductor {conductor} at r = 11" in err
+        assert "past the bound of 4194304" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("certify", "--k", "14", "--nu", "2", "--p", "23", "--A", "1,0,1",

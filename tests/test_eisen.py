@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eiscong import eisen, quadform
-from eiscong.arith import divisor_power_sum, l_value_neg, prime_divisors, zeta_neg
+from eiscong.arith import cohen_h, l_value_neg, prime_divisors, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
 from eiscong.errors import BudgetExceeded
 from eiscong.qexp import eisenstein_qexp
@@ -79,11 +79,13 @@ class TestContextValidation:
 
 class TestDegreeOne:
     def test_divisor_sum_identity(self):
+        # the divisors are found by trial division here, not by the library
         for k in (8, 10, 12, 16):
             ctx = EisensteinContext(1, k)
             for t in range(1, 51):
                 val = ctx.coefficient(HalfIntegralMatrix.diagonal(t))
-                assert val == 2 * divisor_power_sum(t, k - 1), (k, t)
+                sigma = sum(d ** (k - 1) for d in range(1, t + 1) if t % d == 0)
+                assert val == 2 * sigma, (k, t)
 
     def test_matches_classical_expansion(self):
         # a(t) of Z(1,k) E_k with E_k normalized to constant term 1 equals
@@ -302,6 +304,25 @@ class TestOneReduction:
         EisensteinContext(2, 12).coefficient(parse_half_integral("4,0,0"))
         assert spied == [22, 22]
 
+    @pytest.mark.parametrize("text, content", [("2,1,3", 1), ("12,6,18", 6)])
+    def test_rank2_miss_lists_divisors_only_past_content_one(
+        self, text, content, calls, monkeypatch
+    ):
+        # a primitive T takes the Maass sum's one term d = 1: one H, no divisor list
+        spied = {"cohen_h": [], "divisors": []}
+        for name in spied:
+            real = getattr(eisen, name)
+            monkeypatch.setattr(
+                eisen, name, lambda *a, real=real, name=name: spied[name].append(a) or real(*a)
+            )
+        t = parse_half_integral(text)
+        assert t.content() == content
+        assert EisensteinContext(2, 12).coefficient(t) == maass_sum(12, t.det_doubled(), content)
+        if content == 1:
+            assert spied == {"cohen_h": [(11, 23)], "divisors": []}
+        else:
+            assert spied["divisors"] == [(6,)] and len(spied["cohen_h"]) == 4
+
     def test_rank3_cache_is_keyed_on_the_budget(self, calls):
         # I3 at p = 2 has degree 2: c_1 takes the 7 points of P^2(F_2)
         assert EisensteinContext(3, 14).coefficient(I3) == product_route(3, 14, I3)
@@ -314,6 +335,33 @@ class TestOneReduction:
         assert (after.hits, after.misses) == (before.hits, before.misses + 2)
         assert after.currsize == before.currsize == 1
         assert EisensteinContext(3, 16, budget=7).coefficient(I3) == product_route(3, 16, I3)
+
+
+def maass_sum(k: int, det2: int, content: int) -> Fraction:
+    """a(T) of rank 2 as the full Maass sum 2 sum_{d | content} d^(k-1)
+    H(k-1, D/d^2), every divisor d found by trial division."""
+    return 2 * sum(
+        (d ** (k - 1) * cohen_h(k - 1, det2 // (d * d))
+         for d in range(1, content + 1) if content % d == 0),
+        Fraction(0),
+    )
+
+
+PRIMITIVE_BINARY = [(1, 0, 1), (1, 1, 1), (2, 1, 3), (3, 2, 5), (1, 1, 6), (4, 3, 7)]
+
+
+@pytest.mark.parametrize("k", [10, 12, 16])
+@pytest.mark.parametrize("g", [1, 2, 3, 6])
+def test_rank2_coefficient_is_the_maass_sum(g, k):
+    """g times a primitive binary form, in degree 2 and as a ternary image
+    U diag(T, 0) U^t in degree 3, from an empty cache each time."""
+    for seed, (a, b, c) in enumerate(PRIMITIVE_BINARY):
+        t = HalfIntegralMatrix.from_doubled([[2 * g * a, g * b], [g * b, 2 * g * c]])
+        expected = maass_sum(k, t.det_doubled(), g)
+        for n, image in ((2, t), (3, padded_image(t, seed))):
+            assert image.content() == g
+            eisen._untailed.cache_clear()
+            assert EisensteinContext(n, k).coefficient(image) == expected, (n, g, k, t)
 
 
 def product_route(n: int, k: int, t: HalfIntegralMatrix) -> Fraction:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -106,6 +106,43 @@ def test_nondeg_part_recovers_the_padded_block(case):
         assert local_F(p, tilde) == local_F(p, t0), p
     if t0.n == 2:
         assert chi_star(t) == chi_star(t0)
+
+
+def content_by_loop(t: HalfIntegralMatrix) -> int:
+    """gcd of the halved diagonal and the upper off-diagonal entries, one
+    row at a time."""
+    vals = []
+    for i in range(t.n):
+        vals.append(t.doubled[i][i] // 2)
+        vals.extend(t.doubled[i][i + 1 :])
+    return gcd(*vals)
+
+
+@st.composite
+def scaled_symmetric(draw) -> HalfIntegralMatrix:
+    """g times a doubled symmetric matrix of size 1 to 3 with entries of
+    either sign, so contents above 1 and zero matrices are common."""
+    n = draw(st.integers(1, 3))
+    g = draw(st.sampled_from((0, 1, 2, 3, 6, 35)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * g * draw(st.integers(-9, 9))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = g * draw(st.integers(-9, 9))
+    return HalfIntegralMatrix.from_doubled(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(scaled_symmetric(), symmetric()))
+def test_content_matches_the_row_loop(t):
+    assert t.content() == content_by_loop(t) >= 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_content_of_zero_and_negative_matrices(n):
+    zero = HalfIntegralMatrix.from_doubled([[0] * n] * n)
+    assert zero.content() == 0
+    assert HalfIntegralMatrix.diagonal(*[-4] * n).content() == 4
 
 
 @PROPERTY_SETTINGS
