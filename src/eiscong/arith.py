@@ -411,10 +411,11 @@ def gen_bernoulli(r: int, chi: DiscriminantChar) -> Fraction:
     elif (chi.d < 0) != (r % 2 == 1):  # chi(-1) = sign(d) is not (-1)^r
         return Fraction(0)
     else:
-        if (m - 1) // 2 * (r + 1) > _L_VALUE_TERMS:
+        need = (m - 1) // 2 * (r + 1)
+        if need > _L_VALUE_TERMS:
             raise BudgetExceeded(
-                f"L-value of conductor {m} at r = {r} needs {(m - 1) // 2 * (r + 1)} "
-                f"terms, past the bound of {_L_VALUE_TERMS}"
+                f"L-value of conductor {m} at r = {r} needs {need} terms, "
+                f"past the bound of {_L_VALUE_TERMS}"
             )
         sums = _power_sums.get(chi, ())
         if len(sums) <= r:

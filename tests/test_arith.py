@@ -279,7 +279,6 @@ class TestGenBernoulli:
             for r in range(1, 21, 2):
                 assert gen_bernoulli(r, chi) == 0, (d, r)
 
-
     def test_term_bound_is_inclusive_and_checked_before_the_sieve(self, monkeypatch):
         # chi_{-23} at r = 3 takes (23 - 1)/2 (3 + 1) = 44 terms
         chi = DiscriminantChar(-23)
@@ -504,6 +503,15 @@ class TestSmallUtilities:
         assert divisor_power_sum(6, 1) == 12
         assert divisor_power_sum(2, 15) == 1 + 2**15
 
+    def test_ord_p(self):
+        assert ord_p(3, Fraction(9, 2)) == 2
+        assert ord_p(2, Fraction(9, 2)) == -1
+        with pytest.raises(ValueError):
+            ord_p(5, 0)
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError):
+                ord_p(p, 3)
+
 
 def sigma_brute(n: int, e: int) -> int:
     """sum of d^e over d <= n with d | n, one trial division per d."""
@@ -531,15 +539,6 @@ class TestDivisorPowerSum:
         for e in (0, 1, 3, 11):
             for n in range(1, 2001):
                 assert divisor_power_sum(n, e) == sigma_brute(n, e), (n, e)
-
-    def test_ord_p(self):
-        assert ord_p(3, Fraction(9, 2)) == 2
-        assert ord_p(2, Fraction(9, 2)) == -1
-        with pytest.raises(ValueError):
-            ord_p(5, 0)
-        for p in (1, 0, -3):
-            with pytest.raises(ValueError):
-                ord_p(p, 3)
 
 
 def _fraction(x: sympy.Rational) -> Fraction:
