@@ -6,8 +6,9 @@ Kronecker symbols, the split m = d f^2 with d a fundamental discriminant
 generalized Bernoulli numbers (one power-sum table per character), Dirichlet
 L-values at non-positive integers and Cohen's function H(r, N).  Factorization
 raises BudgetExceeded when Pollard's rho cannot split a cofactor within
-_RHO_SQUARINGS squarings, and gen_bernoulli when a conductor m would need more
-than _L_VALUE_TERMS terms.  sigma_e(n) is a product over p^a || n.
+_RHO_SQUARINGS squarings, gen_bernoulli when a conductor m would need more
+than _L_VALUE_TERMS terms, and the Bernoulli table before it would be built
+past B_n for n = _BERNOULLI_INDEX.  sigma_e(n) is a product over p^a || n.
 """
 
 from __future__ import annotations
@@ -50,11 +51,16 @@ _bernoulli_cache: tuple[tuple[Fraction, ...], tuple[int, ...], int] = ((), (), 1
 
 def _bernoulli_table(n: int) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
     """`_bernoulli_cache`, rebuilt first to m = max(n + 1, twice its length)
-    entries if it stops before B_n (see `bernoulli`)."""
+    entries, at most _BERNOULLI_INDEX + 1, if it stops before B_n (see
+    `bernoulli`).  An n past _BERNOULLI_INDEX raises BudgetExceeded."""
     global _bernoulli_cache
     if n < len(_bernoulli_cache[0]):
         return _bernoulli_cache
-    m = max(n + 1, 2 * len(_bernoulli_cache[0]))
+    if n > _BERNOULLI_INDEX:
+        raise BudgetExceeded(
+            f"Bernoulli number B_{n} is past the index bound of {_BERNOULLI_INDEX}"
+        )
+    m = min(max(n + 1, 2 * len(_bernoulli_cache[0])), _BERNOULLI_INDEX + 1)
     half = (m - 1) // 2
     tangent = [0, 1] + [0] * (half - 1)  # tangent[h] = T_h, for h >= 1
     for k in range(2, half + 1):
@@ -131,6 +137,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _RHO_SQUARINGS = 2**23  # modular squarings per cofactor before factorize raises BudgetExceeded
 _RHO_BATCH = 128  # differences multiplied per gcd in Brent's cycle search
 _L_VALUE_TERMS = 2**22  # most terms (m - 1)/2 (r + 1) a B_{r,chi} of conductor m may take
+_BERNOULLI_INDEX = 2400  # largest n of B_n; the table to B_2400 takes about a second
+_GEGENBAUER_DEGREE = 700  # largest nu of P_(d,nu); epsilon(14, 700, 1, I) takes about a second
 
 
 def _is_probable_prime(n: int) -> bool:

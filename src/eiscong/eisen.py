@@ -11,8 +11,11 @@ product over p^a || D/2, and a primitive rank-2 T takes the Maass sum's one
 term d = 1, so neither lists divisors.  An L-value whose conductor is past
 `arith`'s term bound raises BudgetExceeded.
 
-`quadform.nondeg_invariants` reads m and det(2 T~) off the principal minors
-of 2T and rejects T that are not positive semidefinite; no T is reduced.
+`quadform.nondeg_invariants` reads m, det(2 T~) and content(T) in one pass
+over the entries of 2T and rejects T that are not positive semidefinite;
+m = 0 is T = 0, whose a(0) is Z(n, k).  It is the one call a coefficient
+makes on T (a rank-3 T is also the key of its local factors), and no T is
+reduced.
 Two process-wide caches serve every context and every pullback sum.
 Rank 3 keeps the polynomials F_p(T, X) under (T, budget), not their values
 at p^(k-4), so one entry serves every weight.  For m <= 2, content(T) = content(T~)
@@ -93,18 +96,18 @@ class EisensteinContext:
         """a(T); ValueError unless T is a PSD matrix of size n.  Rank m <= 2
         takes prod_{i=[m/2]+1}^{[n/2]} zeta(1+2i-2k) outside the cache, one
         factor, `_tail`, for m = 1 in degrees 2 and 3 and none otherwise."""
-        if t.n != self.n:
-            raise ValueError(f"matrix size {t.n} does not match degree {self.n}")
         n, k = self.n, self.k
-        if not any(map(any, t.doubled)):
+        if len(t.doubled) != n:
+            raise ValueError(f"matrix size {t.n} does not match degree {n}")
+        m, det2, content = nondeg_invariants(t)
+        if not m:
             return z_const(n, k)
-        m, det2 = nondeg_invariants(t)
         if m == 3:
             value = Fraction(4)
             for p, f in _local_factors(t, self.budget):
                 value *= f.evaluate(p ** (k - 4))
             return value
-        value = _untailed(k, m, det2, t.content())
+        value = _untailed(k, m, det2, content)
         if m == 1 and n >= 2:
             value *= self._tail
         return value

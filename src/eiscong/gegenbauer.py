@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .arith import _GEGENBAUER_DEGREE
+from .errors import BudgetExceeded
 from .quadform import HalfIntegralMatrix
 
 __all__ = [
@@ -88,10 +90,15 @@ def _integer_coeffs(d: int, nu: int) -> tuple[tuple[tuple[int, int, int], ...], 
     (-1)^mu (b)_(nu-mu) 2^(nu-2mu) / ((nu-2mu)! mu!)
     = (-1)^mu 2^(nu-2mu) C(b+nu-mu-1, nu-mu) C(nu-mu, mu), an integer for
     even d.  Isobaric weight i + 2j = nu turns s^i m^j into u^i w^j / 2^nu,
-    so C_ij is that coefficient itself.
+    so C_ij is that coefficient itself.  A degree nu past _GEGENBAUER_DEGREE
+    raises BudgetExceeded before any term is formed.
     """
     if d % 2 or d < 4 or nu < 0:
         raise ValueError("need even d >= 4 and nu >= 0")
+    if nu > _GEGENBAUER_DEGREE:
+        raise BudgetExceeded(
+            f"P_(d,nu) of degree nu = {nu} is past the bound of {_GEGENBAUER_DEGREE}"
+        )
     b = d // 2 - 1
     terms = []
     for mu in range(nu // 2 + 1):

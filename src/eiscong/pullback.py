@@ -319,7 +319,11 @@ class CongruenceCertificate:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The `eiscong-cert-v1` document; this is the schema's one statement."""
+        """The `eiscong-cert-v1` document; this is the schema's one statement.
+        The value of epsilon at (1, 1), the sum of its coefficients, is
+        summed as integer numerators over their common denominator."""
+        coeffs = self.epsilon_form.coeffs
+        nums, den = _over_common_denominator(coeffs)
         out = {
             "schema": CERT_SCHEMA,
             "k": self.k,
@@ -337,11 +341,11 @@ class CongruenceCertificate:
             "zeta_3_minus_2k": encode_rat(self.zeta3m2k),
             "epsilon": {
                 "degree": self.epsilon_form.degree,
-                "coeffs": [encode_rat(c) for c in self.epsilon_form.coeffs],
+                "coeffs": [encode_rat(c) for c in coeffs],
                 # coeffs[i] multiplies x^(nu-i) y^i: the value at (1, 0) is
                 # coeffs[0] and at (1, 1) the sum of the coefficients
-                "at_1_0": encode_rat(self.epsilon_form.coeffs[0]),
-                "at_1_1": encode_rat(sum(self.epsilon_form.coeffs)),
+                "at_1_0": encode_rat(coeffs[0]),
+                "at_1_1": encode_rat(Fraction(sum(nums), den)),
             },
             "epsilon_witness": {
                 "lhs_invariant": encode_rat(self.lhs_invariant),

@@ -4,11 +4,12 @@ A half-integral matrix T (integer diagonal, half-integer off-diagonal) is
 stored through its doubled form 2T, an integer symmetric matrix with even
 diagonal; every query (determinant, rank, minors, definiteness) is decided
 exactly on the doubled matrix.  `nondeg_invariants` is the one
-definiteness test on the computation path: it reads the rank m and
-det(2 T~) of the nondegenerate block T~ off the principal minors of 2T and
-rejects T that are not positive semidefinite, with no elimination.
-`nondeg_part` builds T~ itself on top of it, by one integer row echelon form
-with its unimodular transform, run only when det(2T) = 0.  The module also
+definiteness test on the computation path: in one pass over the entries of
+2T it reads the rank m, det(2 T~) of the nondegenerate block T~ and the
+content of T, (0, 0, 0) for T = 0, and rejects T that are not positive
+semidefinite, with no elimination and no lists.  `nondeg_part` builds T~
+itself on top of it, by one integer row echelon form with its unimodular
+transform, run only when det(2T) = 0.  The module also
 provides the lattice-point enumeration that gives the pullback sum its
 finite support.
 """
@@ -199,42 +200,65 @@ def build_T(n: int, quad: HalfIntegralMatrix, r_pair: tuple[int, int]) -> HalfIn
     )
 
 
-def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int]:
-    """(m, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
+def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int, int]:
+    """(m, det(2 T~), content(T)) for a PSD matrix, (0, 0, 0) for T = 0;
+    ValueError for a T that is not PSD.
 
-    m is the rank of T and T~ its nondegenerate part (see `nondeg_part`),
-    both read off principal minors formed straight from the rows of 2T.  If
-    det(2T) != 0, m = n and T is PSD exactly when it is positive definite
-    (Sylvester: a, a d - b^2 and det(2T) > 0).  Otherwise T is PSD exactly
-    when its diagonal and its diagonal cofactors are >= 0, and
-    2T = V^t (2 T~) V for a primitive m x n matrix V, so by Cauchy-Binet
-    every m x m principal minor of 2T is det(2 T~) det(V_I)^2; the det(V_I)
-    are the maximal minors of V, coprime, so det(2 T~) is the gcd of the
-    m x m principal minors.  For a ternary T of rank 2 those are the
-    cofactors a d - b^2, a f - c^2, d f - e^2 of
-    2T = [[a, b, c], [b, d, e], [c, e, f]], and for rank 1 the diagonal.
+    One pass over 2T = [[a, b, c], [b, d, e], [c, e, f]] (or its leading
+    block): the entries are unpacked once and the principal minors, det(2T)
+    and the gcds are local integers.  m is the rank of T and T~ its
+    nondegenerate part (see `nondeg_part`).  If det(2T) != 0, m = n and T
+    is PSD exactly when it is positive definite (Sylvester: a, a d - b^2
+    and det(2T) > 0).  Otherwise T is PSD exactly when its diagonal and its
+    diagonal cofactors are >= 0, and 2T = V^t (2 T~) V for a primitive
+    m x n matrix V, so by Cauchy-Binet every m x m principal minor of 2T is
+    det(2 T~) det(V_I)^2; the det(V_I) are the maximal minors of V,
+    coprime, so det(2 T~) is the gcd of the m x m principal minors: the
+    cofactors a d - b^2, a f - c^2, d f - e^2 for m = 2, the diagonal for
+    m = 1.  A PSD T whose diagonal is 0 is 0 (each 2 x 2 minor is -b^2).
+    content(T) is the gcd of the halved diagonal and the off-diagonal
+    entries of 2T, as `HalfIntegralMatrix.content` reads it.
     """
     g = t.doubled
-    diagonal = [row[i] for i, row in enumerate(g)]
-    cofactors, det2 = _principal_minors_2(g), _det_int(g)
-    if det2:
-        if min(diagonal[0], *cofactors[:1], det2) <= 0:
+    if len(g) == 3:
+        (a, b, c), (_, d, e), (_, _, f) = g
+        m1, m2, m3 = a * d - b * b, a * f - c * c, d * f - e * e
+        det2 = a * m3 - b * (b * f - c * e) + c * (b * e - c * d)
+        content = gcd(a // 2, d // 2, f // 2, b, c, e)
+        if det2:
+            if a <= 0 or m1 <= 0 or det2 <= 0:
+                raise ValueError("matrix must be positive semidefinite")
+            return 3, det2, content
+        if a < 0 or d < 0 or f < 0 or m1 < 0 or m2 < 0 or m3 < 0:
             raise ValueError("matrix must be positive semidefinite")
-        return len(g), det2
-    if min(diagonal + cofactors) < 0:
-        raise ValueError("matrix must be positive semidefinite")
-    # a 2 x 2 T has det(2T) as its one cofactor, zero here: its rank is <= 1
-    for m, minors in ((2, cofactors), (1, diagonal)):
-        det_tilde = gcd(*minors)
+        det_tilde = gcd(m1, m2, m3)
         if det_tilde:
-            return m, det_tilde
-    raise ValueError("rank 0 has no nondegenerate part")
+            return 2, det_tilde, content
+        det_tilde = gcd(a, d, f)
+    elif len(g) == 2:
+        (a, b), (_, d) = g
+        det2 = a * d - b * b
+        content = gcd(a // 2, d // 2, b)
+        if det2:
+            if a <= 0 or det2 <= 0:
+                raise ValueError("matrix must be positive semidefinite")
+            return 2, det2, content
+        if a < 0 or d < 0:
+            raise ValueError("matrix must be positive semidefinite")
+        det_tilde = gcd(a, d)
+    else:
+        det_tilde = g[0][0]
+        if det_tilde < 0:
+            raise ValueError("matrix must be positive semidefinite")
+        content = det_tilde // 2
+    return (1, det_tilde, content) if det_tilde else (0, 0, 0)
 
 
 def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
     """(T~, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
 
-    m, det(2 T~) and the PSD test come from `nondeg_invariants`.  If m = n,
+    m, det(2 T~) and the PSD test come from `nondeg_invariants`; T = 0
+    (m = 0) has no nondegenerate part and raises here.  If m = n,
     T~ is T itself.  Otherwise U (2T) U^t = diag(2 T~, 0) for the unimodular
     U of the integer echelon form U (2T) = H: the rows of U beside the zero
     rows of H are a basis of ker(2T) meet Z^n, and as 2T is symmetric they
@@ -242,7 +266,9 @@ def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
     m x m block, which is 2 T~.  T~ depends on the elimination order, but
     its GL_m(Z) class and det(2 T~) do not.
     """
-    m, det2 = nondeg_invariants(t)
+    m, det2, _ = nondeg_invariants(t)
+    if not m:
+        raise ValueError("rank 0 has no nondegenerate part")
     if m == t.n:
         return t, det2
     transformed = t.transform(_echelon(t.doubled)[0]).doubled

@@ -97,6 +97,23 @@ class TestBernoulli:
         assert [Fraction(x, den) for x in nums] == list(values)
 
 
+    def test_index_bound_is_inclusive_and_caps_the_doubling(self, monkeypatch):
+        # shrunk here: the table to the real bound takes about a second
+        monkeypatch.setattr(arith, "_bernoulli_cache", ((), (), 1))
+        monkeypatch.setattr(arith, "_BERNOULLI_INDEX", 50)
+        bernoulli(30)
+        # 31 entries would double to 62; the rebuild stops at B_50
+        assert bernoulli(40) == bernoulli_oracle(40)
+        assert len(arith._bernoulli_cache[0]) == 51
+        assert bernoulli(50) == bernoulli_oracle(50)
+        with pytest.raises(BudgetExceeded, match="B_51 is past the index bound of 50"):
+            bernoulli(51)
+        # zeta_neg reads the same table, and a refusal leaves it as it was
+        with pytest.raises(BudgetExceeded, match="B_52 is past the index bound of 50"):
+            zeta_neg(52)
+        assert len(arith._bernoulli_cache[0]) == 51
+
+
 class TestZetaNeg:
     def test_k2(self):
         assert zeta_neg(2) == -bernoulli_oracle(2) / 2 == Fraction(-1, 12)

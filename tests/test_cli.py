@@ -633,6 +633,28 @@ class TestBadInput:
         assert "BudgetExceeded" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eisenstein-coeff", "--degree", "2", "--k", "100000", "--T", "1,0,1"),
+             "Bernoulli number B_99999 is past the index bound of 2400"),
+            (("eisenstein-coeff", "--degree", "1", "--k", "100000", "--T", "0"),
+             "Bernoulli number B_100000 is past the index bound of 2400"),
+            (("cohen-series", "--k", "20000", "--r", "3", "--precision", "20"),
+             "P_(d,nu) of degree nu = 19996 is past the bound of 700"),
+            (("epsilon", "--k", "14", "--nu", "100000", "--n", "1", "--N", "1,0,1"),
+             "P_(d,nu) of degree nu = 100000 is past the bound of 700"),
+        ],
+        ids=["rank2-k", "rank0-k", "cohen-nu", "epsilon-nu"],
+    )
+    def test_large_weight_or_degree_is_typed_error(self, argv, message):
+        # the Bernoulli table grows like k^3 and the Gegenbauer sums like
+        # nu^3.5; both bounds are checked before any of that work, so the
+        # child exits at once
+        code, err = run_bounded(*argv, timeout=30)
+        assert code == 3, err
+        assert f"BudgetExceeded: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("lvalue", "--k", "10", "--nu", "2", "--precision", "100000000"),

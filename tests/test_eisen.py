@@ -214,8 +214,8 @@ def padded_image(t: HalfIntegralMatrix, seed: int) -> HalfIntegralMatrix:
 
 
 class TestOneReduction:
-    """No a(T) reduces T: rank and det(2 T~) come from the minors of 2T, a
-    rank <= 2 value is cached once per (k, m, det(2 T~), content) and the
+    """No a(T) reduces T: rank, det(2 T~) and content come from one pass
+    over 2T, a rank <= 2 value is cached once per (k, m, det(2 T~), content) and the
     local factors of a rank-3 T once per (T, budget).  Each test clears both
     caches first, so its hit and miss counts are its own."""
 
@@ -322,6 +322,40 @@ class TestOneReduction:
             assert spied == {"cohen_h": [(11, 23)], "divisors": []}
         else:
             assert spied["divisors"] == [(6,)] and len(spied["cohen_h"]) == 4
+
+    def test_one_pass_over_T_per_call(self, calls, monkeypatch):
+        # rank, det(2 T~) and content come from one nondeg_invariants call;
+        # HalfIntegralMatrix.content is never called, on a miss or a hit
+        spied = {"nondeg_invariants": 0, "content": 0}
+        invariants, content = eisen.nondeg_invariants, HalfIntegralMatrix.content
+
+        def counting_invariants(t):
+            spied["nondeg_invariants"] += 1
+            return invariants(t)
+
+        def counting_content(self):
+            spied["content"] += 1
+            return content(self)
+
+        monkeypatch.setattr(eisen, "nondeg_invariants", counting_invariants)
+        monkeypatch.setattr(HalfIntegralMatrix, "content", counting_content)
+        forms = {
+            1: [parse_half_integral(text) for text in ("0", "3", "12")],
+            2: [parse_half_integral(text) for text in ("0,0,0", "3,0,0", "2,1,3", "12,6,18")],
+            3: [
+                HalfIntegralMatrix.from_doubled([[0] * 3] * 3),
+                padded_image(parse_half_integral("3,0,0"), 5),
+                padded_image(parse_half_integral("12,6,18"), 5),
+                build_T(3, I2, (1, 2)),
+            ],
+        }
+        expected = 0
+        for n, ts in forms.items():
+            ctx = EisensteinContext(n, 12)
+            for t in ts + ts:  # the second round hits every cache
+                ctx.coefficient(t)
+                expected += 1
+                assert spied == {"nondeg_invariants": expected, "content": 0}, (n, t)
 
     def test_rank3_cache_is_keyed_on_the_budget(self, calls):
         # I3 at p = 2 has degree 2: c_1 takes the 7 points of P^2(F_2)

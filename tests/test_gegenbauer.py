@@ -20,7 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eiscong import gegenbauer
 from eiscong.arith import cohen_h, pochhammer
+from eiscong.errors import BudgetExceeded
 from eiscong.gegenbauer import (
     BinaryForm,
     BivariatePoly,
@@ -29,6 +31,7 @@ from eiscong.gegenbauer import (
     eval_binary,
     gegenbauer_poly,
 )
+from eiscong.pullback import epsilon
 from eiscong.qexp import cohen_series, default_precision
 from eiscong.quadform import HalfIntegralMatrix
 
@@ -210,6 +213,20 @@ class TestClosedForm:
             _specialization_sum(d, 2, 1, I2, [(1, (1, 0))])
         with pytest.raises(ValueError, match="need even d >= 4"):
             eval_binary(d, 2, (1, 0), 1, I2)
+
+    def test_degree_bound_is_inclusive(self, monkeypatch):
+        # shrunk here: at the real bound, epsilon(14, nu, 1, I) takes about a second
+        monkeypatch.setattr(gegenbauer, "_GEGENBAUER_DEGREE", 12)
+        assert gegenbauer_poly(28, 12).coeffs == gegenbauer_fraction(28, 12)
+        message = "P_\\(d,nu\\) of degree nu = 14 is past the bound of 12"
+        with pytest.raises(BudgetExceeded, match=message):
+            _integer_coeffs(28, 14)
+        # epsilon (d = 2k) and cohen_series (d = 2r + 2, nu = k - r - 1) share it
+        with pytest.raises(BudgetExceeded, match=message):
+            epsilon(14, 14, 1, I2)
+        with pytest.raises(BudgetExceeded, match=message):
+            cohen_series(18, 3, 2)
+        assert cohen_series(16, 3, 2).coeffs == cohen_series_fraction(16, 3, 2)
 
     def test_isobaric_support(self):
         for d, nu in ((6, 5), (28, 8)):

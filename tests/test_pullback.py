@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 from collections.abc import Callable
@@ -567,6 +568,23 @@ class TestCertificateSerialization:
         assert doc["reference_gamma"] == {"num": "-91", "den": str(2**31)}
         back = CongruenceCertificate.from_json_dict(doc)
         assert back.reference_gamma == ref
+
+    @pytest.mark.parametrize("a_text", ["1,0,1", "1,1,1"])
+    def test_at_1_1_is_the_fraction_sum_over_the_sweep(self, strict_docs, a_text):
+        # the document's epsilon(1, A) at (1, 1), summed over one common
+        # denominator, against the Fraction sum of the coefficients, for
+        # every (k, nu) of the certify sweep; each form is set on the
+        # (14, 2, 373) certificate, the one field at_1_1 reads
+        a = parse_half_integral(a_text)
+        cert = CongruenceCertificate.from_json_dict(strict_docs[373])
+        for k, nu in SWEEP_PAIRS:
+            form = epsilon(k, nu, 1, a)
+            doc = dataclasses.replace(cert, epsilon_form=form).to_json_dict()
+            expected = sum(form.coeffs, Fraction(0))
+            assert expected == form.evaluate(1, 1), (k, nu)
+            assert doc["epsilon"]["at_1_1"] == {
+                "num": str(expected.numerator), "den": str(expected.denominator)
+            }, (k, nu)
 
     @pytest.mark.parametrize("field", sorted(TAMPERS))
     def test_tampered_derived_field_rejected(self, relaxed_doc, field):

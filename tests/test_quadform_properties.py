@@ -1,13 +1,15 @@
 """Property tests for the integer echelon form behind rank and nondeg_part,
-for the minors behind nondeg_invariants, for the definiteness decisions of
-nondeg_invariants and enumerate_R, and for the signed-permutation cache key.
+for the one-pass triple (m, det(2 T~), content) of nondeg_invariants, for
+the definiteness decisions of nondeg_invariants and enumerate_R, and for
+the signed-permutation cache key.
 
 sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
 reduction and the invariants are checked on matrices built as
 U diag(T0, 0) U^t, whose nondegenerate part is known up to GL_m(Z)
-equivalence.  `is_psd`, which reads every principal minor, is the oracle for
-the PSD test that nondeg_invariants makes and for the single determinant
-that enumerate_R keeps.  The cache key is checked against the direct
+equivalence, and the triple against the echelon rank, the reduction,
+`content` and a row-loop content.  `is_psd`, which reads every principal
+minor, is the oracle for the PSD test that nondeg_invariants makes and for
+the single determinant that enumerate_R keeps.  The cache key is checked against the direct
 construction: every signed permutation matrix applied through `transform`.
 """
 
@@ -19,7 +21,7 @@ from math import gcd, isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import prime_divisors
@@ -142,6 +144,7 @@ def test_content_matches_the_row_loop(t):
 def test_content_of_zero_and_negative_matrices(n):
     zero = HalfIntegralMatrix.from_doubled([[0] * n] * n)
     assert zero.content() == 0
+    assert nondeg_invariants(zero) == (0, 0, 0)
     assert HalfIntegralMatrix.diagonal(*[-4] * n).content() == 4
 
 
@@ -209,7 +212,8 @@ INVARIANT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 def test_nondeg_invariants_read_the_padded_block(case):
     t0, t = case
     tilde, _ = nondeg_part(t)
-    assert nondeg_invariants(t) == (t0.n, t0.det_doubled()) == (tilde.n, tilde.det_doubled())
+    assert nondeg_invariants(t) == (t0.n, t0.det_doubled(), t0.content())
+    assert (tilde.n, tilde.det_doubled()) == (t0.n, t0.det_doubled())
     assert t.content() == tilde.content() == t0.content()
 
 
@@ -221,12 +225,45 @@ def test_nondeg_invariants_reject_exactly_the_non_psd(t):
             nondeg_invariants(t)
         assert str(info.value) == "matrix must be positive semidefinite"
     elif not any(map(any, t.doubled)):
+        assert nondeg_invariants(t) == (0, 0, 0)
         with pytest.raises(ValueError) as info:
-            nondeg_invariants(t)
+            nondeg_part(t)
         assert str(info.value) == "rank 0 has no nondegenerate part"
     else:
-        m, det2 = nondeg_invariants(t)
-        assert m == t.rank() and det2 > 0
+        m, det2, content = nondeg_invariants(t)
+        assert m == t.rank() and det2 > 0 and content > 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        symmetric(),
+        scaled_symmetric(),
+        indefinite(),
+        zero_diagonal(),
+        low_rank_image().map(lambda case: case[1]),
+    )
+)
+# a < 0 with a d - b^2 > 0 and det(2T) > 0: indefinite, caught only by the sign of a
+@example(HalfIntegralMatrix.diagonal(-1, -1, 1))
+# rank 2 with the cofactors 16, 4, 0: det(2 T~) = 4 is their gcd, not the first
+@example(HalfIntegralMatrix.from_doubled([[2, 0, 0], [0, 8, 4], [0, 4, 2]]))
+# even off-diagonal and a/2 = 1 odd: the content 1 comes from the halved diagonal
+@example(HalfIntegralMatrix.diagonal(1, 2, 2))
+def test_nondeg_invariants_match_the_independent_oracles(t):
+    """The one-pass triple against the echelon rank, the reduction, the
+    content and the row loop, and every principal minor for the PSD test."""
+    if not t.is_psd():
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            nondeg_invariants(t)
+        return
+    m, det2, content = nondeg_invariants(t)
+    assert m == t.rank()
+    assert content == t.content() == content_by_loop(t)
+    if m:
+        assert det2 == nondeg_part(t)[1]
+    else:
+        assert (det2, content) == (0, 0) and not any(map(any, t.doubled))
 
 
 @PROPERTY_SETTINGS
