@@ -96,7 +96,6 @@ class TestBernoulli:
         assert [bernoulli(n) for n in range(201)] == bernoulli_oracle_values(200)
         assert [Fraction(x, den) for x in nums] == list(values)
 
-
     def test_index_bound_is_inclusive_and_caps_the_doubling(self, monkeypatch):
         # shrunk here: the table to the real bound takes about a second
         monkeypatch.setattr(arith, "_bernoulli_cache", ((), (), 1))

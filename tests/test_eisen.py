@@ -215,9 +215,10 @@ def padded_image(t: HalfIntegralMatrix, seed: int) -> HalfIntegralMatrix:
 
 class TestOneReduction:
     """No a(T) reduces T: rank, det(2 T~) and content come from one pass
-    over 2T, a rank <= 2 value is cached once per (k, m, det(2 T~), content) and the
-    local factors of a rank-3 T once per (T, budget).  Each test clears both
-    caches first, so its hit and miss counts are its own."""
+    over 2T, a rank <= 2 value is cached once per (k, m, det(2 T~),
+    content) and the local factors of a rank-3 T once per (T, budget).
+    Each test clears both caches first, so its hit and miss counts are its
+    own."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> dict[str, int]:

@@ -9,8 +9,9 @@ U diag(T0, 0) U^t, whose nondegenerate part is known up to GL_m(Z)
 equivalence, and the triple against the echelon rank, the reduction,
 `content` and a row-loop content.  `is_psd`, which reads every principal
 minor, is the oracle for the PSD test that nondeg_invariants makes and for
-the single determinant that enumerate_R keeps.  The cache key is checked against the direct
-construction: every signed permutation matrix applied through `transform`.
+the single determinant that enumerate_R keeps.  The cache key is checked
+against the direct construction: every signed permutation matrix applied
+through `transform`.
 """
 
 from __future__ import annotations
