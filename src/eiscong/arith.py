@@ -30,13 +30,11 @@ __all__ = [
     "cohen_h",
     "divisor_power_sum",
     "factorize",
-    "fundamental_decomposition",
     "gen_bernoulli",
     "is_fundamental_discriminant",
     "kronecker",
     "l_value_neg",
     "ord_p",
-    "pochhammer",
     "zeta_neg",
 ]
 
@@ -115,19 +113,6 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def pochhammer(x: int | Fraction, n: int) -> Fraction:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); the empty product is 1.
-
-    For x = a/b this is prod (a + i b) / b^n, an integer product and one
-    division.
-    """
-    if n < 0:
-        raise ValueError("pochhammer length must be >= 0")
-    x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    return Fraction(prod(a + i * b for i in range(n)), b**n)
-
-
 # ---------------------------------------------------------------------------
 # Factorization helpers (inputs here are small: conductors, determinants,
 # Hecke indices)
@@ -167,6 +152,12 @@ def _is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_prime(p: int) -> None:
+    """ValueError naming p unless it is a prime."""
+    if not _is_probable_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
 
 
 def _pollard_rho(n: int) -> int:
@@ -359,12 +350,6 @@ def _fundamental_char(d: int) -> DiscriminantChar:
     chi = object.__new__(DiscriminantChar)
     object.__setattr__(chi, "d", d)
     return chi
-
-
-def fundamental_decomposition(m: int) -> tuple[DiscriminantChar, int]:
-    """Split m = d * f^2, m != 0 and 0 or 1 mod 4, with d fundamental (1 for squares)."""
-    d, f = _square_class(m)
-    return _fundamental_char(d), prod(p**a for p, a in f.items())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .arith import _is_probable_prime, ord_p
+from .arith import _check_prime, ord_p
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .pullback import Strictness, Verdict, certify, decode_rat, encode_rat, epsilon
@@ -85,8 +85,7 @@ def _cmd_lvalue(args) -> tuple[dict, int]:
     k, nu = args.k, args.nu
     _check_l_pair(k, nu)
     for p in args.ords:
-        if not _is_probable_prime(p):
-            raise ValueError(f"p = {p} is not a prime")
+        _check_prime(p)
     prec = _precision(args, k + nu)
     rows = []
     for j, f in enumerate(eigen_basis(k + nu, prec)):
@@ -331,6 +330,11 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    # the inputs were read under the interpreter's int-string digit limit;
+    # a computed value may have more digits, so the limit is lifted for the
+    # output and put back before returning
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         doc, code = args.handler(args)
         _emit(doc, args.format, sys.stdout)
@@ -338,6 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedHeckeField, SingularSystem, BudgetExceeded, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

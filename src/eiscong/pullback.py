@@ -10,9 +10,18 @@ rows R >= 0 are summed, R != 0 twice (see `epsilon`).  Acting on the
 q-series n -> eps(n, N) with the degree-1 Hecke operators in weight k + nu
 and reading one coefficient slot (the cusp space being one-dimensional)
 yields an exact rational whose p-order certifies the congruence
-conditions; `certify` assembles the full structured verdict.  A certificate is determined by its inputs: its JSON
-document is read back by rebuilding it with `certify` and accepting the
-document only when it is exactly the rebuilt one's.
+conditions; `certify` assembles the full structured verdict.
+
+`certify` is one pass: it reads the eigenform of S_(k+nu) once, eps(1, A)
+once (for the certificate's epsilon form and, unless a slot is given, for
+the default slot: the first coefficient prime to p, else the first nonzero
+one), forms zeta(3-2k) once, and runs the determinant criterion inline:
+with S_(k+nu) one-dimensional the determinant is the chosen slot of
+e_m = eps(m, 1, A) for the single m of m_list, its eigenvalue determinant
+is 1, and the invariant is zeta(3-2k) * e_m[slot].  A certificate is
+determined by its inputs: its JSON document is read back by rebuilding it
+with `certify` and accepting the document only when it is exactly the
+rebuilt one's.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .arith import (
-    _is_probable_prime,
+    _check_prime,
     _over_common_denominator,
     factorize,
     ord_p,
@@ -34,7 +43,7 @@ from .arith import (
 from .eisen import EisensteinContext
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import BinaryForm, _specialization_sum
-from .qexp import QExpansion, _check_l_pair, eigen_basis, std_l_value
+from .qexp import _check_l_pair, eigen_basis, std_l_value
 from .quadform import (
     HalfIntegralMatrix,
     build_T,
@@ -49,12 +58,10 @@ __all__ = [
     "Strictness",
     "Verdict",
     "certify",
-    "cond2_determinant",
     "epsilon",
     "epsilon_hecke",
     "gamma1",
     "gamma2",
-    "pick_slot",
 ]
 
 CERT_SCHEMA = "eiscong-cert-v1"
@@ -195,54 +202,6 @@ def epsilon_hecke(
     for idx, w in weights.items():
         total = total + w * epsilon(k, nu, idx, quad)
     return total
-
-
-# ---------------------------------------------------------------------------
-# The determinant criterion
-
-
-def _eigenform(weight: int) -> QExpansion:
-    """The normalized eigenform of S_weight, which must not be zero."""
-    forms = eigen_basis(weight)
-    if not forms:
-        raise ValueError(f"the weight-{weight} cusp space is zero; there is no eigenform")
-    return forms[0]
-
-
-def pick_slot(k: int, nu: int, quad: HalfIntegralMatrix, p: int) -> int:
-    """First basis slot of eps(1, N) that does not vanish mod p."""
-    form = epsilon(k, nu, 1, quad)
-    for i, c in enumerate(form.coeffs):
-        if c != 0 and ord_p(p, c) <= 0:
-            return i
-    for i, c in enumerate(form.coeffs):
-        if c != 0:
-            return i
-    raise ValueError("eps(1, N) is identically zero; no usable slot")
-
-
-def cond2_determinant(
-    k: int,
-    nu: int,
-    quad: HalfIntegralMatrix,
-    m_list: tuple[int, ...],
-    slot: int,
-) -> Fraction:
-    """Exact invariant behind the nonvanishing condition on a(N, lift).
-
-    The cusp space of weight k + nu is one-dimensional (see eigen_basis), so
-    the determinant of the criterion is the chosen slot of e_m = eps(m, 1, N)
-    for the single m in m_list, and its eigenvalue determinant is 1.
-    Returns zeta(3-2k) * e_m[slot].
-    """
-    _eigenform(k + nu)
-    if len(m_list) != 1:
-        raise ValueError("m_list must have length dim S = 1")
-    if not 0 <= slot <= nu:
-        raise ValueError("slot out of range")
-    (m,) = m_list
-    e_m = epsilon_hecke(k, nu, m, 1, quad)
-    return zeta_neg(2 * k - 2) * e_m.coeffs[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +380,51 @@ def certify(
     relaxed mode downgrades a failing size bound to a waived condition.
     The stronger mod-p^alpha verdict applies when alpha >= 2 (the cusp
     space is one-dimensional).
+
+    One pass, in this order, after the checks on (k, nu), A and p: the
+    eigenform of S_(k+nu), once (a zero cusp space raises ValueError);
+    when slot is None, eps(1, A) and the default slot (its first
+    coefficient prime to p, else its first nonzero one); the L-value and
+    zeta(3-2k), once each; the determinant criterion of the module
+    docstring: m_list of length 1, the slot in 0..nu, and
+    `lhs_invariant` = zeta(3-2k) * epsilon_hecke(k, nu, m, 1, A) at the
+    slot; then, for a given slot, eps(1, A).  eps(1, A) is read once
+    either way, and is `epsilon_form`.
     """
     _check_l_pair(k, nu)
     if a_matrix.n != 2 or not a_matrix.is_pd():
         raise ValueError(
             f"A = {format_half_integral(a_matrix)} is not a positive definite 2x2 matrix"
         )
-    if not _is_probable_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
-    f = _eigenform(k + nu)
+    _check_prime(p)
+    forms = eigen_basis(k + nu)
+    if not forms:
+        raise ValueError(f"the weight-{k + nu} cusp space is zero; there is no eigenform")
     m_list = (1,) if m_list is None else tuple(m_list)
+    # a given slot is checked before any eps is computed, so eps(1, A) is
+    # read here only to choose the default slot, and otherwise last
+    eps1 = None
     if slot is None:
-        slot = pick_slot(k, nu, a_matrix, p)
+        eps1 = epsilon(k, nu, 1, a_matrix)
+        nonzero = [i for i, c in enumerate(eps1.coeffs) if c]
+        if not nonzero:
+            raise ValueError("eps(1, N) is identically zero; no usable slot")
+        slot = next((i for i in nonzero if ord_p(p, eps1.coeffs[i]) <= 0), nonzero[0])
 
-    l_value = std_l_value(k, nu, f)
+    l_value = std_l_value(k, nu, forms[0])
     zeta3 = zeta_neg(2 * k - 2)
     if p >= 2 * k:
         # von Staudt-Clausen: no prime >= 2k - 1 divides the denominator
         if ord_p(p, zeta3) < 0:
             raise AssertionError(f"p = {p} divides the denominator of zeta(3 - 2k)")
-    lhs = cond2_determinant(k, nu, a_matrix, m_list, slot)
+    if len(m_list) != 1:
+        raise ValueError("m_list must have length dim S = 1")
+    if not 0 <= slot <= nu:
+        raise ValueError("slot out of range")
+    (m,) = m_list
+    lhs = zeta3 * epsilon_hecke(k, nu, m, 1, a_matrix).coeffs[slot]
+    if eps1 is None:
+        eps1 = epsilon(k, nu, 1, a_matrix)
     g1 = gamma1(k, nu)
 
     alpha = ord_p(p, l_value) if l_value != 0 else 0
@@ -472,7 +456,7 @@ def certify(
         gamma1=g1,
         gamma2=gamma2(k, nu),
         zeta3m2k=zeta3,
-        epsilon_form=epsilon(k, nu, 1, a_matrix),
+        epsilon_form=eps1,
         lhs_invariant=lhs,
         conditions=(
             ("1", cond1, False),

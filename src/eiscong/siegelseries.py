@@ -47,7 +47,7 @@ from functools import lru_cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import factorial, gcd
 
-from .arith import _is_probable_prime, _square_class, kronecker, ord_p
+from .arith import _check_prime, _square_class, kronecker, ord_p
 from .errors import BudgetExceeded
 from .quadform import HalfIntegralMatrix, _principal_minors_2, format_half_integral
 
@@ -145,8 +145,7 @@ def _check_budget(budget: int) -> None:
 
 
 def _check_prime_and_budget(p: int, budget: int) -> None:
-    if not _is_probable_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
+    _check_prime(p)
     _check_budget(budget)
 
 

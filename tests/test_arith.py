@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import pytest
 import sympy
@@ -25,19 +25,18 @@ from eiscong.arith import (
     DiscriminantChar,
     TRIVIAL_CHAR,
     _is_probable_prime,
+    _square_class,
     bernoulli,
     bernoulli_poly,
     cohen_h,
     divisor_power_sum,
     divisors,
     factorize,
-    fundamental_decomposition,
     gen_bernoulli,
     is_fundamental_discriminant,
     kronecker,
     l_value_neg,
     ord_p,
-    pochhammer,
     zeta_neg,
 )
 from eiscong.errors import BudgetExceeded
@@ -164,36 +163,43 @@ class TestKronecker:
         assert kronecker(4, 2) == 0
 
 
+def fundamental_part(m: int) -> tuple[int, int]:
+    """(d, f) with m = d f^2 and d a fundamental discriminant (1 for
+    squares), from the one split `arith._square_class`."""
+    d, f = _square_class(m)
+    return d, prod(p**a for p, a in f.items())
+
+
 class TestFundamentalDecomposition:
     def test_already_fundamental(self):
-        chi, f = fundamental_decomposition(-4)
-        assert (chi.d, f) == (-4, 1)
+        d, f = fundamental_part(-4)
+        assert (d, f) == (-4, 1)
 
     def test_square_part(self):
-        chi, f = fundamental_decomposition(-12)
-        assert (chi.d, f) == (-3, 2)
+        d, f = fundamental_part(-12)
+        assert (d, f) == (-3, 2)
 
     def test_real_field(self):
-        chi, f = fundamental_decomposition(8)
-        assert (chi.d, f) == (8, 1)
+        d, f = fundamental_part(8)
+        assert (d, f) == (8, 1)
 
     def test_perfect_square(self):
-        chi, f = fundamental_decomposition(16)
-        assert (chi.d, f) == (1, 4)
+        d, f = fundamental_part(16)
+        assert (d, f) == (1, 4)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            fundamental_decomposition(0)
+            fundamental_part(0)
         with pytest.raises(ValueError):
-            fundamental_decomposition(3)
+            fundamental_part(3)
 
     def test_roundtrip(self):
         for m in range(-200, 201):
             if m == 0 or m % 4 not in (0, 1):
                 continue
-            chi, f = fundamental_decomposition(m)
-            assert chi.d * f * f == m
-            assert is_fundamental_discriminant(chi.d)
+            d, f = fundamental_part(m)
+            assert d * f * f == m
+            assert is_fundamental_discriminant(d)
 
     def test_against_sympy_factorint(self):
         # d is fundamental when d = 1 mod 4 is squarefree, or d = 4s with
@@ -209,15 +215,15 @@ class TestFundamentalDecomposition:
         for m in [m for m in range(-3000, 3001) if m]:
             assert is_fundamental_discriminant(m) == fundamental(m), m
             if m % 4 in (0, 1):
-                chi, f = fundamental_decomposition(m)
-                assert chi.d * f * f == m and f >= 1 and fundamental(chi.d), m
+                d, f = fundamental_part(m)
+                assert d * f * f == m and f >= 1 and fundamental(d), m
 
     def test_field_discriminant(self):
         # the fundamental part of m = 0, 1 mod 4 is the discriminant of Q(sqrt m)
-        assert fundamental_decomposition(-4)[0].d == -4
-        assert fundamental_decomposition(-36)[0].d == -4
-        assert fundamental_decomposition(12)[0].d == 12
-        assert fundamental_decomposition(9)[0].d == 1
+        assert fundamental_part(-4)[0] == -4
+        assert fundamental_part(-36)[0] == -4
+        assert fundamental_part(12)[0] == 12
+        assert fundamental_part(9)[0] == 1
 
 
 class TestDiscriminantChar:
@@ -404,7 +410,7 @@ def hurwitz_class_numbers(n_max: int) -> list[Fraction]:
 
 # N <= 5000 with N = 0, 3 mod 4 and -N = d f^2 for some f > 1
 NON_FUNDAMENTAL_5000 = [
-    n for n in range(3, 5001) if n % 4 in (0, 3) and fundamental_decomposition(-n)[1] > 1
+    n for n in range(3, 5001) if n % 4 in (0, 3) and fundamental_part(-n)[1] > 1
 ]
 
 
@@ -463,8 +469,23 @@ class TestCohenH:
     @example(3 * 5**2 * 7**2, 13)
     @example(4 * 3**2 * 5**2 * 7**2, 25)
     def test_tail_matches_the_divisor_sum(self, n, r):
-        chi, f = fundamental_decomposition(-n)
+        d, f = fundamental_part(-n)
+        chi = DiscriminantChar(d)
         assert cohen_h(r, n) == l_value_neg(r, chi) * cohen_tail_divisor_sum(r, chi, f)
+
+
+def pochhammer(x: int | Fraction, n: int) -> Fraction:
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); the empty product is 1.
+
+    For x = a/b this is prod (a + i b) / b^n, an integer product and one
+    division.  No computation of the package uses it: it is the oracle of
+    the rational Gegenbauer closed form in test_gegenbauer.
+    """
+    if n < 0:
+        raise ValueError("pochhammer length must be >= 0")
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return Fraction(prod(a + i * b for i in range(n)), b**n)
 
 
 def pochhammer_fraction(x: int | Fraction, n: int) -> Fraction:

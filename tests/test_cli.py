@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from eiscong import cli, qexp
 from eiscong.cli import main
+from eiscong.eisen import z_const
 from eiscong.pullback import CongruenceCertificate
 
 
@@ -198,6 +199,27 @@ class TestSmallCommands:
         assert code == 0
         # 4 * F_2(I_3, 2^10) with F_2(I_3, X) = 1 - 16 X^2
         assert json.loads(out)["value"] == {"num": str(4 * (1 - 16 * 2**20)), "den": "1"}
+
+    def test_output_past_the_int_string_digit_limit(self, capsys):
+        # a(0) = Z(2, 800) has more digits than the interpreter's default
+        # int-string limit: main lifts it for the output only, so an input
+        # past it is still a usage error, and puts it back before returning
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "eisenstein-coeff", "--degree", "2", "--k", "800", "--T", "0,0,0"
+        )
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        value = json.loads(out)["value"]
+        assert len(value["num"]) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(int(value["num"]), int(value["den"])) == z_const(2, 800)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with pytest.raises(SystemExit) as exc:
+            main(["eisenstein-coeff", "--degree", "2", "--k", "1" * 5000, "--T", "0,0,0"])
+        assert exc.value.code == 2 and sys.get_int_max_str_digits() == limit
+        assert "argument --k: invalid int value" in capsys.readouterr().err
 
     def test_cohen_series_constant_term(self, capsys):
         _, out, _ = run(

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eiscong import gegenbauer
-from eiscong.arith import cohen_h, pochhammer
+from eiscong.arith import cohen_h
 from eiscong.errors import BudgetExceeded
 from eiscong.gegenbauer import (
     BinaryForm,
@@ -34,6 +34,7 @@ from eiscong.gegenbauer import (
 from eiscong.pullback import epsilon
 from eiscong.qexp import cohen_series, default_precision
 from eiscong.quadform import HalfIntegralMatrix
+from test_arith import pochhammer
 
 I2 = HalfIntegralMatrix.identity(2)
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong import pullback
-from eiscong.arith import factorize, ord_p, pochhammer, zeta_neg
+from eiscong.arith import factorize, ord_p, zeta_neg
 from eiscong.eisen import EisensteinContext
 from eiscong.errors import BudgetExceeded, UnsupportedHeckeField
 from eiscong.gegenbauer import BinaryForm
@@ -24,12 +24,10 @@ from eiscong.pullback import (
     Strictness,
     Verdict,
     certify,
-    cond2_determinant,
     epsilon,
     epsilon_hecke,
     gamma1,
     gamma2,
-    pick_slot,
 )
 from eiscong.qexp import eigen_basis
 from eiscong.quadform import HalfIntegralMatrix, build_T, enumerate_R, parse_half_integral
@@ -65,7 +63,7 @@ def epsilon_binary_sums(k: int, nu: int, n: int, quad: HalfIntegralMatrix) -> Bi
 def c_kv1(k: int, nu: int) -> tuple[Fraction, int]:
     """The rank-1 pullback constant c_{k,nu,1} = 2^4 (k)_nu (2k-1)_(nu-1) pi,
     as (rational coefficient, power of pi)."""
-    return 2**4 * pochhammer(k, nu) * pochhammer(2 * k - 1, nu - 1), 1
+    return 2**4 * rising(k, nu) * rising(2 * k - 1, nu - 1), 1
 
 
 def rising(x: int, n: int) -> Fraction:
@@ -134,7 +132,7 @@ class TestGammaConstants:
                 * (k - 1)
                 * sign_k
                 * Fraction(2 ** (nu - 1))
-                / pochhammer(2 * k + nu - 3, nu)
+                / rising(2 * k + nu - 3, nu)
                 * c1
             )
             total_pi = -nu + (nu - 1) + pi_exponent
@@ -395,39 +393,57 @@ def test_eigenform_identity_over_the_sweep(pair, case):
 
 
 class TestCond2Determinant:
+    """The determinant criterion (condition 2) as `certify` runs it."""
+
     def test_dim_one_reduction(self):
-        slot = 0
-        lhs = cond2_determinant(14, 2, I2, (1,), slot)
-        e1 = epsilon(14, 2, 1, I2).coeffs[slot]
-        assert lhs == zeta_neg(26) * e1
+        cert = certify(14, 2, 373, I2, slot=0)
+        e1 = epsilon(14, 2, 1, I2).coeffs[0]
+        assert cert.lhs_invariant == zeta_neg(26) * e1
+        assert cert.zeta3m2k == zeta_neg(26)
 
     def test_zero_slot_gives_zero(self):
         # the xy slot of eps(1, I) vanishes for nu = 2
-        lhs = cond2_determinant(14, 2, I2, (1,), 1)
-        assert lhs == 0
+        cert = certify(14, 2, 373, I2, slot=1)
+        assert cert.lhs_invariant == 0
+        assert cert.condition("2") == (False, False)
 
     def test_pick_slot(self):
-        assert pick_slot(14, 2, I2, 373) == 0
-        assert epsilon(8, 8, 1, I2).coeffs[pick_slot(8, 8, I2, 23)] != 0
+        assert certify(14, 2, 373, I2).slot == 0
+        cert = certify(8, 8, 23, I2, strictness=Strictness.RELAXED)
+        assert epsilon(8, 8, 1, I2).coeffs[cert.slot] != 0
 
     def test_pick_slot_falls_back_to_a_nonzero_slot(self):
         # every coefficient of eps_{14,2}(1, I) is even, so no slot is a
         # unit mod 2 and the first nonzero slot is taken
         assert epsilon(14, 2, 1, I2).coeffs == (EPS_14_2, 0, EPS_14_2)
-        assert pick_slot(14, 2, I2, 2) == 0
         cert = certify(14, 2, 2, I2)
         assert cert.slot == 0
         assert cert.verdict is Verdict.NOT_ESTABLISHED
 
     def test_m_list_length_guard(self):
-        with pytest.raises(ValueError):
-            cond2_determinant(14, 2, I2, (1, 2), 0)
+        with pytest.raises(ValueError, match="m_list must have length dim S = 1"):
+            certify(14, 2, 373, I2, m_list=(1, 2), slot=0)
 
     @pytest.mark.parametrize("slot", [-1, 3])
     def test_slot_out_of_range(self, slot):
         # eps_{14,2} has the nu + 1 = 3 slots 0, 1, 2
         with pytest.raises(ValueError, match="slot out of range"):
-            cond2_determinant(14, 2, I2, (1,), slot)
+            certify(14, 2, 373, I2, slot=slot)
+
+    def test_one_read_of_the_eigenform_and_of_eps_1(self, monkeypatch):
+        # eps(1, A) is read once by certify and once by epsilon_hecke at
+        # m = 1; the eigenform of S_16 is read once
+        calls: dict[str, list] = {"epsilon": [], "eigen_basis": []}
+        for name in calls:
+            original = getattr(pullback, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(pullback, name, spy)
+        certify(14, 2, 373, I2)
+        assert calls == {"epsilon": [(14, 2, 1, I2)] * 2, "eigen_basis": [(16,)]}
 
 
 class TestCertify:

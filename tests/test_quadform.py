@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from eiscong import quadform
-from eiscong.arith import DiscriminantChar, fundamental_decomposition
+from eiscong.arith import DiscriminantChar, _square_class
 from eiscong.errors import BudgetExceeded
 from eiscong.quadform import (
     HalfIntegralMatrix,
@@ -123,7 +123,7 @@ def quadratic_character(m: int, det2: int) -> DiscriminantChar:
     if m % 2:
         raise ValueError("the quadratic character needs even rank")
     sign = -1 if (m // 2) % 2 else 1
-    return fundamental_decomposition(sign * det2)[0]
+    return DiscriminantChar(_square_class(sign * det2)[0])
 
 
 def chi_star(t: HalfIntegralMatrix):

@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from eiscong.arith import divisor_power_sum, factorize, fundamental_decomposition, ord_p
+from eiscong.arith import divisor_power_sum, factorize, kronecker, ord_p
 from eiscong.errors import BudgetExceeded
 from eiscong.gegenbauer import _convolve
 from eiscong.quadform import HalfIntegralMatrix, nondeg_part
@@ -22,6 +22,7 @@ from eiscong.siegelseries import (
     local_F,
     oracle_bp,
 )
+from test_arith import fundamental_part
 
 
 def reduced_binary_forms(max_det: int):
@@ -159,9 +160,9 @@ class TestSizeTwo:
         assert len(forms) == 936
         for b in forms:
             det2 = b.det_doubled()
-            chi, f = fundamental_decomposition(-det2)
+            d, f = fundamental_part(-det2)
             for p in factorize(det2):
-                assert chi_p(p, -det2) == chi(p), (p, b)
+                assert chi_p(p, -det2) == kronecker(d, p), (p, b)
                 assert expected_degree(p, b) == 2 * ord_p(p, f), (p, b)
 
 
