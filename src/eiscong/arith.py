@@ -26,7 +26,6 @@ from .errors import BudgetExceeded
 __all__ = [
     "DiscriminantChar",
     "bernoulli",
-    "bernoulli_poly",
     "cohen_h",
     "divisor_power_sum",
     "factorize",
@@ -40,7 +39,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers
 
 # (B_0..B_m, their numerators over the common denominator den, den), replaced
 # as a whole; a larger n rebuilds it at least twice as long
@@ -90,14 +89,6 @@ def bernoulli(n: int) -> Fraction:
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     return _bernoulli_table(n)[0][n]
-
-
-def bernoulli_poly(r: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_r(x) = sum_i C(r, i) B_i x^(r-i)."""
-    return sum(
-        (comb(r, i) * bernoulli(i) * x ** (r - i) for i in range(r + 1)),
-        Fraction(0),
-    )
 
 
 def zeta_neg(k: int) -> Fraction:
@@ -340,9 +331,6 @@ class DiscriminantChar:
 
     def __call__(self, n: int) -> int:
         return kronecker(self.d, n)
-
-
-TRIVIAL_CHAR = DiscriminantChar(1)
 
 
 def _fundamental_char(d: int) -> DiscriminantChar:

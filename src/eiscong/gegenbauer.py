@@ -9,9 +9,9 @@ P_{d,nu} into a homogeneous degree-nu form in two variables; that
 specialization is the kernel of the scalar-to-vector differential operator
 used by the pullback coefficients.  Every monomial s^i m^j has i + 2j = nu,
 so at s = u/2, m = w/4 each one is divided by the same 2^nu: specializations
-are evaluated in integers and divided once.  Integer-weighted sums of them
-over rows stay in integers as well (`_specialization_sum`, by Horner's rule
-in w); `eval_binary` is the one-row case.
+are evaluated in integers and divided once.  The pullback needs only
+integer-weighted sums of them over rows, which stay in integers as well
+(`_specialization_sum`, by Horner's rule in w).
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .quadform import HalfIntegralMatrix
 __all__ = [
     "BinaryForm",
     "BivariatePoly",
-    "eval_binary",
-    "gegenbauer_poly",
 ]
 
 
@@ -75,12 +73,6 @@ class BinaryForm:
         return BinaryForm(self.degree, tuple(c * scalar for c in self.coeffs))
 
     __rmul__ = __mul__
-
-
-def gegenbauer_poly(d: int, nu: int) -> BivariatePoly:
-    """P_{d,nu} for even d >= 4, from the integer coefficients of `_integer_coeffs`."""
-    terms, _ = _integer_coeffs(d, nu)
-    return BivariatePoly(nu, tuple(((i, j), c) for i, j, c in terms))
 
 
 def _integer_coeffs(d: int, nu: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
@@ -154,19 +146,3 @@ def _specialization_sum(
         total = [a + b for a, b in zip(u_sum, _convolve(total, w))] if total else u_sum
     return total, den
 
-
-def eval_binary(
-    d: int,
-    nu: int,
-    r_pair: tuple[int, int],
-    n: int,
-    quad: HalfIntegralMatrix,
-) -> BinaryForm:
-    """Specialize P_{d,nu} at s = (r1 x + r2 y)/2 and m = n * (x y) Q (x y)^t.
-
-    `quad` is the 2x2 half-integral matrix of the quadratic form; the result
-    is a homogeneous binary form of degree nu: the one-row, weight-1 case of
-    `_specialization_sum`, each of its nu + 1 coefficients divided by den.
-    """
-    total, den = _specialization_sum(d, nu, n, quad, [(1, r_pair)])
-    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))

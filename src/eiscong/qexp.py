@@ -1,12 +1,12 @@
 """Level-1 modular forms as truncated q-expansions over exact rationals.
 
-Provides the classical Eisenstein series, the Victor Miller bases (built
-from E_4, E_6 and Delta = (E_4^3 - E_6^2)/1728), the degree-1 Hecke
-operators, the normalized eigenform of a cusp space of dimension <= 1 as a
-tuple of zero or one QExpansion (larger level-1 cusp spaces have irrational
-Hecke fields and raise UnsupportedHeckeField), the weight-k series whose
-coefficients are built from Cohen's H function, and the normalized standard
-L-value obtained from it by an exact Petersson projection.  Every identity used downstream is decided at the Sturm bound,
+Provides the Victor Miller bases (built in integers from E_4, E_6 and
+Delta = (E_4^3 - E_6^2)/1728), the normalized eigenform of a cusp space of
+dimension <= 1 as a tuple of zero or one QExpansion (larger level-1 cusp
+spaces have irrational Hecke fields and raise UnsupportedHeckeField), the
+weight-k series whose coefficients are built from Cohen's H function, and
+the normalized standard L-value obtained from it by an exact Petersson
+projection.  Every identity used downstream is decided at the Sturm bound,
 so the default working precision is max(20, 2 * sturm_bound(k)), at most
 2^12: `miller_basis` and `cohen_series` raise BudgetExceeded above it.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .arith import _over_common_denominator, bernoulli, cohen_h, divisor_power_sum
+from .arith import _over_common_denominator, bernoulli, cohen_h
 from .errors import BudgetExceeded, SingularSystem, UnsupportedHeckeField
 from .gegenbauer import _convolve, _integer_coeffs
 
@@ -29,8 +29,6 @@ __all__ = [
     "dim_cusp",
     "dim_modular",
     "eigen_basis",
-    "eisenstein_qexp",
-    "hecke_t",
     "miller_basis",
     "petersson_ratio",
     "std_l_value",
@@ -68,10 +66,11 @@ def dim_cusp(k: int) -> int:
 class QExpansion:
     """Truncated Fourier series sum a(n) q^n, n <= prec, with a weight tag.
 
-    Addition requires equal weights, multiplication adds them, and both
-    truncate to the smaller precision; no coefficient beyond `prec` is ever
-    read.  A product convolves the integer numerators of both operands over
-    their common denominators and divides each coefficient once.
+    The only arithmetic is what reducing a series against a basis takes: a
+    scalar multiple (scalar on the left), and the difference of two series
+    of equal weight, cut to the smaller precision.  No coefficient beyond
+    `prec` is ever read.  The products of the Miller bases run on integer
+    lists (`gegenbauer._convolve`), not on this class.
     """
 
     weight: int
@@ -87,50 +86,22 @@ class QExpansion:
             raise IndexError(f"coefficient {n} beyond precision {self.prec}")
         return self.coeffs[n]
 
-    def __add__(self, other: QExpansion) -> QExpansion:
+    def __sub__(self, other: QExpansion) -> QExpansion:
         if self.weight != other.weight:
-            raise ValueError("weights must match for addition")
+            raise ValueError("weights must match for subtraction")
         p = min(self.prec, other.prec)
         return QExpansion(
             self.weight,
             p,
-            tuple(a + b for a, b in zip(self.coeffs[: p + 1], other.coeffs[: p + 1])),
+            tuple(a - b for a, b in zip(self.coeffs[: p + 1], other.coeffs[: p + 1])),
         )
 
-    def __sub__(self, other: QExpansion) -> QExpansion:
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, QExpansion):
-            p = min(self.prec, other.prec)
-            a, a_den = _over_common_denominator(self.coeffs[: p + 1])
-            b, b_den = _over_common_denominator(other.coeffs[: p + 1])
-            den = a_den * b_den
-            return QExpansion(
-                self.weight + other.weight,
-                p,
-                tuple(Fraction(c, den) for c in _convolve(a, b, p + 1)),
-            )
-        scalar = Fraction(other)
-        return QExpansion(
-            self.weight, self.prec, tuple(scalar * c for c in self.coeffs)
-        )
-
-    __rmul__ = __mul__
+    def __rmul__(self, scalar: Fraction | int) -> QExpansion:
+        scalar = Fraction(scalar)
+        return QExpansion(self.weight, self.prec, tuple(scalar * c for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-
-def eisenstein_qexp(k: int, prec: int) -> QExpansion:
-    """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
-    if k < 4 or k % 2:
-        raise ValueError("need even k >= 4")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)] + [
-        factor * divisor_power_sum(n, k - 1) for n in range(1, prec + 1)
-    ]
-    return QExpansion(k, prec, tuple(coeffs))
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -165,7 +136,7 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
         raise ValueError(f"precision {prec} below dimension {d}")
     size = prec + 1
 
-    def eisenstein(w: int) -> list[int]:  # E_w as in eisenstein_qexp
+    def eisenstein(w: int) -> list[int]:  # E_w = 1 - (2w/B_w) sum sigma_(w-1)(n) q^n
         b = bernoulli(w)
         factor = _exact_div(-2 * w * b.denominator, b.numerator)
         # sigma_(w-1)(1..prec) by one sieve: d^(w-1) added at each multiple of d
@@ -197,19 +168,6 @@ def miller_basis(k: int, prec: int) -> tuple[tuple[QExpansion, ...], tuple[QExpa
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
     full = tuple(QExpansion(k, prec, tuple(map(Fraction, row))) for row in rows)
     return full, full[1:]
-
-
-def hecke_t(p: int, f: QExpansion) -> QExpansion:
-    """T(p) in weight k: a(n) -> a(np) + p^(k-1) a(n/p); precision drops to P//p."""
-    new_prec = f.prec // p
-    pk = p ** (f.weight - 1)
-    out = []
-    for n in range(new_prec + 1):
-        val = f.coefficient(n * p)
-        if n % p == 0:
-            val += pk * f.coefficient(n // p)
-        out.append(val)
-    return QExpansion(f.weight, new_prec, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ exactly on the doubled matrix.  `nondeg_invariants` is the one
 definiteness test on the computation path: in one pass over the entries of
 2T it reads the rank m, det(2 T~) of the nondegenerate block T~ and the
 content of T, (0, 0, 0) for T = 0, and rejects T that are not positive
-semidefinite, with no elimination and no lists.  `nondeg_part` builds T~
-itself on top of it, by one integer row echelon form with its unimodular
-transform, run only when det(2T) = 0.  The module also
-provides the lattice-point enumeration that gives the pullback sum its
-finite support.
+semidefinite, with no elimination and no lists; a(T) needs nothing of T~
+beyond these.  The module also provides the lattice-point enumeration that
+gives the pullback sum its finite support.
 """
 
 from __future__ import annotations
@@ -28,43 +26,10 @@ __all__ = [
     "enumerate_R",
     "format_half_integral",
     "nondeg_invariants",
-    "nondeg_part",
     "parse_half_integral",
 ]
 
 _R_BOX_POINTS = 2**24  # candidate rows enumerate_R may test before it raises BudgetExceeded
-
-
-def _echelon(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """(U, H) with U unimodular and U * rows = H in row echelon form over Z.
-
-    Euclid on each column: the row with the smallest nonzero entry at or
-    below the current pivot row is swapped up and subtracted, by integer
-    multiples, from the rows beneath it until it is the only nonzero entry
-    left there.  Every step is applied to U as well, so the nonzero rows of
-    H come first and the rows of U beside the zero rows of H span the
-    integer left kernel of `rows`.
-    """
-    h = [list(row) for row in rows]
-    n = len(h)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(len(h[0])):
-        while r < n:
-            nonzero = [i for i in range(r, n) if h[i][col]]
-            if not nonzero:
-                break
-            p = min(nonzero, key=lambda i: abs(h[i][col]))
-            h[r], h[p] = h[p], h[r]
-            u[r], u[p] = u[p], u[r]
-            if len(nonzero) == 1:
-                r += 1
-                break
-            for i in range(r + 1, n):
-                q = h[i][col] // h[r][col]
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-    return u, h
 
 
 def _det_int(rows: tuple[tuple[int, ...], ...]) -> int:
@@ -133,21 +98,23 @@ class HalfIntegralMatrix:
         """det(2T), an exact integer."""
         return _det_int(self.doubled)
 
+    def _principal_minors(self):
+        """(size, minor) for every principal minor of the doubled matrix."""
+        g = self.doubled
+        for size in range(1, self.n + 1):
+            for idx in combinations(range(self.n), size):
+                yield size, _det_int(tuple(tuple(g[i][j] for j in idx) for i in idx))
+
     def rank(self) -> int:
-        """Rank over the rationals: the nonzero rows of the integer echelon
-        form of the doubled matrix."""
-        return sum(1 for row in _echelon(self.doubled)[1] if any(row))
+        """Rank over the rationals: the size of the largest nonzero principal
+        minor, which for a symmetric matrix is its rank."""
+        return max((size for size, minor in self._principal_minors() if minor), default=0)
 
     def is_psd(self) -> bool:
         """All principal minors nonnegative (not just the leading ones;
         boundary lattice points produce zero leading minors).  The test
         oracle for `nondeg_invariants`, which reads only the minors it needs."""
-        g = self.doubled
-        return all(
-            _det_int(tuple(tuple(g[i][j] for j in idx) for i in idx)) >= 0
-            for size in range(1, self.n + 1)
-            for idx in combinations(range(self.n), size)
-        )
+        return all(minor >= 0 for _, minor in self._principal_minors())
 
     def is_pd(self) -> bool:
         """Sylvester: all leading principal minors positive."""
@@ -206,8 +173,9 @@ def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int, int]:
 
     One pass over 2T = [[a, b, c], [b, d, e], [c, e, f]] (or its leading
     block): the entries are unpacked once and the principal minors, det(2T)
-    and the gcds are local integers.  m is the rank of T and T~ its
-    nondegenerate part (see `nondeg_part`).  If det(2T) != 0, m = n and T
+    and the gcds are local integers.  m is the rank of T, and T~ its
+    nondegenerate part: T is GL_n(Z)-equivalent to diag(T~, 0) with T~
+    positive definite of size m.  If det(2T) != 0, m = n and T
     is PSD exactly when it is positive definite (Sylvester: a, a d - b^2
     and det(2T) > 0).  Otherwise T is PSD exactly when its diagonal and its
     diagonal cofactors are >= 0, and 2T = V^t (2 T~) V for a primitive
@@ -252,33 +220,6 @@ def nondeg_invariants(t: HalfIntegralMatrix) -> tuple[int, int, int]:
             raise ValueError("matrix must be positive semidefinite")
         content = det_tilde // 2
     return (1, det_tilde, content) if det_tilde else (0, 0, 0)
-
-
-def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
-    """(T~, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
-
-    m, det(2 T~) and the PSD test come from `nondeg_invariants`; T = 0
-    (m = 0) has no nondegenerate part and raises here.  If m = n,
-    T~ is T itself.  Otherwise U (2T) U^t = diag(2 T~, 0) for the unimodular
-    U of the integer echelon form U (2T) = H: the rows of U beside the zero
-    rows of H are a basis of ker(2T) meet Z^n, and as 2T is symmetric they
-    clear both the rows and the columns of U (2T) U^t outside its leading
-    m x m block, which is 2 T~.  T~ depends on the elimination order, but
-    its GL_m(Z) class and det(2 T~) do not.
-    """
-    m, det2, _ = nondeg_invariants(t)
-    if not m:
-        raise ValueError("rank 0 has no nondegenerate part")
-    if m == t.n:
-        return t, det2
-    transformed = t.transform(_echelon(t.doubled)[0]).doubled
-    n = t.n
-    tilde = HalfIntegralMatrix(tuple(row[:m] for row in transformed[:m]))
-    if tilde.det_doubled() != det2 or any(
-        transformed[i][j] for i in range(n) for j in range(n) if max(i, j) >= m
-    ):
-        raise AssertionError("echelon block disagrees with the minors of 2T")
-    return tilde, det2
 
 
 def enumerate_R(n: int, quad: HalfIntegralMatrix) -> list[tuple[int, int]]:

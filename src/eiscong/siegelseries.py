@@ -10,11 +10,11 @@ Two independent routes are implemented:
 * closed forms for sizes 1 and 2 (geometric sum, and the classical
   content/square-part formula behind the degree-2 Eisenstein coefficients);
 * the character sum itself, evaluated exactly in integers by enumerating
-  representatives R = S / p^j with S mod p^j.  One kernel serves every size
-  and every p: h_k, the gcd of the k x k minors of S and p^(kj), is
-  p^min(v_k, kj), and the product of gcd(h_k / h_(k-1), p^j) is
-  p^(sum_k min(e_k, j)) over the elementary divisor exponents e_k of S, which
-  gives the level.  Each level's histogram of tr(BR) mod p^j depends only on
+  representatives R = S / p^j with S mod p^j.  One kernel,
+  `_character_sum_series`, serves every size and every p: h_k, the gcd of
+  the k x k minors of S and p^(kj), is p^min(v_k, kj), and the product of
+  gcd(h_k / h_(k-1), p^j) is p^(sum_k min(e_k, j)) over the elementary
+  divisor exponents e_k of S, which gives the level.  Each level's histogram of tr(BR) mod p^j depends only on
   gcd(tr, p^j), so its root-of-unity sum is a Ramanujan sum: the count at 0
   less the count at p^(j-1).  numpy is imported on the first enumeration,
   not with the package.
@@ -24,8 +24,8 @@ Size 3 combines the second route with Katsurada's functional equation
 ternary B with d = deg F_p, f_(d-i) = eps p^(2d-4i) f_i, with eps a product
 of Hilbert symbols.  Degree d = 0 gives F_p = 1.  For d >= 1 only
 c_0..c_(d//2) of the character sum are needed, divided by the integer
-numerator of gamma_p that `gamma_p` itself is built from; the upper half
-follows from the equation (d = 1 needs no eps: F_p = 1 + (c_1 + 1) X).
+numerator of gamma_p (`_gamma_numerator`); the upper half follows from
+the equation (d = 1 needs no eps: F_p = 1 + (c_1 + 1) X).
 Through X^2 the sum is read off strata of R with no enumeration: c_1 from
 the rank-1 classes a v v^t / p (`_c1`: 2B mod p at odd p, the 7 points of
 P^2(F_2)), c_2 from the two level-p^2 strata (`_c2`: points and planes of
@@ -33,10 +33,10 @@ P^2(F_p), at every p).  So only d >= 6 enumerates the sum, through X^(d//2)
 (p^(6 (d//2)) points instead of p^(6d)).
 The levels of the enumerated R do not depend on B and are cached per
 (p, size, j); nothing of B is: `eisen` keeps the F_p of each rank-3 T it
-evaluates, for every weight.  The full-length sum stays available as
-`oracle_bp`, the test oracle for every fast route.  `gamma_p`, `oracle_bp`
-and `local_F` all return integer coefficients, constant term first: tests
-form gamma_p F_p by convolving them.
+evaluates, for every weight.  `local_F` returns integer coefficients,
+constant term first.  The tests hold gamma_p and run the full-length sum at
+every size as the oracle of each fast route, comparing it with gamma_p F_p
+by convolution.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ __all__ = [
     "SiegelSeriesPolynomial",
     "chi_p",
     "expected_degree",
-    "gamma_p",
     "local_F",
-    "oracle_bp",
 ]
 
 DEFAULT_BUDGET = 2**24
@@ -113,23 +111,6 @@ def chi_p(p: int, a: int | Fraction) -> int:
     return _hilbert(p, a, p)
 
 
-def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """gamma_p(B, X) as a (numerator, denominator) pair of integer coefficient
-    tuples, constant term first.
-
-    Odd size: (1 - X) prod_{i<=(n-1)/2} (1 - p^2i X^2), denominator 1.
-    Even size: the same shape of numerator with i <= n/2, divided by
-    (1 - p^(n/2) xi X), xi = chi_p((-1)^(n/2) det B), read on det(2B) (they
-    differ by the square 2^n); the denominator is (1,) when xi = 0.
-    """
-    if b.det_doubled() == 0:
-        raise ValueError("B must be nondegenerate")
-    n = b.n
-    xi = 0 if n % 2 else chi_p(p, (-1) ** (n // 2) * b.det_doubled())
-    den = (1, -(p ** (n // 2) * xi)) if xi else (1,)
-    return tuple(_gamma_numerator(p, n)), den
-
-
 def _gamma_numerator(p: int, n: int) -> list[int]:
     """Integer coefficients of (1 - X) prod_{i<=n/2} (1 - p^2i X^2), the
     numerator of gamma_p for size n."""
@@ -142,11 +123,6 @@ def _gamma_numerator(p: int, n: int) -> list[int]:
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-
-
-def _check_prime_and_budget(p: int, budget: int) -> None:
-    _check_prime(p)
-    _check_budget(budget)
 
 
 def expected_degree(p: int, b: HalfIntegralMatrix) -> int:
@@ -316,18 +292,6 @@ def _character_sum_series(p: int, b: HalfIntegralMatrix, j_max: int, budget: int
     return [_collapse_histogram(hist[j].tolist(), p, j_max) for j in range(j_max + 1)]
 
 
-def oracle_bp(
-    p: int, b: HalfIntegralMatrix, j_max: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...]:
-    """c_0..c_{j_max} of the character sum sum_j c_j X^j, exactly."""
-    _check_prime_and_budget(p, budget)
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
-    if b.det_doubled() == 0:
-        raise ValueError("B must be nondegenerate")
-    return tuple(_character_sum_series(p, b, j_max, budget))
-
-
 def _projective_points(p: int):
     """One representative of each of the p^2 + p + 1 points of P^2(F_p)."""
     return chain(product((1,), range(p), range(p)), product((0,), (1,), range(p)), [(0, 0, 1)])
@@ -440,6 +404,7 @@ def local_F(
 ) -> SiegelSeriesPolynomial:
     """F_p(B, X) for a prime p and nondegenerate half-integral B of size <= 3.
 
+    A p that is not prime raises ValueError first, then a budget below 1.
     d = `expected_degree` on every size.  Sizes 1 and 2 return closed forms:
     a geometric sum, and the content/square-part formula (with
     xi = `chi_p`(-det 2B)) behind the classical divisor-sum expression for
@@ -455,7 +420,8 @@ def local_F(
     planes for c_2, or of R.  Nothing of B is cached here: `eisen` keeps the
     size-3 F_p of each T it meets.
     """
-    _check_prime_and_budget(p, budget)
+    _check_prime(p)
+    _check_budget(budget)
     deg = expected_degree(p, b)
     if b.n == 2:
         cv, e = ord_p(p, b.content()), deg // 2

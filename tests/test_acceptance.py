@@ -16,13 +16,12 @@ from fractions import Fraction
 
 from eiscong.arith import divisor_power_sum
 from eiscong.eisen import EisensteinContext
-from eiscong.gegenbauer import _convolve, eval_binary
+from eiscong.gegenbauer import _convolve
 from eiscong.pullback import Strictness, Verdict, certify, epsilon, epsilon_hecke
 from eiscong.qexp import (
     cohen_series,
     default_precision,
     eigen_basis,
-    hecke_t,
     miller_basis,
     std_l_value,
 )
@@ -30,11 +29,12 @@ from eiscong.quadform import (
     HalfIntegralMatrix,
     build_T,
     canonical_signed_perm,
-    nondeg_part,
 )
-from eiscong.siegelseries import gamma_p, local_F, oracle_bp
-from test_qexp import tm_eigenvalue
-from test_quadform import random_unimodular
+from eiscong.siegelseries import local_F
+from test_gegenbauer import eval_binary
+from test_qexp import hecke_t, tm_eigenvalue
+from test_quadform import nondeg_part, random_unimodular
+from test_siegelseries import gamma_p, oracle_bp
 
 I2 = HalfIntegralMatrix.identity(2)
 BUDGET = 2**24

@@ -95,13 +95,11 @@ def test_benchmark_selftest_passes():
 @pytest.mark.parametrize(
     "module_name, name",
     [
-        ("arith", "bernoulli_poly"),
         ("arith", "cohen_h"),
         ("arith", "factorize"),
         ("arith", "gen_bernoulli"),
         ("arith", "l_value_neg"),
         ("cli", "main"),
-        ("gegenbauer", "eval_binary"),
         ("pullback", "certify"),
         ("pullback", "epsilon"),
         ("qexp", "cohen_series"),
@@ -110,7 +108,6 @@ def test_benchmark_selftest_passes():
         ("qexp", "petersson_ratio"),
         ("qexp", "std_l_value"),
         ("quadform", "enumerate_R"),
-        ("quadform", "nondeg_part"),
         ("siegelseries", "local_F"),
     ],
 )
@@ -169,24 +166,51 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
+# Top-level names outside __all__ that no code in the package references,
+# each with the binding outside the package that keeps it there.
+UNREFERENCED_IN_SRC = {
+    "quadform.canonical_signed_perm": "perfbench/tracer.py wraps it through EXTRA",
+}
+
+
 def test_every_private_helper_is_referenced_in_src():
-    """Every `_name` function or class defined in the package is referenced
-    somewhere in it, so a helper whose last caller went is deleted too."""
+    """Every top-level function, class and module constant outside its
+    module's __all__, and every `_name` function or class at any depth, is
+    referenced somewhere in the package: a name whose last caller went is
+    deleted too, and a name only the tests reach lives in the tests."""
     package = Path(import_module("eiscong").__file__).parent
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, referenced = {}, set()
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        tree = ast.parse(path.read_text(), str(path))
+        module = import_module("eiscong" if path.stem == "__init__" else f"eiscong.{path.stem}")
+        exported = set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if isinstance(node, defs):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name not in exported and not name.startswith("__"):
+                    defined[f"{path.stem}.{name}"] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, defs):
                 if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined[node.name] = f"{path.name}:{node.lineno}"
-            elif isinstance(node, ast.Name):
+                    defined.setdefault(f"{path.stem}.{node.name}", f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    assert defined, "no private definitions found"
-    assert sorted(where for name, where in defined.items() if name not in referenced) == []
+    assert defined, "no definitions found"
+    unreferenced = {
+        key: where for key, where in defined.items() if key.split(".", 1)[1] not in referenced
+    }
+    assert sorted(unreferenced) == sorted(UNREFERENCED_IN_SRC), unreferenced
 
 
 def test_cached_functions_are_pinned():

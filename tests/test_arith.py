@@ -23,11 +23,9 @@ from sympy.functions.combinatorial.numbers import kronecker_symbol
 from eiscong import arith
 from eiscong.arith import (
     DiscriminantChar,
-    TRIVIAL_CHAR,
     _is_probable_prime,
     _square_class,
     bernoulli,
-    bernoulli_poly,
     cohen_h,
     divisor_power_sum,
     divisors,
@@ -40,6 +38,16 @@ from eiscong.arith import (
     zeta_neg,
 )
 from eiscong.errors import BudgetExceeded
+
+TRIVIAL_CHAR = DiscriminantChar(1)
+
+
+def bernoulli_poly(r: int, x: Fraction) -> Fraction:
+    """Bernoulli polynomial B_r(x) = sum_i C(r, i) B_i x^(r-i)."""
+    return sum(
+        (comb(r, i) * bernoulli(i) * x ** (r - i) for i in range(r + 1)),
+        Fraction(0),
+    )
 
 
 def bernoulli_oracle_values(n: int) -> list[Fraction]:

@@ -35,9 +35,9 @@ from eiscong.siegelseries import (
     _level_table,
     expected_degree,
     local_F,
-    oracle_bp,
 )
 from test_cli import run_python
+from test_siegelseries import oracle_bp
 
 POINTS = 2**15
 PRIMES = (2, 3, 5, 7, 13)

@@ -17,14 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eiscong import eisen, quadform
+from eiscong import eisen
 from eiscong.arith import cohen_h, l_value_neg, prime_divisors, zeta_neg
 from eiscong.eisen import EisensteinContext, z_const
 from eiscong.errors import BudgetExceeded
-from eiscong.qexp import eisenstein_qexp
-from eiscong.quadform import HalfIntegralMatrix, build_T, nondeg_part, parse_half_integral
+from eiscong.quadform import HalfIntegralMatrix, build_T, parse_half_integral
 from eiscong.siegelseries import local_F
-from test_quadform import quadratic_character, random_unimodular
+from test_qexp import eisenstein_qexp
+from test_quadform import nondeg_part, quadratic_character, random_unimodular
 
 I2 = HalfIntegralMatrix.identity(2)
 I3 = HalfIntegralMatrix.identity(3)
@@ -222,18 +222,13 @@ class TestOneReduction:
 
     @pytest.fixture
     def calls(self, monkeypatch) -> dict[str, int]:
-        calls = {"echelon": 0, "is_psd": 0}
-        echelon, is_psd = quadform._echelon, HalfIntegralMatrix.is_psd
-
-        def counting_echelon(rows):
-            calls["echelon"] += 1
-            return echelon(rows)
+        calls = {"is_psd": 0}
+        is_psd = HalfIntegralMatrix.is_psd
 
         def counting_is_psd(self):
             calls["is_psd"] += 1
             return is_psd(self)
 
-        monkeypatch.setattr(quadform, "_echelon", counting_echelon)
         monkeypatch.setattr(HalfIntegralMatrix, "is_psd", counting_is_psd)
         eisen._untailed.cache_clear()
         eisen._local_factors.cache_clear()
@@ -253,7 +248,7 @@ class TestOneReduction:
         for name in ("_untailed", "_local_factors"):
             info = getattr(eisen, name).cache_info()
             assert (info.hits, info.misses) == ((0, 1) if name == cache else (0, 0)), name
-        assert calls == {"echelon": 0, "is_psd": 0}
+        assert calls == {"is_psd": 0}
         # the oracle reduces T, so it runs after the count
         assert value == product_route(3, 38, t) != 0
 
@@ -264,7 +259,7 @@ class TestOneReduction:
         assert EisensteinContext(3, 36).coefficient(padded_image(t, 7)) == value
         info = eisen._untailed.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert calls == {"echelon": 0, "is_psd": 0}
+        assert calls == {"is_psd": 0}
 
     def test_equal_det_different_content_are_separate_entries(self, calls):
         # det(2T) = 16 for both, contents 1 and 2

@@ -2,12 +2,13 @@
 
 The integer coefficients are checked against a test-local copy of the
 rational closed form they replaced (Pochhammer terms over factorials), and
-against the generating function.  The integer route behind `eval_binary` and
-`cohen_series` is checked against test-local copies of the rational routes it
-replaced: dense Fraction powers of the specialized forms, and term-by-term
-`BivariatePoly.evaluate`.  The per-row integer route that the weighted row
-sum in `pullback.epsilon` replaced is kept here as well, checked against the
-rational one, and is the oracle for that weighted sum.
+against the generating function.  The integer route behind
+`pullback.epsilon` and `cohen_series` is checked, through its one-row case
+`eval_binary` (kept here), against test-local copies of the rational routes
+it replaced: dense Fraction powers of the specialized forms, and
+term-by-term `BivariatePoly.evaluate`.  The per-row integer route that the
+weighted row sum in `pullback.epsilon` replaced is kept here as well,
+checked against the rational one, and is the oracle for that weighted sum.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from eiscong.gegenbauer import (
     BivariatePoly,
     _integer_coeffs,
     _specialization_sum,
-    eval_binary,
-    gegenbauer_poly,
 )
 from eiscong.pullback import epsilon
 from eiscong.qexp import cohen_series, default_precision
@@ -38,6 +37,29 @@ from test_arith import pochhammer
 
 I2 = HalfIntegralMatrix.identity(2)
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def gegenbauer_poly(d: int, nu: int) -> BivariatePoly:
+    """P_{d,nu} for even d >= 4, from the integer coefficients of `_integer_coeffs`."""
+    terms, _ = _integer_coeffs(d, nu)
+    return BivariatePoly(nu, tuple(((i, j), c) for i, j, c in terms))
+
+
+def eval_binary(
+    d: int,
+    nu: int,
+    r_pair: tuple[int, int],
+    n: int,
+    quad: HalfIntegralMatrix,
+) -> BinaryForm:
+    """Specialize P_{d,nu} at s = (r1 x + r2 y)/2 and m = n * (x y) Q (x y)^t.
+
+    `quad` is the 2x2 half-integral matrix of the quadratic form; the result
+    is a homogeneous binary form of degree nu: the one-row, weight-1 case of
+    `_specialization_sum`, each of its nu + 1 coefficients divided by den.
+    """
+    total, den = _specialization_sum(d, nu, n, quad, [(1, r_pair)])
+    return BinaryForm(nu, tuple(Fraction(c, den) for c in total))
 
 
 def gegenbauer_fraction(d: int, nu: int) -> tuple[tuple[tuple[int, int], Fraction], ...]:

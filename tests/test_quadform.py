@@ -16,12 +16,73 @@ from eiscong.quadform import (
     canonical_signed_perm,
     enumerate_R,
     format_half_integral,
-    nondeg_part,
+    nondeg_invariants,
     parse_half_integral,
 )
 
 I2 = HalfIntegralMatrix.identity(2)
 I3 = HalfIntegralMatrix.identity(3)
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, H) with U unimodular and U * rows = H in row echelon form over Z.
+
+    Euclid on each column: the row with the smallest nonzero entry at or
+    below the current pivot row is swapped up and subtracted, by integer
+    multiples, from the rows beneath it until it is the only nonzero entry
+    left there.  Every step is applied to U as well, so the nonzero rows of
+    H come first and the rows of U beside the zero rows of H span the
+    integer left kernel of `rows`.
+    """
+    h = [list(row) for row in rows]
+    n = len(h)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    for col in range(len(h[0])):
+        while r < n:
+            nonzero = [i for i in range(r, n) if h[i][col]]
+            if not nonzero:
+                break
+            p = min(nonzero, key=lambda i: abs(h[i][col]))
+            h[r], h[p] = h[p], h[r]
+            u[r], u[p] = u[p], u[r]
+            if len(nonzero) == 1:
+                r += 1
+                break
+            for i in range(r + 1, n):
+                q = h[i][col] // h[r][col]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+    return u, h
+
+
+def nondeg_part(t: HalfIntegralMatrix) -> tuple[HalfIntegralMatrix, int]:
+    """(T~, det(2 T~)) for a nonzero PSD matrix; ValueError for any other.
+
+    The oracle that builds the nondegenerate part T~ which
+    `nondeg_invariants` only measures.  m, det(2 T~) and the PSD test come
+    from `nondeg_invariants`; T = 0 (m = 0) has no nondegenerate part and
+    raises here.  If m = n, T~ is T itself.  Otherwise U (2T) U^t =
+    diag(2 T~, 0) for the unimodular U of the integer echelon form
+    U (2T) = H: the rows of U beside the zero rows of H are a basis of
+    ker(2T) meet Z^n, and as 2T is symmetric they clear both the rows and
+    the columns of U (2T) U^t outside its leading m x m block, which is
+    2 T~.  T~ depends on the elimination order, but its GL_m(Z) class and
+    det(2 T~) do not.
+    """
+    m, det2, _ = nondeg_invariants(t)
+    if not m:
+        raise ValueError("rank 0 has no nondegenerate part")
+    if m == t.n:
+        return t, det2
+    transformed = t.transform(_echelon(t.doubled)[0]).doubled
+    n = t.n
+    tilde = HalfIntegralMatrix(tuple(row[:m] for row in transformed[:m]))
+    if tilde.det_doubled() != det2 or any(
+        transformed[i][j] for i in range(n) for j in range(n) if max(i, j) >= m
+    ):
+        raise AssertionError("echelon block disagrees with the minors of 2T")
+    return tilde, det2
 
 
 def random_unimodular(rng: random.Random, n: int = 3, bound: int = 3):

@@ -1,17 +1,17 @@
-"""Property tests for the integer echelon form behind rank and nondeg_part,
-for the one-pass triple (m, det(2 T~), content) of nondeg_invariants, for
-the definiteness decisions of nondeg_invariants and enumerate_R, and for
-the signed-permutation cache key.
+"""Property tests for rank, for the echelon reduction of the test oracle
+nondeg_part, for the one-pass triple (m, det(2 T~), content) of
+nondeg_invariants, for the definiteness decisions of nondeg_invariants and
+enumerate_R, and for the signed-permutation cache key.
 
 sympy's rank is the independent oracle for HalfIntegralMatrix.rank; the
 reduction and the invariants are checked on matrices built as
 U diag(T0, 0) U^t, whose nondegenerate part is known up to GL_m(Z)
-equivalence, and the triple against the echelon rank, the reduction,
-`content` and a row-loop content.  `is_psd`, which reads every principal
-minor, is the oracle for the PSD test that nondeg_invariants makes and for
-the single determinant that enumerate_R keeps.  The cache key is checked
-against the direct construction: every signed permutation matrix applied
-through `transform`.
+equivalence, and the triple against rank, the reduction, `content` and a
+row-loop content.  `is_psd`, which reads every principal minor, is the
+oracle for the PSD test that nondeg_invariants makes and for the single
+determinant that enumerate_R keeps.  The cache key is checked against the
+direct construction: every signed permutation matrix applied through
+`transform`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from eiscong.quadform import (
     canonical_signed_perm,
     enumerate_R,
     nondeg_invariants,
-    nondeg_part,
 )
 from eiscong.siegelseries import local_F
-from test_quadform import chi_star, random_unimodular
+from test_quadform import chi_star, nondeg_part, random_unimodular
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -252,7 +251,7 @@ def test_nondeg_invariants_reject_exactly_the_non_psd(t):
 # even off-diagonal and a/2 = 1 odd: the content 1 comes from the halved diagonal
 @example(HalfIntegralMatrix.diagonal(1, 2, 2))
 def test_nondeg_invariants_match_the_independent_oracles(t):
-    """The one-pass triple against the echelon rank, the reduction, the
+    """The one-pass triple against rank, the reduction, the
     content and the row loop, and every principal minor for the PSD test."""
     if not t.is_psd():
         with pytest.raises(ValueError, match="positive semidefinite"):

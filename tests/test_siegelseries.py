@@ -9,20 +9,52 @@ from math import isqrt
 
 import pytest
 
-from eiscong.arith import divisor_power_sum, factorize, kronecker, ord_p
+from eiscong.arith import _check_prime, divisor_power_sum, factorize, kronecker, ord_p
 from eiscong.errors import BudgetExceeded
 from eiscong.gegenbauer import _convolve
-from eiscong.quadform import HalfIntegralMatrix, nondeg_part
+from eiscong.quadform import HalfIntegralMatrix
 from eiscong import arith, quadform, siegelseries
 from eiscong.siegelseries import (
     DEFAULT_BUDGET,
+    _check_budget,
+    _gamma_numerator,
     chi_p,
     expected_degree,
-    gamma_p,
     local_F,
-    oracle_bp,
 )
 from test_arith import fundamental_part
+from test_quadform import nondeg_part
+
+
+def gamma_p(p: int, b: HalfIntegralMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """gamma_p(B, X) as a (numerator, denominator) pair of integer coefficient
+    tuples, constant term first.
+
+    Odd size: (1 - X) prod_{i<=(n-1)/2} (1 - p^2i X^2), denominator 1.
+    Even size: the same shape of numerator with i <= n/2, divided by
+    (1 - p^(n/2) xi X), xi = chi_p((-1)^(n/2) det B), read on det(2B) (they
+    differ by the square 2^n); the denominator is (1,) when xi = 0.
+    """
+    if b.det_doubled() == 0:
+        raise ValueError("B must be nondegenerate")
+    n = b.n
+    xi = 0 if n % 2 else chi_p(p, (-1) ** (n // 2) * b.det_doubled())
+    den = (1, -(p ** (n // 2) * xi)) if xi else (1,)
+    return tuple(_gamma_numerator(p, n)), den
+
+
+def oracle_bp(
+    p: int, b: HalfIntegralMatrix, j_max: int, budget: int = DEFAULT_BUDGET
+) -> tuple[int, ...]:
+    """c_0..c_{j_max} of the character sum sum_j c_j X^j, exactly: the
+    full-length sum, the oracle of every fast route of `local_F`."""
+    _check_prime(p)
+    _check_budget(budget)
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    if b.det_doubled() == 0:
+        raise ValueError("B must be nondegenerate")
+    return tuple(siegelseries._character_sum_series(p, b, j_max, budget))
 
 
 def reduced_binary_forms(max_det: int):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_quadform import random_unimodular
+from test_siegelseries import oracle_bp
 
 from eiscong.arith import prime_divisors
 from eiscong.quadform import HalfIntegralMatrix, canonical_signed_perm
@@ -28,7 +29,6 @@ from eiscong.siegelseries import (
     _hilbert,
     expected_degree,
     local_F,
-    oracle_bp,
 )
 
 FEW = settings(max_examples=15, deadline=None, derandomize=True)
